@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
   e2e_table.print(std::cout);
   std::printf(
       "\n(delivery and all fingerprint-visible metrics are identical "
-      "between the two impls by construction — ci/scale.sh asserts the "
-      "byte-equality; this table shows what the equivalence costs)\n");
+      "between the two impls by construction — ci/sweep.sh scale asserts "
+      "the byte-equality; this table shows what the equivalence costs)\n");
   return 0;
 }

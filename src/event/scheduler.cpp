@@ -75,14 +75,4 @@ Time Scheduler::run_until(Time until) {
   return now_;
 }
 
-Time Scheduler::run_before(Time bound) {
-  while (!queue_.empty() && queue_.top().when < bound) {
-    const Entry entry = queue_.top();
-    queue_.pop();
-    dispatch(entry);
-  }
-  if (bound > now_) now_ = bound;
-  return now_;
-}
-
 }  // namespace tactic::event

@@ -66,13 +66,6 @@ class Scheduler {
   /// Runs events with timestamp <= `until`, then sets now() to `until`.
   Time run_until(Time until);
 
-  /// Runs events with timestamp strictly < `bound`, then sets now() to
-  /// `bound`.  Events at exactly `bound` stay queued: this is the parallel
-  /// engine's epoch boundary, where an event on the lookahead horizon must
-  /// not run until the barrier has merged cross-partition arrivals that
-  /// share its timestamp.
-  Time run_before(Time bound);
-
   /// Number of events executed so far.
   std::uint64_t executed_count() const { return executed_; }
   /// Number of events currently pending (excluding cancelled ones).

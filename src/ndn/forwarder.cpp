@@ -56,7 +56,7 @@ PacketVariant from_frame(net::Frame&& frame) {
 
 Forwarder::Forwarder(event::Scheduler& scheduler, net::NodeInfo info,
                      std::size_t cs_capacity)
-    : scheduler_(&scheduler),
+    : scheduler_(scheduler),
       info_(std::move(info)),
       cs_(cs_capacity),
       policy_(std::make_unique<NullPolicy>()) {}
@@ -142,7 +142,7 @@ void Forwarder::send(FaceId face_id, PacketVariant packet,
   Face& face = faces_.at(face_id);
   if (face.is_app) {
     // Local delivery to the application, after the compute delay.
-    scheduler_->schedule(delay, [this, face_id, epoch = epoch_,
+    scheduler_.schedule(delay, [this, face_id, epoch = epoch_,
                                 p = std::move(packet)]() {
       if (epoch != epoch_) return;  // node crashed since scheduling
       const Face& face = faces_.at(face_id);
@@ -173,7 +173,7 @@ void Forwarder::send(FaceId face_id, PacketVariant packet,
   if (delay == 0) {
     transmit();
   } else {
-    scheduler_->schedule(delay, std::move(transmit));
+    scheduler_.schedule(delay, std::move(transmit));
   }
 }
 
@@ -186,7 +186,7 @@ void Forwarder::do_send_interest(const std::vector<Fib::NextHop>& next_hops,
       // the scheduler so handlers never reenter the pipeline.
       if (i > 0) ++counters_.interest_failovers;
       const FaceId face_id = face.id;
-      scheduler_->schedule(0, [this, face_id, epoch = epoch_,
+      scheduler_.schedule(0, [this, face_id, epoch = epoch_,
                               pkt = std::move(p)]() {
         if (epoch != epoch_) return;
         const Face& app_face = faces_.at(face_id);
@@ -219,7 +219,7 @@ void Forwarder::send_interest(const std::vector<Fib::NextHop>& next_hops,
     do_send_interest(next_hops, std::move(interest));
     return;
   }
-  scheduler_->schedule(delay, [this, next_hops, epoch = epoch_,
+  scheduler_.schedule(delay, [this, next_hops, epoch = epoch_,
                               p = std::move(interest)]() mutable {
     if (epoch != epoch_) return;  // node crashed since scheduling
     do_send_interest(next_hops, std::move(p));
@@ -227,10 +227,10 @@ void Forwarder::send_interest(const std::vector<Fib::NextHop>& next_hops,
 }
 
 void Forwarder::schedule_pit_expiry(PitEntry& entry, event::Time expiry) {
-  if (entry.expiry_event.valid()) scheduler_->cancel(entry.expiry_event);
+  if (entry.expiry_event.valid()) scheduler_.cancel(entry.expiry_event);
   pit_.set_expiry(entry, expiry);  // updates expiry_time + the expiry heap
   const PitToken token = pit_.token_of(entry);
-  entry.expiry_event = scheduler_->schedule_at(expiry, [this, token] {
+  entry.expiry_event = scheduler_.schedule_at(expiry, [this, token] {
     if (PitEntry* entry = pit_.find_token(token)) {
       ++counters_.pit_expirations;
       pit_.erase(entry->name);
@@ -292,7 +292,7 @@ void Forwarder::on_interest(FaceId in_face, InterestPtr&& packet) {
   }
 
   // PIT: aggregate onto an in-flight request when possible.
-  const event::Time record_expiry = scheduler_->now() + interest->lifetime;
+  const event::Time record_expiry = scheduler_.now() + interest->lifetime;
   if (PitEntry* entry = pit_.find(interest->name);
       entry != nullptr && entry->forwarded) {
     if (Pit::has_nonce(*entry, interest->nonce)) {
@@ -329,7 +329,7 @@ void Forwarder::on_interest(FaceId in_face, InterestPtr&& packet) {
       pit_.find(interest->name) == nullptr) {
     if (PitEntry* victim = pit_.lru_victim()) {
       if (victim->expiry_event.valid()) {
-        scheduler_->cancel(victim->expiry_event);
+        scheduler_.cancel(victim->expiry_event);
       }
       pit_.erase(victim->name);
       ++counters_.pit_evictions;
@@ -379,7 +379,7 @@ void Forwarder::on_data(FaceId in_face, DataPtr&& packet) {
     }
   }
 
-  const event::Time now = scheduler_->now();
+  const event::Time now = scheduler_.now();
   for (const PitInRecord& record : entry->in_records) {
     if (record.expiry < now) continue;  // stale aggregate
     // Second handle on the incoming packet: untouched records forward
@@ -408,7 +408,7 @@ void Forwarder::on_data(FaceId in_face, DataPtr&& packet) {
     send(record.face, PacketVariant(outgoing.take()),
          compute + decision.compute);
   }
-  if (entry->expiry_event.valid()) scheduler_->cancel(entry->expiry_event);
+  if (entry->expiry_event.valid()) scheduler_.cancel(entry->expiry_event);
   pit_.erase(data->name);
 }
 
@@ -421,7 +421,7 @@ void Forwarder::crash() {
   // timer), the whole Content Store, and the pool's recycled packet
   // buffers (live packets belong to other nodes / in-flight frames).
   pit_.for_each([this](const PitEntry& entry) {
-    if (entry.expiry_event.valid()) scheduler_->cancel(entry.expiry_event);
+    if (entry.expiry_event.valid()) scheduler_.cancel(entry.expiry_event);
   });
   pit_.clear();
   cs_.clear();
@@ -447,7 +447,7 @@ void Forwarder::on_nack(FaceId /*in_face*/, NackPtr&& packet) {
     ++counters_.nacks_sent;
     send(record.face, PacketVariant(NackPtr(nack)), 0);
   }
-  if (entry->expiry_event.valid()) scheduler_->cancel(entry->expiry_event);
+  if (entry->expiry_event.valid()) scheduler_.cancel(entry->expiry_event);
   pit_.erase(nack->name);
 }
 

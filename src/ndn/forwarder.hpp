@@ -119,17 +119,8 @@ class Forwarder {
   Forwarder& operator=(const Forwarder&) = delete;
 
   const net::NodeInfo& info() const { return info_; }
-  event::Scheduler& scheduler() { return *scheduler_; }
-  const event::Scheduler& scheduler() const { return *scheduler_; }
-
-  /// Re-points this node at another event scheduler — the parallel
-  /// engine's partition assignment (docs/ARCHITECTURE.md, "Concurrency
-  /// model").  Must run before any event is scheduled through this node
-  /// (apps schedule at construction, so the scenario rebinds right after
-  /// the topology is built).
-  void rebind_scheduler(event::Scheduler* scheduler) {
-    scheduler_ = scheduler;
-  }
+  event::Scheduler& scheduler() { return scheduler_; }
+  const event::Scheduler& scheduler() const { return scheduler_; }
   Fib& fib() { return fib_; }
   Pit& pit() { return pit_; }
   const Pit& pit() const { return pit_; }
@@ -149,7 +140,7 @@ class Forwarder {
   /// True scheduler time translated through this node's clock — the
   /// timestamp source for everything this node *interprets* (tag
   /// expiries) or *stamps* (tag issuance).
-  event::Time local_now() const { return clock_.local(scheduler_->now()); }
+  event::Time local_now() const { return clock_.local(scheduler_.now()); }
 
   /// Caps the PIT at `capacity` entries (0 = unbounded, the default).
   /// When a new entry would exceed the cap, the least-recently-used
@@ -268,7 +259,7 @@ class Forwarder {
 
   void schedule_pit_expiry(PitEntry& entry, event::Time expiry);
 
-  event::Scheduler* scheduler_;  // never null; rebindable (partitioning)
+  event::Scheduler& scheduler_;
   net::NodeInfo info_;
   Fib fib_;
   Pit pit_;

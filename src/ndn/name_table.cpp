@@ -1,7 +1,5 @@
 #include "ndn/name_table.hpp"
 
-#include <mutex>
-
 namespace tactic::ndn {
 
 NameTable& NameTable::instance() {
@@ -9,40 +7,15 @@ NameTable& NameTable::instance() {
   return table;
 }
 
-NameTable::~NameTable() {
-  for (std::atomic<Block*>& slot : blocks_) {
-    delete slot.load(std::memory_order_relaxed);
-  }
-}
-
 ComponentId NameTable::intern(std::string_view text) {
-  {
-    // Fast path: already interned (the steady state).
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    const auto it = ids_.find(text);
-    if (it != ids_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  // Re-check: another thread may have won the registration race.
   const auto it = ids_.find(text);
   if (it != ids_.end()) return it->second;
-
-  const std::uint32_t id = size_.load(std::memory_order_relaxed);
-  if (id >= kInvalidComponent || (id >> kBlockBits) >= kNumBlocks) {
+  if (texts_.size() >= kInvalidComponent) {
     throw std::length_error("NameTable: component id space exhausted");
   }
-  std::atomic<Block*>& block_slot = blocks_[id >> kBlockBits];
-  Block* block = block_slot.load(std::memory_order_relaxed);
-  if (block == nullptr) {
-    block = new Block();
-    block_slot.store(block, std::memory_order_release);
-  }
-  std::string& slot = block->slots[id & (kBlockSize - 1)];
-  slot.assign(text);
-  ids_.emplace(std::string_view(slot), id);
-  // Publish only after the slot is fully constructed: lock-free text()
-  // readers acquire on size_ and may then read the block pointer relaxed.
-  size_.store(id + 1, std::memory_order_release);
+  const auto id = static_cast<ComponentId>(texts_.size());
+  const std::string& stored = texts_.emplace_back(text);
+  ids_.emplace(std::string_view(stored), id);
   return id;
 }
 

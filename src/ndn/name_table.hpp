@@ -16,20 +16,13 @@
 // router's state.  ID values depend on interning order and carry no
 // meaning: Name equality, ordering, and the byte-level hash used for
 // fingerprints are all defined over the component *strings*, so two runs
-// that intern in different orders still behave identically.  (The parallel
-// engine leans on exactly that guarantee: partitions race to intern, so
-// ID values differ run to run, and nothing behavior-visible may key off
-// them — see docs/ARCHITECTURE.md, "Concurrency model".)
-//
-// Thread safety: `text(id)` is lock-free — components live in fixed-size
-// blocks whose pointers are published atomically and never move, and the
-// table size is release-published after each slot is fully constructed.
-// `intern` takes a shared lock for the (common) already-interned lookup
-// and an exclusive lock to register a new component.
+// that intern in different orders still behave identically.  Because the
+// table is process-global, ID values depend on everything the process
+// interned earlier (for example an earlier Scenario in the same test
+// binary), and nothing behaviour-visible may key off them.
 
-#include <atomic>
 #include <cstdint>
-#include <shared_mutex>
+#include <deque>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -53,40 +46,18 @@ class NameTable {
   ComponentId intern(std::string_view text);
 
   /// The component string for `id`.  The reference is stable forever
-  /// (block storage never moves strings).  Throws std::out_of_range for
-  /// unregistered IDs.  Lock-free.
-  const std::string& text(ComponentId id) const {
-    if (id >= size_.load(std::memory_order_acquire)) {
-      throw std::out_of_range("NameTable: unregistered component id");
-    }
-    return blocks_[id >> kBlockBits].load(std::memory_order_relaxed)
-        ->slots[id & (kBlockSize - 1)];
-  }
+  /// (deque growth never moves strings).  Throws std::out_of_range for
+  /// unregistered IDs.
+  const std::string& text(ComponentId id) const { return texts_.at(id); }
 
   /// Number of distinct components registered so far.
-  std::size_t size() const {
-    return size_.load(std::memory_order_acquire);
-  }
+  std::size_t size() const { return texts_.size(); }
 
  private:
-  // 4096 components per block; enough blocks to cover the 32-bit ID space
-  // the simulator actually uses (2^28 components) without moving a string.
-  static constexpr std::uint32_t kBlockBits = 12;
-  static constexpr std::uint32_t kBlockSize = 1u << kBlockBits;
-  static constexpr std::uint32_t kNumBlocks = 1u << 16;
-
-  struct Block {
-    std::string slots[kBlockSize];
-  };
-
   NameTable() = default;
-  ~NameTable();
 
-  std::atomic<Block*> blocks_[kNumBlocks] = {};
-  std::atomic<std::uint32_t> size_{0};
-
-  mutable std::shared_mutex mutex_;  // guards ids_ and registration
-  /// text -> id; keys view the block-owned strings (stable storage).
+  std::deque<std::string> texts_;  // indexed by ComponentId
+  /// text -> id; keys view the strings in texts_ (stable storage).
   std::unordered_map<std::string_view, ComponentId> ids_;
 };
 

@@ -30,26 +30,12 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
 #include "ndn/packet.hpp"
 
 namespace tactic::ndn {
-
-namespace detail {
-
-/// Process-wide concurrent-mode flag for pool slabs.  Off (default) the
-/// free lists are untouched by locks — the sequential hot path.  The
-/// parallel engine turns it on before spawning workers (and never mid
-/// run): packets acquired on one partition's thread can take their last
-/// release on another (cross-partition frames), so slab free lists and
-/// the Lease block recycler become cross-thread.  Acquire stays an
-/// owner-thread-only operation either way, so PoolCounters need no lock.
-inline bool pool_concurrent_mode = false;
-
-}  // namespace detail
 
 /// Pool traffic counters, aggregated into sim::RouterOps per router
 /// class.  Never fingerprinted.
@@ -78,7 +64,6 @@ namespace detail {
 struct BlockStore {
   std::vector<void*> free;
   std::size_t block_size = 0;
-  std::mutex mutex;  // taken only in concurrent mode
 
   ~BlockStore() {
     for (void* p : free) ::operator delete(p);
@@ -100,8 +85,6 @@ struct BlockAllocator {
   U* allocate(std::size_t n) {
     const std::size_t bytes = n * sizeof(U);
     if (n == 1) {
-      std::unique_lock<std::mutex> lock(store->mutex, std::defer_lock);
-      if (pool_concurrent_mode) lock.lock();
       if (store->block_size == 0) store->block_size = bytes;
       if (bytes == store->block_size && !store->free.empty()) {
         void* p = store->free.back();
@@ -115,8 +98,6 @@ struct BlockAllocator {
   void deallocate(U* p, std::size_t n) {
     const std::size_t bytes = n * sizeof(U);
     if (n == 1 && bytes == store->block_size) {
-      std::unique_lock<std::mutex> lock(store->mutex, std::defer_lock);
-      if (pool_concurrent_mode) lock.lock();
       store->free.push_back(p);
       return;
     }
@@ -147,21 +128,16 @@ class PacketSlab {
   std::shared_ptr<T> acquire(PoolCounters& counters) {
     ++counters.acquires;
     std::uint32_t idx;
-    T* slot = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(core_->mutex, std::defer_lock);
-      if (pool_concurrent_mode) lock.lock();
-      if (!core_->free_list.empty()) {
-        idx = core_->free_list.back();
-        core_->free_list.pop_back();
-        ++counters.reuses;
-      } else {
-        idx = static_cast<std::uint32_t>(core_->slots.size());
-        core_->slots.emplace_back();
-        ++counters.refills;
-      }
-      slot = &core_->slots[idx];
+    if (!core_->free_list.empty()) {
+      idx = core_->free_list.back();
+      core_->free_list.pop_back();
+      ++counters.reuses;
+    } else {
+      idx = static_cast<std::uint32_t>(core_->slots.size());
+      core_->slots.emplace_back();
+      ++counters.refills;
     }
+    T* slot = &core_->slots[idx];
     auto lease = std::allocate_shared<Lease>(
         BlockAllocator<Lease>{blocks_}, core_, idx);
     return std::shared_ptr<T>(std::move(lease), slot);
@@ -177,8 +153,6 @@ class PacketSlab {
   /// other nodes).  The slab itself shrinks to nothing once the last
   /// in-flight lease dies.
   void wipe_free_slots() {
-    std::unique_lock<std::mutex> lock(core_->mutex, std::defer_lock);
-    if (pool_concurrent_mode) lock.lock();
     for (const std::uint32_t idx : core_->free_list) {
       core_->slots[idx] = T{};
     }
@@ -188,7 +162,6 @@ class PacketSlab {
   struct Core {
     std::deque<T> slots;  // stable addresses; freed slots keep capacity
     std::vector<std::uint32_t> free_list;
-    std::mutex mutex;  // taken only in concurrent mode
   };
 
   struct Lease {
@@ -198,12 +171,6 @@ class PacketSlab {
     Lease(std::shared_ptr<Core> c, std::uint32_t i)
         : core(std::move(c)), idx(i) {}
     ~Lease() {
-      // The last release may run on another partition's thread
-      // (cross-partition frames): the free-list push and even the deque
-      // index walk (deque growth mutates its internal map) race with the
-      // owner's acquire, so the whole release is one critical section.
-      std::unique_lock<std::mutex> lock(core->mutex, std::defer_lock);
-      if (pool_concurrent_mode) lock.lock();
       core->slots[idx].reset_for_reuse();
       core->free_list.push_back(idx);
     }
@@ -287,16 +254,6 @@ class PacketPool {
     pooling_enabled_ = enabled;
   }
   static bool pooling_enabled() { return pooling_enabled_; }
-
-  /// Concurrent mode (process-wide; default off).  The parallel engine
-  /// turns it on before spawning workers — slab free lists and the Lease
-  /// block recycler then take a per-slab mutex, because a packet's last
-  /// release can happen on another partition's thread.  Must never be
-  /// toggled while worker threads are live.
-  static void set_concurrent(bool enabled) {
-    detail::pool_concurrent_mode = enabled;
-  }
-  static bool concurrent() { return detail::pool_concurrent_mode; }
 
  private:
   static inline bool pooling_enabled_ = true;

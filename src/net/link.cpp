@@ -14,7 +14,7 @@ LinkParams edge_link_params() {
 }
 
 Link::Link(event::Scheduler& scheduler, LinkParams params)
-    : scheduler_(&scheduler), params_(params) {}
+    : scheduler_(scheduler), params_(params) {}
 
 event::Time Link::serialization_delay(std::size_t size_bytes) const {
   const double seconds =
@@ -58,7 +58,7 @@ bool Link::admit(std::size_t size_bytes, event::Time& arrival,
     ++counters_.dropped_queue_full;
     return false;
   }
-  const event::Time now = scheduler_->now();
+  const event::Time now = scheduler_.now();
   const event::Time start = std::max(busy_until_, now);
   const event::Time tx_done = start + serialization_delay(size_bytes);
   busy_until_ = tx_done;
@@ -81,31 +81,7 @@ bool Link::send(std::size_t size_bytes, Frame frame) {
   FrameFate fate;
   bool arrives = false;
   if (!admit(size_bytes, arrival, fate, arrives)) return false;
-  if (remote_post_) {
-    // Cross-partition delivery: the sender-side queue drain stays a local
-    // event; the receiver invocation travels through the hook (which
-    // warms the frame's packet caches on this thread first).  Corrupted
-    // frames are consumed entirely on the sender (corruption probe +
-    // counter, no delivery — see Forwarder::add_link_face), so they stay
-    // a local event and never touch the receiving partition.
-    scheduler_->schedule_at(arrival, [this] { --in_flight_; });
-    if (arrives && fate.corrupted) {
-      scheduler_->schedule_at(
-          arrival, [this, fate, f = std::move(frame)]() mutable {
-            if (receiver_) receiver_(fate, std::move(f));
-          });
-    } else if (arrives) {
-      // The handler copies the frame (a refcount bump) so `&frame` stays
-      // valid for the hook's cache warming.
-      remote_post_(arrival,
-                   [this, fate, f = frame]() mutable {
-                     if (receiver_) receiver_(fate, std::move(f));
-                   },
-                   &frame);
-    }
-    return true;
-  }
-  scheduler_->schedule_at(
+  scheduler_.schedule_at(
       arrival, [this, arrives, fate, f = std::move(frame)]() mutable {
         --in_flight_;
         if (arrives && receiver_) receiver_(fate, std::move(f));
@@ -118,18 +94,7 @@ bool Link::send(std::size_t size_bytes, DeliverFn on_delivered) {
   FrameFate fate;
   bool arrives = false;
   if (!admit(size_bytes, arrival, fate, arrives)) return false;
-  if (remote_post_) {
-    scheduler_->schedule_at(arrival, [this] { --in_flight_; });
-    if (arrives) {
-      remote_post_(arrival,
-                   [fate, deliver = std::move(on_delivered)]() mutable {
-                     deliver(fate);
-                   },
-                   nullptr);
-    }
-    return true;
-  }
-  scheduler_->schedule_at(
+  scheduler_.schedule_at(
       arrival,
       [this, arrives, fate, deliver = std::move(on_delivered)]() mutable {
         --in_flight_;

@@ -101,31 +101,10 @@ class Link {
   /// Frame (including corrupted ones — the fate says so).
   using ReceiveFn = std::function<void(const FrameFate&, Frame&&)>;
 
-  /// Cross-partition delivery hook (parallel engine).  When set, the
-  /// receiver side of a Frame delivery is handed to this hook — called on
-  /// the *sender's* thread at send time with the arrival timestamp, the
-  /// receiver invocation, and the frame (so packet caches can be warmed
-  /// before the payload becomes visible to another thread) — while the
-  /// sender-side bookkeeping (queue drain) stays a local event.  Unset
-  /// (the default), delivery is one local event, exactly the sequential
-  /// path.
-  using RemotePost = std::function<void(
-      event::Time when, event::Scheduler::Handler receiver_call,
-      const Frame* frame)>;
-
   Link(event::Scheduler& scheduler, LinkParams params);
 
   const LinkParams& params() const { return params_; }
   const LinkCounters& counters() const { return counters_; }
-
-  /// Re-points this link at another event scheduler (the partition of its
-  /// *sending* node).  Must run before any frame is sent.
-  void rebind_scheduler(event::Scheduler* scheduler) {
-    scheduler_ = scheduler;
-  }
-
-  /// Installs the cross-partition delivery hook (see RemotePost).
-  void set_remote_post(RemotePost post) { remote_post_ = std::move(post); }
 
   /// Installs (or replaces) the frame receiver for the cookie-based
   /// send().  One per link direction, registered at wiring time — frames
@@ -177,8 +156,7 @@ class Link {
              bool& arrives);
 
   ReceiveFn receiver_;
-  RemotePost remote_post_;
-  event::Scheduler* scheduler_;  // never null; rebindable (partitioning)
+  event::Scheduler& scheduler_;
   LinkParams params_;
   LinkCounters counters_;
   LinkFaultParams faults_;

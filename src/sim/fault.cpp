@@ -128,13 +128,12 @@ void Scenario::install_faults() {
                            : network_->core_routers();
     if (pool.empty()) continue;
     const net::NodeId id = pool[crash.index % pool.size()];
-    // A crash touches only the node itself, so it stays an ordinary event
-    // on the node's own (partition) scheduler.  Scheduled at construction,
-    // it keeps the lowest FIFO sequence at its instant on either engine.
-    scheduler_for(id).schedule_at(crash.at,
-                                  [this, id] { network_->node(id).crash(); });
+    // Scheduled at construction, a crash keeps the lowest FIFO sequence
+    // at its instant: it runs before any same-instant traffic.
+    scheduler_.schedule_at(crash.at,
+                           [this, id] { network_->node(id).crash(); });
     if (crash.down_for > 0) {
-      scheduler_for(id).schedule_at(crash.at + crash.down_for, [this, id] {
+      scheduler_.schedule_at(crash.at + crash.down_for, [this, id] {
         network_->node(id).restart();
       });
     }
@@ -162,16 +161,12 @@ void Scenario::install_faults() {
       if (b == net::kInvalidNode) continue;  // isolated edge router
     }
     const bool reconverge = flap.reconverge;
-    // A flap touches both directions' links and (with reconvergence)
-    // every node's FIB — a global event: a plain event sequentially, a
-    // parked-workers handler on the parallel engine.  Both engines run it
-    // before any same-instant traffic event (lowest FIFO sequence there,
-    // boundary-before-phase here).
-    schedule_global_at(flap.down_at, [this, a, b, reconverge] {
+    // Like crashes, flaps run before any same-instant traffic event.
+    scheduler_.schedule_at(flap.down_at, [this, a, b, reconverge] {
       set_adjacency_up(a, b, false, reconverge);
     });
     if (flap.up_at > flap.down_at) {
-      schedule_global_at(flap.up_at, [this, a, b, reconverge] {
+      scheduler_.schedule_at(flap.up_at, [this, a, b, reconverge] {
         set_adjacency_up(a, b, true, reconverge);
       });
     }

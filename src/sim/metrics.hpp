@@ -52,7 +52,7 @@ struct RouterOps {
   double sig_batch_unbatched_equiv_s = 0.0;
   std::uint64_t bf_probes_coalesced = 0;
   /// Validation jobs stolen from a busy home lane by an idle one (zero
-  /// with a single lane; docs/ARCHITECTURE.md "Concurrency model").
+  /// with a single lane; docs/ARCHITECTURE.md "Event engine").
   /// Never fingerprinted.
   std::uint64_t lane_steals = 0;
   // Adaptive overload control (docs/OVERLOAD.md, "Adaptive control &

@@ -1,10 +1,8 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
-#include "ndn/packet_pool.hpp"
 #include "tactic/access_path.hpp"
 
 namespace tactic::sim {
@@ -33,9 +31,6 @@ Scenario::Scenario(ScenarioConfig config)
           .set_impl(config_.fib_impl);
     }
   }
-  // Partitioning must precede the apps: they schedule their first events
-  // at construction, and those events belong on the partition schedulers.
-  setup_partitions();
   client_samples_.resize(network_->clients().size());
   build_providers();
   install_policies();
@@ -43,134 +38,6 @@ Scenario::Scenario(ScenarioConfig config)
   build_attackers();
   install_faults();
   prepopulate_fib();
-}
-
-namespace {
-
-// Forces every lazily-cached field of a cross-partition frame's payload
-// while still on the sending thread, so the receiving partition only ever
-// reads.  The kind mapping is ndn::Forwarder's (PacketVariant index).
-void warm_frame_caches(const net::Frame& frame) {
-  if (!frame.payload) return;
-  switch (frame.kind) {
-    case 0: {
-      const auto* interest =
-          static_cast<const ndn::Interest*>(frame.payload.get());
-      interest->name.hash();
-      interest->wire_size();
-      break;
-    }
-    case 1: {
-      const auto* data = static_cast<const ndn::Data*>(frame.payload.get());
-      data->name.hash();
-      data->wire_size();
-      data->signed_portion();
-      break;
-    }
-    default: {
-      const auto* nack = static_cast<const ndn::Nack*>(frame.payload.get());
-      nack->name.hash();
-      nack->wire_size();
-      break;
-    }
-  }
-}
-
-}  // namespace
-
-void Scenario::setup_partitions() {
-  if (config_.threads <= 1) return;
-  if (config_.enable_traitor_tracing) {
-    throw std::invalid_argument(
-        "Scenario: traitor tracing needs a network-wide tracer and is "
-        "not supported with threads > 1");
-  }
-  const std::size_t parts = config_.threads;
-  parallel_ = std::make_unique<event::ParallelScheduler>(parts);
-  partition_of_.assign(network_->node_count(), 0);
-
-  // Routers spread round-robin; users live with their edge router and
-  // providers with their gateway core router, so the only cross-partition
-  // hops are backbone links — the widest lookahead the topology allows.
-  std::size_t next = 0;
-  for (const net::NodeId id : network_->core_routers()) {
-    partition_of_[id] = next++ % parts;
-  }
-  for (const net::NodeId id : network_->edge_routers()) {
-    partition_of_[id] = next++ % parts;
-  }
-  for (const net::NodeId id : network_->clients()) {
-    partition_of_[id] = partition_of_[network_->edge_router_of(id)];
-  }
-  for (const net::NodeId id : network_->attackers()) {
-    partition_of_[id] = partition_of_[network_->edge_router_of(id)];
-  }
-  for (const net::NodeId id : network_->providers()) {
-    partition_of_[id] = partition_of_[network_->gateway_of(id)];
-  }
-
-  // Conservative lookahead: a frame sent during an epoch serializes for
-  // >= 1 tick before propagating, so with L = min cross-partition
-  // propagation delay + 1 it can only arrive at or past the next epoch
-  // boundary.
-  event::Time min_propagation = std::numeric_limits<event::Time>::max();
-  for (std::size_t i = 0; i < network_->node_count(); ++i) {
-    const net::NodeId from = static_cast<net::NodeId>(i);
-    for (const net::NodeId to : network_->neighbors_of(from)) {
-      if (partition_of_[from] == partition_of_[to]) continue;
-      min_propagation = std::min(
-          min_propagation,
-          network_->directed_link(from, to).params().propagation_delay);
-    }
-  }
-  if (min_propagation == std::numeric_limits<event::Time>::max()) {
-    // Everything landed in one partition; any epoch length works.
-    min_propagation = config_.duration;
-  }
-  parallel_->set_lookahead(min_propagation + 1);
-
-  // Rebind every node and every link direction onto its partition (links
-  // follow their *sending* node); cross-partition directions deliver
-  // through the engine's inbox exchange, warming payload caches first.
-  for (std::size_t i = 0; i < network_->node_count(); ++i) {
-    const net::NodeId from = static_cast<net::NodeId>(i);
-    network_->node(from).rebind_scheduler(
-        &parallel_->partition(partition_of_[from]));
-    for (const net::NodeId to : network_->neighbors_of(from)) {
-      net::Link& link = network_->directed_link(from, to);
-      link.rebind_scheduler(&parallel_->partition(partition_of_[from]));
-      if (partition_of_[from] != partition_of_[to]) {
-        const std::size_t from_part = partition_of_[from];
-        const std::size_t to_part = partition_of_[to];
-        link.set_remote_post([this, from_part, to_part](
-                                 event::Time when,
-                                 event::Scheduler::Handler receiver_call,
-                                 const net::Frame* frame) {
-          if (frame != nullptr) warm_frame_caches(*frame);
-          parallel_->post(from_part, to_part, when,
-                          std::move(receiver_call));
-        });
-      }
-    }
-  }
-
-  // Packets acquired from one node's pool are released on the thread
-  // that drops the last reference — possibly another partition's.
-  ndn::PacketPool::set_concurrent(true);
-}
-
-void Scenario::schedule_global_at(event::Time when,
-                                  std::function<void()> fn) {
-  if (parallel_) {
-    parallel_->schedule_global(when, std::move(fn));
-  } else {
-    scheduler_.schedule_at(when, std::move(fn));
-  }
-}
-
-event::Scheduler& Scenario::scheduler_for(net::NodeId id) {
-  if (!parallel_) return scheduler_;
-  return parallel_->partition(partition_of_[id]);
 }
 
 void Scenario::prepopulate_fib() {
@@ -302,13 +169,8 @@ void Scenario::build_clients() {
     }
     if (prob_bf_shared_) prob_bf_shared_->authorized.insert(locator);
 
-    // Hooks fire on the client's partition thread (the sole thread at
-    // threads=1); buffer per client — single writer each — and fold
-    // canonically at harvest.  Both engines go through the same buffers
-    // and the same (when, client, position) replay, so per-bucket
-    // floating-point sums are bit-identical by construction at any
-    // thread count: the canonical order IS the defined accumulation
-    // order, not an incidental property of event seq numbers.
+    // Buffer per client; harvest() folds in (when, client, position)
+    // order, the defined accumulation order of the sample series.
     ClientSamples& samples = client_samples_[clients_.size()];
     client->on_latency_sample = [&samples](event::Time when, double latency) {
       samples.latency.emplace_back(when, latency);
@@ -511,11 +373,6 @@ void Scenario::revoke_client_eagerly(const std::string& client_key_locator) {
 }
 
 void Scenario::move_user(net::NodeId user, std::size_t new_ap_index) {
-  if (parallel_) {
-    throw std::logic_error(
-        "Scenario: move_user needs mid-run link wiring and is not "
-        "supported with threads > 1");
-  }
   network_->reattach_user(user, new_ap_index);
   ndn::Forwarder& node = network_->node(user);
   // New wireless segment: new egress identity and new default route.
@@ -533,31 +390,24 @@ void Scenario::stop_workloads() {
 
 event::Time Scenario::drain(event::Time grace) {
   stop_workloads();
-  if (parallel_) return parallel_->run_until(parallel_->now() + grace);
   return scheduler_.run_until(scheduler_.now() + grace);
 }
 
 const Metrics& Scenario::run() {
   if (ran_) throw std::logic_error("Scenario: run() called twice");
   ran_ = true;
-  if (parallel_) {
-    parallel_->run_until(config_.duration);
-  } else {
-    scheduler_.run_until(config_.duration);
-  }
+  scheduler_.run_until(config_.duration);
   metrics_ = harvest();
   return metrics_;
 }
 
 Metrics Scenario::harvest() {
   {
-    // Replay the per-client buffers in canonical order — (when, client
-    // index, per-client position).  BOTH engines fold through this merge
-    // (the hooks always buffer), which makes it the defined accumulation
-    // order for the client sample series: per-bucket floating-point sums
-    // are bit-identical at any thread count by construction, including
-    // when two clients sample at the exact same nanosecond (where
-    // sequential event-seq order would be engine-dependent).
+    // Replay the per-client buffers in (when, client index, per-client
+    // position) order.  This is the defined accumulation order of the
+    // client sample series, same-nanosecond cross-client ties included:
+    // per-bucket floating-point sums depend on it, and the goldens in
+    // tests/golden/ pin it.
     struct ValueSample {
       event::Time when;
       std::uint32_t client;

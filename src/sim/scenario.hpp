@@ -6,13 +6,11 @@
 // runs the event loop for the configured duration, and harvests Metrics.
 // All randomness derives from one seed, so runs are bit-reproducible.
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "baselines/baselines.hpp"
-#include "event/parallel.hpp"
 #include "event/scheduler.hpp"
 #include "ndn/fib.hpp"
 #include "sim/fault.hpp"
@@ -82,15 +80,6 @@ struct ScenarioConfig {
   /// run bit-identical to a faultless build; see docs/FAULTS.md.
   FaultPlan faults;
 
-  /// Worker threads for the event loop.  1 (the default) runs the plain
-  /// sequential engine — bit-identical to every prior build.  >1 splits
-  /// the network into that many partitions driven by an
-  /// event::ParallelScheduler; the determinism contract (identical
-  /// fingerprints and verdicts at any thread count) is gated by
-  /// ci/parity.sh and tests/parallel_test.cpp.  Incompatible with
-  /// traitor tracing and mid-run mobility (both throw).
-  std::size_t threads = 1;
-
   /// Traitor tracing (our implementation of the paper's future work):
   /// edge routers report access-path mismatches to a tracer that revokes
   /// flagged clients at every provider.  Requires enforce_access_path.
@@ -126,8 +115,7 @@ class Scenario {
   /// new tag every time she moves to a new location": with access-path
   /// enforcement on, the first request from the new location is NACKed
   /// and the client re-registers automatically.  Schedule mid-run via
-  /// scheduler().schedule(...).  Throws under threads > 1 (a new wireless
-  /// association would wire a link across partitions mid-run).
+  /// scheduler().schedule(...).
   void move_user(net::NodeId user, std::size_t new_ap_index);
 
   /// The traitor tracer (null unless enable_traitor_tracing).
@@ -151,35 +139,6 @@ class Scenario {
   /// revocation (accounted in anchors().revocations.push_messages).
   void revoke_client_eagerly(const std::string& client_key_locator);
 
-  /// Simulated time, whichever engine runs the clock: the sequential
-  /// scheduler's now(), or the parallel engine's epoch base time.
-  event::Time now() const {
-    return parallel_ ? parallel_->now() : scheduler_.now();
-  }
-
-  /// Schedules `fn` at now() + delay as a *global* event: a plain event
-  /// on the sequential engine; on the parallel engine a driver-thread
-  /// handler with every worker parked, free to touch any partition
-  /// (reconvergence, the invariant sampler).  Call from the driving
-  /// thread only (setup, or inside another global handler).
-  void schedule_global(event::Time delay, std::function<void()> fn) {
-    schedule_global_at(now() + delay, std::move(fn));
-  }
-  void schedule_global_at(event::Time when, std::function<void()> fn);
-
-  /// The event scheduler a node's events run on: scheduler() when
-  /// sequential, the node's partition when parallel.
-  event::Scheduler& scheduler_for(net::NodeId id);
-
-  /// Partition index of a node (always 0 when sequential).
-  std::size_t partition_of(net::NodeId id) const {
-    return parallel_ ? partition_of_[id] : 0;
-  }
-
-  /// The parallel engine, or nullptr when threads == 1 (bench/test
-  /// introspection: epochs, barrier wait, posted events).
-  event::ParallelScheduler* parallel() { return parallel_.get(); }
-
   // Introspection for tests and examples.
   event::Scheduler& scheduler() { return scheduler_; }
   topology::Network& network() { return *network_; }
@@ -196,10 +155,6 @@ class Scenario {
   const ScenarioConfig& config() const { return config_; }
 
  private:
-  /// Splits the network into config_.threads partitions and rebinds every
-  /// forwarder and link onto its partition's scheduler (no-op at 1).
-  /// Runs before any app exists, because apps schedule at construction.
-  void setup_partitions();
   void install_policies();
   void build_providers();
   void build_clients();
@@ -214,14 +169,11 @@ class Scenario {
       workload::AttackerMode mode, std::size_t attacker_index,
       net::NodeId node_id);
 
-  /// Per-client metric samples.  Hooks always buffer here (under
-  /// threads > 1 each client's hooks fire on its own partition's thread,
-  /// so the shared TimeSeries cannot be written directly) and harvest()
-  /// folds the buffers canonically — sorted by (when, client index,
-  /// per-client order).  Both engines share the fold, making that order
-  /// the *defined* accumulation order: every floating-point bucket sum
-  /// is bit-identical at any thread count, including same-nanosecond
-  /// cross-client ties.
+  /// Per-client metric samples.  Hooks buffer here and harvest() folds
+  /// the buffers sorted by (when, client index, per-client order).  That
+  /// fold order is the defined accumulation order of the client sample
+  /// series, including same-nanosecond cross-client ties; the goldens in
+  /// tests/golden/ pin it down to the last floating-point bit.
   struct ClientSamples {
     std::vector<std::pair<event::Time, double>> latency;
     std::vector<std::pair<event::Time, double>> recovery;
@@ -231,8 +183,6 @@ class Scenario {
 
   ScenarioConfig config_;
   event::Scheduler scheduler_;
-  std::unique_ptr<event::ParallelScheduler> parallel_;
-  std::vector<std::size_t> partition_of_;  // by NodeId; empty when sequential
   std::vector<ClientSamples> client_samples_;
   util::Rng rng_;
   core::TrustAnchors anchors_;

@@ -96,8 +96,9 @@ class ValidationQueue {
 /// N independent single-server validation lanes modeling a multi-core
 /// router (ROADMAP, "multi-lane routers").  Each job names its *home*
 /// lane — a stable byte-hash of the tag key, computed by the caller;
-/// interned-name IDs are deliberately not used because their values
-/// depend on interning order, which real threads make nondeterministic.
+/// interned-name IDs are deliberately not used because the NameTable is
+/// process-global, so their values depend on what the process interned
+/// earlier (for example an earlier Scenario in the same test binary).
 /// Deterministic work stealing at instant boundaries: when the home lane
 /// is busy at the arrival instant and another lane is idle, the
 /// lowest-indexed idle lane takes the job (and `steals` counts it);

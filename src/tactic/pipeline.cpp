@@ -75,8 +75,8 @@ void ValidationEngine::observe_face_verdict(ndn::FaceId face, bool good,
 
 std::size_t ValidationEngine::lane_for(const Tag& tag) const {
   if (lanes_.lanes() <= 1) return 0;
-  // FNV-1a over the tag key: stable across runs and thread counts
-  // (unlike interned IDs, whose values depend on interning order).
+  // FNV-1a over the tag key: the same in every process (unlike interned
+  // IDs, whose values depend on what the process interned earlier).
   std::uint64_t hash = 14695981039346656037ull;
   for (const std::uint8_t byte : tag.bloom_key()) {
     hash = (hash ^ byte) * 1099511628211ull;

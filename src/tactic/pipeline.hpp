@@ -158,8 +158,8 @@ struct TacticConfig {
   /// Parallel validation lanes (modeled crypto cores) per router.  1 =
   /// the single-server queue, bit-identical to every pre-lane run; >1
   /// shards validation jobs across lanes by a stable tag-key hash with
-  /// deterministic idle-lane stealing (docs/ARCHITECTURE.md,
-  /// "Concurrency model").  Only meaningful while `overload.enabled` is
+  /// deterministic idle-lane stealing (docs/ARCHITECTURE.md, "Event
+  /// engine").  Only meaningful while `overload.enabled` is
   /// set — without the overload layer, charging is instantaneous and
   /// there is no queue to shard.
   std::size_t validation_lanes = 1;
@@ -337,8 +337,9 @@ class ValidationEngine {
 
   /// Home lane for `tag`'s validation work: a stable byte-hash (FNV-1a)
   /// of the tag key modulo the lane count.  Interned-name IDs are
-  /// deliberately not used — their values depend on interning order,
-  /// which real threads make nondeterministic across runs.
+  /// deliberately not used: the NameTable is process-global, so their
+  /// values depend on what the process interned earlier (for example an
+  /// earlier Scenario in the same test binary).
   std::size_t lane_for(const Tag& tag) const;
   /// BF membership test with charging & counting.  With a staged reset
   /// in its drain window, a miss in the active filter also consults the

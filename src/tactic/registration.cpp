@@ -8,24 +8,20 @@ TagIssuer::TagIssuer(std::string key_locator,
 
 void TagIssuer::enroll(const std::string& client_key_locator,
                        std::uint32_t access_level) {
-  std::lock_guard<std::mutex> lock(mutex_);
   enrolled_[client_key_locator] = access_level;
   revoked_.erase(client_key_locator);
 }
 
 void TagIssuer::revoke(const std::string& client_key_locator) {
-  std::lock_guard<std::mutex> lock(mutex_);
   revoked_.insert(client_key_locator);
 }
 
 bool TagIssuer::is_revoked(const std::string& client_key_locator) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   return revoked_.count(client_key_locator) > 0;
 }
 
 TagPtr TagIssuer::issue(const std::string& client_key_locator,
                         std::uint64_t access_path, event::Time now) {
-  std::lock_guard<std::mutex> lock(mutex_);
   const auto it = enrolled_.find(client_key_locator);
   if (it == enrolled_.end() || revoked_.count(client_key_locator) > 0) {
     ++refusals_;
@@ -44,7 +40,6 @@ TagPtr TagIssuer::issue(const std::string& client_key_locator,
 }
 
 TagPtr TagIssuer::last_issued(const std::string& client_key_locator) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   const auto it = last_issued_.find(client_key_locator);
   return it == last_issued_.end() ? nullptr : it->second;
 }

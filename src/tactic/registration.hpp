@@ -10,7 +10,6 @@
 // a revoked client's tag and the old one ages out.
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -61,12 +60,6 @@ class TagIssuer {
   std::uint64_t refusals() const { return refusals_; }
 
  private:
-  /// Issuance is called from the provider's own event handlers and, under
-  /// the parallel engine, directly by attacker tag strategies running on
-  /// other partitions' threads.  issue() is deterministic per call (no
-  /// RNG; PKCS#1 signing), so a lock makes the cross-thread calls safe
-  /// without changing any outcome.
-  mutable std::mutex mutex_;
   std::string key_locator_;
   const crypto::RsaPrivateKey& key_;
   event::Time validity_;

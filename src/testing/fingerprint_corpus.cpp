@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <set>
 #include <string>
 
 #include "ndn/packet_pool.hpp"
@@ -37,13 +38,7 @@ constexpr const char* kUsage =
     "                 metrics digests (order-insensitive per-user verdict\n"
     "                 counts; pinned by tests/golden/verdicts.txt)\n"
     "  --no-pool      disable packet-pool slab recycling (fresh heap\n"
-    "                 allocation per packet); digests must not change\n"
-    "  --threads N    run every scenario on N event-loop threads\n"
-    "                 (default 1); digests must not change at any N\n"
-    "  --lanes N      validation lanes per router (default: leave the\n"
-    "                 generated config's value).  Lanes change behaviour,\n"
-    "                 so goldens only pin lanes as generated; cross-thread\n"
-    "                 comparisons hold at any fixed lane count\n";
+    "                 allocation per packet); digests must not change\n";
 
 struct Mode {
   const char* name;
@@ -62,6 +57,16 @@ constexpr Mode kModes[] = {
 int main(int argc, char** argv) {
   try {
     util::Flags flags(argc, argv);
+    // Flags parses `--no-pool` as pool=false.
+    const std::set<std::string> known = {"seeds", "base",     "duration",
+                                         "mode",  "verdicts", "pool",
+                                         "help"};
+    for (const auto& name : flags.names()) {
+      if (known.count(name) == 0) {
+        std::fprintf(stderr, "unknown flag --%s\n%s", name.c_str(), kUsage);
+        return 2;
+      }
+    }
     if (flags.get_bool("help", false)) {
       std::fputs(kUsage, stdout);
       return 0;
@@ -72,11 +77,9 @@ int main(int argc, char** argv) {
     const double duration_s = flags.get_double("duration", 6.0);
     const std::string only = flags.get_string("mode", "all");
     const bool verdicts = flags.get_bool("verdicts", false);
-    if (flags.get_bool("no-pool", false)) {
+    if (!flags.get_bool("pool", true)) {
       ndn::PacketPool::set_pooling_enabled(false);
     }
-    const std::int64_t threads = flags.get_int("threads", 1);
-    const std::int64_t lanes = flags.get_int("lanes", 0);
     if (seeds < 0 || !(duration_s > 0.0)) {
       std::fputs(kUsage, stderr);
       return 2;
@@ -90,12 +93,7 @@ int main(int argc, char** argv) {
       generator.with_overload = mode.overload;
       for (std::int64_t i = 0; i < seeds; ++i) {
         const std::uint64_t seed = base + static_cast<std::uint64_t>(i);
-        sim::ScenarioConfig config = testing::random_config(seed, generator);
-        if (threads > 1) config.threads = static_cast<std::size_t>(threads);
-        if (lanes > 0) {
-          config.tactic.validation_lanes = static_cast<std::size_t>(lanes);
-        }
-        sim::Scenario scenario(config);
+        sim::Scenario scenario(testing::random_config(seed, generator));
         scenario.run();
         const std::string digest =
             verdicts ? testing::verdict_digest(scenario)

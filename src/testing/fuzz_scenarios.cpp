@@ -58,9 +58,6 @@ constexpr const char* kUsage =
     "                       clocks, skew-tolerant expiry, outage grace,\n"
     "                       proactive renewal); lifecycle draws come last\n"
     "                       of all\n"
-    "  --threads N          run every scenario on N event-loop threads\n"
-    "                       (default 1); all digests and invariants must\n"
-    "                       hold unchanged at any N\n"
     "  --no-differential    skip the TACTIC vs no-AC parity pass\n"
     "  --parity-tolerance T allowed client delivery-ratio gap (default 0.1)\n"
     "  --inject-expiry-bug  edge routers skip the Protocol-1 expiry check\n"
@@ -119,7 +116,7 @@ int main(int argc, char** argv) {
         "repro",  "verbose",     "differential",      "parity-tolerance",
         "help",   "inject-expiry-bug",                "faults",
         "overload", "batch",     "bigtables",         "adaptive",
-        "skew",   "threads"};
+        "skew"};
     for (const auto& name : flags.names()) {
       if (known.count(name) == 0) {
         std::fprintf(stderr, "unknown flag --%s\n%s", name.c_str(), kUsage);
@@ -160,7 +157,6 @@ int main(int argc, char** argv) {
     generator.with_bigtables = flags.get_bool("bigtables", false);
     generator.with_adaptive = flags.get_bool("adaptive", false);
     generator.with_skew = flags.get_bool("skew", false);
-    const std::int64_t threads = flags.get_int("threads", 1);
     if (flags.has("policy")) {
       const std::string name = flags.get_string("policy", "");
       const auto policy = parse_policy(name);
@@ -180,8 +176,8 @@ int main(int argc, char** argv) {
 
     for (std::uint64_t i = 0; i < runs; ++i) {
       const std::uint64_t seed = base_seed + i;
-      sim::ScenarioConfig config = testing::random_config(seed, generator);
-      if (threads > 1) config.threads = static_cast<std::size_t>(threads);
+      const sim::ScenarioConfig config =
+          testing::random_config(seed, generator);
       std::printf("[%llu/%llu] %s\n",
                   static_cast<unsigned long long>(i + 1),
                   static_cast<unsigned long long>(runs),

@@ -47,28 +47,21 @@ void InvariantChecker::arm() {
 }
 
 void InvariantChecker::schedule_sample() {
-  // schedule_global: a plain event on the sequential engine; under the
-  // parallel engine a driver-thread event with every worker parked, so
-  // the sampler may touch any partition's tables.
-  scenario_.schedule_global(options_.sample_interval, [this] {
+  scenario_.scheduler().schedule(options_.sample_interval, [this] {
     sample();
     const event::Time horizon =
         scenario_.config().duration + options_.drain_grace;
-    if (scenario_.now() < horizon) schedule_sample();
+    if (scenario_.scheduler().now() < horizon) schedule_sample();
   });
 }
 
 void InvariantChecker::on_packet(const ndn::Forwarder& node,
                                  const ndn::PacketVariant& packet,
                                  ndn::FaceId face, bool is_rx) {
-  // The node's own scheduler is the time authority: under the parallel
-  // engine each partition's clock advances independently within an epoch
-  // and the scenario-level scheduler stands still.
   const event::Time now = node.scheduler().now();
 
   // Hash the event, then fold it into the multiset accumulator: a
-  // lane-wise wrapping sum of per-event digests, so the fold commutes and
-  // partition interleavings cannot change the result.
+  // lane-wise wrapping sum of per-event digests, so the fold commutes.
   util::Bytes record;
   record.reserve(25);
   append_u64(record, node.info().id);
@@ -83,20 +76,17 @@ void InvariantChecker::on_packet(const ndn::Forwarder& node,
   hash.update(record);
   hash.update(wire_scratch);
   const util::Bytes digest = hash.finish();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++packets_observed_;
-    for (std::size_t lane = 0; lane < chain_.size(); lane += 8) {
-      std::uint64_t sum = 0;
-      std::uint64_t add = 0;
-      for (std::size_t b = 0; b < 8; ++b) {
-        sum |= static_cast<std::uint64_t>(chain_[lane + b]) << (8 * b);
-        add |= static_cast<std::uint64_t>(digest[lane + b]) << (8 * b);
-      }
-      sum += add;  // wrapping; per-lane commutative fold
-      for (std::size_t b = 0; b < 8; ++b) {
-        chain_[lane + b] = static_cast<std::uint8_t>(sum >> (8 * b));
-      }
+  ++packets_observed_;
+  for (std::size_t lane = 0; lane < chain_.size(); lane += 8) {
+    std::uint64_t sum = 0;
+    std::uint64_t add = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      sum |= static_cast<std::uint64_t>(chain_[lane + b]) << (8 * b);
+      add |= static_cast<std::uint64_t>(digest[lane + b]) << (8 * b);
+    }
+    sum += add;  // wrapping; per-lane commutative fold
+    for (std::size_t b = 0; b < 8; ++b) {
+      chain_[lane + b] = static_cast<std::uint8_t>(sum >> (8 * b));
     }
   }
 
@@ -114,10 +104,7 @@ void InvariantChecker::check_delivery(const ndn::Forwarder& node,
   if (!net::is_router(node.info().kind)) return;
   if (data.is_registration_response || data.nack_attached) return;
   if (data.access_level == ndn::kPublicAccessLevel) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++deliveries_checked_;
-  }
+  ++deliveries_checked_;
 
   const std::string& label = node.info().label;
   if (!data.tag) {
@@ -167,14 +154,12 @@ void InvariantChecker::check_delivery(const ndn::Forwarder& node,
   }
   if (!structurally_invalid && !signature_valid(tag)) {
     // Possibly a designed Bloom false positive — budgeted at finalize().
-    std::lock_guard<std::mutex> lock(mutex_);
     ++fp_leaks_;
   }
 }
 
 bool InvariantChecker::signature_valid(const core::Tag& tag) {
   const std::string key = util::to_hex(tag.bloom_key());
-  std::lock_guard<std::mutex> lock(mutex_);
   auto it = signature_cache_.find(key);
   if (it != signature_cache_.end()) return it->second;
   const bool valid = core::verify_tag_signature(tag, scenario_.anchors().pki);
@@ -183,7 +168,7 @@ bool InvariantChecker::signature_valid(const core::Tag& tag) {
 }
 
 void InvariantChecker::sample() {
-  const event::Time now = scenario_.now();
+  const event::Time now = scenario_.scheduler().now();
   auto& network = scenario_.network();
   for (std::size_t i = 0; i < network.node_count(); ++i) {
     const net::NodeId id = static_cast<net::NodeId>(i);
@@ -227,7 +212,7 @@ void InvariantChecker::sample() {
 }
 
 void InvariantChecker::check_pits(const char* context) {
-  const event::Time now = scenario_.now();
+  const event::Time now = scenario_.scheduler().now();
   auto& network = scenario_.network();
   for (std::size_t i = 0; i < network.node_count(); ++i) {
     auto& node = network.node(static_cast<net::NodeId>(i));
@@ -248,24 +233,25 @@ void InvariantChecker::finalize() {
 
   const sim::Metrics metrics = scenario_.harvest();
   const auto& config = scenario_.config();
+  const event::Time now = scenario_.scheduler().now();
 
   const std::uint64_t resolved = metrics.clients.received +
                                  metrics.clients.nacks +
                                  metrics.clients.timeouts;
   if (resolved > metrics.clients.requested) {
-    add_violation(scenario_.now(), "-", "client accounting: received+nacks+timeouts "
+    add_violation(now, "-", "client accounting: received+nacks+timeouts "
                        "exceeds requests");
   }
   if (config.topology.clients > 0 &&
       config.duration >= 5 * event::kSecond) {
     if (metrics.clients.requested == 0) {
-      add_violation(scenario_.now(), "-", "liveness: clients issued no requests");
+      add_violation(now, "-", "liveness: clients issued no requests");
     } else if (metrics.clients.received == 0 &&
                !config.faults.severe(config.duration)) {
       // A severe fault plan (sustained heavy loss or outages covering a
       // large share of the run) may legitimately starve delivery, so
       // only this liveness check is budgeted — never the security ones.
-      add_violation(scenario_.now(), "-", "liveness: no client received any content");
+      add_violation(now, "-", "liveness: no client received any content");
     }
   }
   if (!config.faults.any()) {
@@ -273,7 +259,7 @@ void InvariantChecker::finalize() {
     if (metrics.link_frames_lost != 0 || metrics.link_frames_corrupted != 0 ||
         metrics.node_crashes != 0 || metrics.node_restarts != 0 ||
         metrics.corrupt_frames_rejected != 0) {
-      add_violation(scenario_.now(), "-", "fault accounting: fault-model counters nonzero "
+      add_violation(now, "-", "fault accounting: fault-model counters nonzero "
                          "without a fault plan");
     }
   }
@@ -286,12 +272,12 @@ void InvariantChecker::finalize() {
           ops->policer_sheds != 0 || ops->staged_resets != 0 ||
           ops->draining_hits != 0 || ops->validation_wait_s != 0.0 ||
           !ops->validation_wait_hist.empty()) {
-        add_violation(scenario_.now(), "-", "overload accounting: overload-layer counters "
+        add_violation(now, "-", "overload accounting: overload-layer counters "
                            "nonzero while the layer is disabled");
       }
     }
     if (metrics.clients.overload_nacks != 0) {
-      add_violation(scenario_.now(), "-", "overload accounting: clients saw "
+      add_violation(now, "-", "overload accounting: clients saw "
                          "kRouterOverloaded NACKs while the layer is "
                          "disabled");
     }
@@ -305,7 +291,7 @@ void InvariantChecker::finalize() {
           ops->quarantine_sheds != 0 || ops->quarantine_ejections != 0 ||
           ops->quarantine_probes != 0 || ops->quarantine_readmissions != 0 ||
           ops->adaptive_gradient != 0.0 || ops->adaptive_limit != 0) {
-        add_violation(scenario_.now(), "-", "adaptive accounting: adaptive-layer counters "
+        add_violation(now, "-", "adaptive accounting: adaptive-layer counters "
                            "nonzero while the layer is disabled");
       }
     }
@@ -319,7 +305,7 @@ void InvariantChecker::finalize() {
       if (ops->skew_soft_accepts != 0 || ops->skew_false_rejects != 0 ||
           ops->skew_false_accepts != 0 || ops->grace_accepts != 0 ||
           ops->grace_engagements != 0) {
-        add_violation(scenario_.now(), "-", "lifecycle accounting: skew/grace counters "
+        add_violation(now, "-", "lifecycle accounting: skew/grace counters "
                            "nonzero while skewed clocks, the tolerance "
                            "window, and grace mode are all disabled");
       }
@@ -327,7 +313,7 @@ void InvariantChecker::finalize() {
   }
   if (!config.client.proactive_renewal &&
       metrics.clients.proactive_renewals != 0) {
-    add_violation(scenario_.now(), "-", "lifecycle accounting: proactive renewals counted "
+    add_violation(now, "-", "lifecycle accounting: proactive renewals counted "
                        "while proactive renewal is disabled");
   }
   if (config.faults.clock_skew.any() && config.tactic.skew.enabled) {
@@ -342,13 +328,13 @@ void InvariantChecker::finalize() {
     if (worst_skew <= config.tactic.skew.tolerance &&
         (metrics.edge_ops.skew_false_rejects != 0 ||
          metrics.core_ops.skew_false_rejects != 0)) {
-      add_violation(scenario_.now(), "-", "skew tolerance: live tags rejected although the "
+      add_violation(now, "-", "skew tolerance: live tags rejected although the "
                          "worst-case clock skew fits inside the tolerance "
                          "window");
     }
   }
   if (config.router_pit_capacity == 0 && metrics.pit_evictions != 0) {
-    add_violation(scenario_.now(), "-", "PIT accounting: evictions counted with an "
+    add_violation(now, "-", "PIT accounting: evictions counted with an "
                        "unbounded PIT");
   }
 
@@ -362,7 +348,7 @@ void InvariantChecker::finalize() {
                       static_cast<unsigned long long>(fp_leaks_),
                       static_cast<unsigned long long>(
                           options_.fp_leak_budget));
-        add_violation(scenario_.now(), "-", what);
+        add_violation(now, "-", what);
       }
       if (metrics.attackers.received > fp_leaks_) {
         char what[128];
@@ -372,15 +358,16 @@ void InvariantChecker::finalize() {
                       static_cast<unsigned long long>(
                           metrics.attackers.received),
                       static_cast<unsigned long long>(fp_leaks_));
-        add_violation(scenario_.now(), "-", what);
+        add_violation(now, "-", what);
       }
       break;
     }
     case sim::PolicyKind::kPerRequestAuth:
     case sim::PolicyKind::kProbBf:
       if (metrics.attackers.received != 0) {
-        add_violation(scenario_.now(), "-", std::string("attackers received content under ") +
-                               sim::to_string(config.policy));
+        add_violation(now, "-",
+                      std::string("attackers received content under ") +
+                          sim::to_string(config.policy));
       }
       break;
     case sim::PolicyKind::kNoAccessControl:
@@ -392,7 +379,6 @@ void InvariantChecker::finalize() {
 void InvariantChecker::add_violation(event::Time when,
                                      const std::string& node,
                                      std::string what) {
-  std::lock_guard<std::mutex> lock(mutex_);
   ++violation_count_;
   if (violations_.size() < options_.max_recorded) {
     violations_.push_back(Violation{when, node, std::move(what)});

@@ -32,19 +32,12 @@
 // through its bit-reproducibility comparison.  Every packet event is
 // hashed (SHA-256 over node/face/direction/time/wire bytes) and folded
 // into `trace_digest()` as an order-insensitive multiset accumulator
-// (lane-wise wrapping sum of the per-event digests).  Order-insensitivity
-// is what lets the digest compare across engines: the parallel scheduler
-// observes the same packet events in a different interleaving, and the
-// digest must not care.  Digests are only ever compared run-to-run within
-// one build — never pinned as goldens.
-//
-// Thread safety: on_packet may run concurrently from partition worker
-// threads (parallel engine); the fold, the counters, and the signature
-// cache are guarded by one mutex.  sample()/finalize() run exclusively
-// (global events park every worker; finalize runs after the loop).
+// (lane-wise wrapping sum of the per-event digests), so the digest names
+// the set of packet events, not the interleaving of same-instant ones.
+// Digests are only ever compared run-to-run within one build — never
+// pinned as goldens.
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -134,9 +127,6 @@ class InvariantChecker {
   bool armed_ = false;
   bool finalized_ = false;
 
-  /// Guards the digest fold, counters, caches, and violation list against
-  /// concurrent on_packet calls from partition workers.
-  mutable std::mutex mutex_;
   util::Bytes chain_;  // multiset accumulator over per-event digests
   std::unordered_map<std::string, bool> signature_cache_;
   std::unordered_map<net::NodeId, int> fpp_streak_;

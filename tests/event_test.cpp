@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "event/parallel.hpp"
 #include "event/scheduler.hpp"
 
 namespace tactic::event {
@@ -275,114 +274,6 @@ TEST(Scheduler, ManyEventsStressOrdering) {
   }
   sched.run();
   EXPECT_EQ(executed, 10000);
-}
-
-
-// --- run_before (the parallel engine's epoch primitive) -----------------
-
-TEST(Scheduler, RunBeforeExcludesTheBoundaryInstant) {
-  Scheduler scheduler;
-  std::vector<int> order;
-  scheduler.schedule_at(5, [&] { order.push_back(1); });
-  scheduler.schedule_at(10, [&] { order.push_back(2); });  // on the bound
-  scheduler.schedule_at(12, [&] { order.push_back(3); });
-  EXPECT_EQ(scheduler.run_before(10), 10);
-  EXPECT_EQ(scheduler.now(), 10);
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  // The boundary event is still pending and runs in the next phase.
-  scheduler.run_until(12);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-// --- ParallelScheduler --------------------------------------------------
-
-TEST(ParallelScheduler, LookaheadBoundaryEventIsDelivered) {
-  ParallelScheduler engine(2);
-  engine.set_lookahead(10);
-  int ran_at = -1;
-  // A cross-partition arrival landing exactly on the next epoch boundary
-  // — the tightest arrival conservative lookahead permits — must run,
-  // and at its own timestamp.
-  engine.schedule_global(0, [&] {
-    engine.post(0, 1, 10, [&] {
-      ran_at = static_cast<int>(engine.partition(1).now());
-    });
-  });
-  engine.run_until(30);
-  EXPECT_EQ(ran_at, 10);
-}
-
-TEST(ParallelScheduler, MergedArrivalsKeepDeterministicOrder) {
-  // Same-instant cross-partition arrivals have no global FIFO; the
-  // barrier merge orders them by (when, source partition, source seq) —
-  // the rule that makes any real-time posting interleaving reproducible.
-  ParallelScheduler engine(3);
-  engine.set_lookahead(5);
-  std::vector<int> order;
-  engine.schedule_global(0, [&] {
-    // Post in a scrambled real-time order; partition 2 first.
-    engine.post(2, 0, 5, [&] { order.push_back(20); });
-    engine.post(1, 0, 5, [&] { order.push_back(10); });
-    engine.post(1, 0, 5, [&] { order.push_back(11); });
-    engine.post(2, 0, 7, [&] { order.push_back(21); });
-    engine.post(1, 0, 7, [&] { order.push_back(12); });
-  });
-  engine.run_until(20);
-  // when=5: partition 1's posts (seq order), then partition 2's.
-  // when=7: partition 1 before partition 2.
-  EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 12, 21}));
-}
-
-TEST(ParallelScheduler, GlobalHandlerCanCancelAcrossPartitions) {
-  // A global event runs with every worker parked, so it may reach into
-  // any partition — here cancelling an event another partition owns
-  // before its instant arrives.
-  ParallelScheduler engine(2);
-  engine.set_lookahead(4);
-  bool ran = false;
-  const EventId doomed =
-      engine.partition(1).schedule_at(9, [&] { ran = true; });
-  engine.schedule_global(6, [&] {
-    EXPECT_TRUE(engine.partition(1).cancel(doomed));
-  });
-  engine.run_until(20);
-  EXPECT_FALSE(ran);
-}
-
-TEST(ParallelScheduler, GlobalEventsShortenEpochsAndRunQuiesced) {
-  // An epoch would span [8, 16); a global at 10 must clip it so the
-  // handler observes every partition stopped exactly at 10.
-  ParallelScheduler engine(2);
-  engine.set_lookahead(8);
-  Time seen_p0 = -1;
-  Time seen_p1 = -1;
-  engine.partition(0).schedule_at(3, [] {});
-  engine.partition(1).schedule_at(15, [] {});
-  engine.schedule_global(10, [&] {
-    seen_p0 = engine.partition(0).now();
-    seen_p1 = engine.partition(1).now();
-  });
-  engine.run_until(20);
-  EXPECT_EQ(seen_p0, 10);
-  EXPECT_EQ(seen_p1, 10);
-  EXPECT_GE(engine.stats().global_events, 1u);
-}
-
-TEST(ParallelScheduler, RepeatedRunUntilAdvancesLikeSequential) {
-  ParallelScheduler engine(2);
-  engine.set_lookahead(3);
-  std::vector<int> ticks;
-  for (int t = 1; t <= 9; t += 2) {
-    engine.partition(t % 2).schedule_at(t, [&ticks, t] {
-      ticks.push_back(t);
-    });
-  }
-  engine.run_until(4);
-  EXPECT_EQ(ticks, (std::vector<int>{1, 3}));
-  engine.run_until(9);
-  EXPECT_EQ(ticks, (std::vector<int>{1, 3, 5, 7, 9}));
-  EXPECT_EQ(engine.now(), 9);
-  EXPECT_EQ(engine.executed_count(), 5u);
 }
 
 }  // namespace

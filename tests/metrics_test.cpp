@@ -1,15 +1,19 @@
 // Tests for the sim metrics layer: traffic totals, router-op aggregation,
-// the multi-seed accumulator, and the compute-charge bookkeeping that
-// feeds Fig. 5's analysis.
+// the multi-seed accumulator, the compute-charge bookkeeping that feeds
+// Fig. 5's analysis, and the canonical client-sample merge.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include "sim/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "sim/trace.hpp"
+#include "util/timeseries.hpp"
 
 namespace tactic::sim {
 namespace {
@@ -200,6 +204,84 @@ TEST(Metrics, LatencySeriesCoversRun) {
   }
   EXPECT_GE(busy_seconds, 18u);
   EXPECT_LE(metrics.latency.bucket_count(), 21u);
+}
+
+// Canonical metric-sample merge.  Scenario buffers metric samples per
+// client and replays them at harvest sorted by (when, client index,
+// per-client position).  The regression below locks the replay to the
+// event-order accumulation byte-exactly (same floating-point sums, not
+// approximately): the same samples added directly in event order must
+// give bucket sums and counts identical to the buffered replay.
+TEST(MetricMerge, BufferedReplayMatchesDirectAccumulationExactly) {
+  struct Sample {
+    event::Time when;
+    std::size_t client;
+    double value;
+  };
+  // Event-order stream with strictly increasing times, so canonical
+  // order equals event order and direct accumulation is the reference.
+  // (Same-instant cross-client samples are defined to fold in client
+  // order instead; see scenario.cpp.)
+  // Values are "nasty" doubles whose sums depend on accumulation order,
+  // which is exactly what must match.
+  std::vector<Sample> stream;
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  event::Time when = 0;
+  for (int i = 0; i < 500; ++i) {
+    when += 1 + static_cast<event::Time>(next() % (event::kSecond / 3));
+    const std::size_t client = next() % 7;
+    const double value =
+        static_cast<double>(next() % 1000000007ull) * 1e-7 + 1e-13;
+    stream.push_back(Sample{when, client, value});
+  }
+
+  util::TimeSeries direct;
+  for (const Sample& sample : stream) {
+    direct.add(event::to_seconds(sample.when), sample.value);
+  }
+
+  // Per-client buffers in per-client arrival order, then the canonical
+  // merge: stable-sort by when keeps (client, position) order for equal
+  // times — the exact order scenario.cpp replays.
+  std::vector<std::vector<std::pair<event::Time, double>>> buffers(7);
+  for (const Sample& sample : stream) {
+    buffers[sample.client].emplace_back(sample.when, sample.value);
+  }
+  struct Rec {
+    event::Time when;
+    std::size_t client;
+    std::size_t pos;
+    double value;
+  };
+  std::vector<Rec> merged;
+  for (std::size_t c = 0; c < buffers.size(); ++c) {
+    for (std::size_t i = 0; i < buffers[c].size(); ++i) {
+      merged.push_back(Rec{buffers[c][i].first, c, i, buffers[c][i].second});
+    }
+  }
+  std::sort(merged.begin(), merged.end(), [](const Rec& a, const Rec& b) {
+    if (a.when != b.when) return a.when < b.when;
+    if (a.client != b.client) return a.client < b.client;
+    return a.pos < b.pos;
+  });
+  util::TimeSeries replayed;
+  for (const Rec& rec : merged) {
+    replayed.add(event::to_seconds(rec.when), rec.value);
+  }
+
+  ASSERT_EQ(direct.bucket_count(), replayed.bucket_count());
+  for (std::size_t b = 0; b < direct.bucket_count(); ++b) {
+    EXPECT_EQ(direct.count(b), replayed.count(b)) << "bucket " << b;
+    // Bitwise double equality — the merge must reproduce the exact
+    // accumulation order, not a nearby sum.
+    EXPECT_EQ(direct.sum(b), replayed.sum(b)) << "bucket " << b;
+  }
 }
 
 }  // namespace

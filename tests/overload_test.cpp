@@ -1,5 +1,6 @@
 // Tests for the overload-resilience layer: the deterministic validation
-// queue, negative-tag verdict cache, and token-bucket primitives; bounded
+// queue and its multi-lane form, negative-tag verdict cache, and
+// token-bucket primitives; bounded
 // PIT with LRU eviction; the client back-off ceiling; and the pinned
 // scenario-level guarantees — an attacker flood is shed while valid
 // clients keep their delivery, a staged BF reset suppresses the
@@ -56,6 +57,72 @@ TEST(ValidationQueue, ResetDropsPendingWork) {
   EXPECT_EQ(queue.depth(0), 0u);
   // The server is free again immediately.
   EXPECT_EQ(queue.admit(0, 7), 7);
+}
+
+// ---------------------------------------------------------------------------
+// ValidationLanes
+// ---------------------------------------------------------------------------
+
+TEST(ValidationLanes, SingleLaneMatchesValidationQueue) {
+  core::ValidationQueue queue;
+  core::ValidationLanes lanes(1);
+  for (event::Time now : {0, 5, 9, 9, 40}) {
+    const event::Time service = 7;
+    EXPECT_EQ(queue.admit(now, service), lanes.admit(0, now, service));
+  }
+  EXPECT_EQ(lanes.steals(), 0u);  // nowhere to steal to
+  EXPECT_EQ(queue.total_wait(), lanes.total_wait());
+  EXPECT_EQ(queue.peak_depth(), lanes.peak_depth());
+}
+
+TEST(ValidationLanes, DeterministicStealToLowestIdleLane) {
+  core::ValidationLanes lanes(3);
+  // First job occupies its home lane 1.
+  EXPECT_EQ(lanes.admit(1, 0, 10), 10);
+  EXPECT_EQ(lanes.steals(), 0u);
+  // Same instant, same busy home lane: the lowest-indexed idle lane (0)
+  // takes it — no waiting, one steal.
+  EXPECT_EQ(lanes.admit(1, 0, 10), 10);
+  EXPECT_EQ(lanes.steals(), 1u);
+  // Next job: lanes 0 and 1 busy, lane 2 idle — steal again.
+  EXPECT_EQ(lanes.admit(1, 0, 10), 10);
+  EXPECT_EQ(lanes.steals(), 2u);
+  // All lanes busy: the job queues FIFO behind its home lane.
+  EXPECT_EQ(lanes.admit(1, 0, 10), 20);
+  EXPECT_EQ(lanes.steals(), 2u);
+  EXPECT_EQ(lanes.depth(0), 4u);
+}
+
+TEST(ValidationLanes, IdleHomeLaneIsNeverStolenFrom) {
+  core::ValidationLanes lanes(4);
+  // An idle home lane takes its own job even when lower-indexed lanes
+  // are also idle — stealing only rescues jobs from a busy home.
+  EXPECT_EQ(lanes.admit(3, 0, 4), 4);
+  EXPECT_EQ(lanes.steals(), 0u);
+  EXPECT_EQ(lanes.lane_depth(3, 0), 1u);
+  EXPECT_EQ(lanes.lane_depth(0, 0), 0u);
+}
+
+TEST(ValidationLanes, ResetWipesEveryLane) {
+  core::ValidationLanes lanes(3);
+  lanes.admit(0, 0, 100);
+  lanes.admit(1, 0, 100);
+  lanes.admit(2, 0, 100);
+  EXPECT_EQ(lanes.depth(0), 3u);
+  lanes.reset();  // crash: pending work dies with the router
+  EXPECT_EQ(lanes.depth(0), 0u);
+  // Post-restart jobs see fresh lanes, not the dead backlog.
+  EXPECT_EQ(lanes.admit(0, 1, 10), 10);
+}
+
+TEST(ValidationLanes, ConfigureResizesAndClears) {
+  core::ValidationLanes lanes(2);
+  lanes.admit(0, 0, 50);
+  lanes.configure(5);
+  EXPECT_EQ(lanes.lanes(), 5u);
+  EXPECT_EQ(lanes.depth(0), 0u);
+  lanes.configure(0);  // clamped
+  EXPECT_EQ(lanes.lanes(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -482,7 +549,8 @@ TEST(OverloadLayer, DisabledLayerIsBitIdentical) {
 }
 
 // Same seed + overload + faults => identical fingerprint and trace chain,
-// with the runtime invariants clean.
+// with the runtime invariants clean — on single-lane routers and on
+// 4-lane routers (the multi-lane stealing path end to end).
 TEST(OverloadLayer, DoubleRunDeterminismWithFloodAndFaults) {
   sim::ScenarioConfig config = flood_config(25);
   config.duration = 20 * kSecond;
@@ -503,10 +571,14 @@ TEST(OverloadLayer, DoubleRunDeterminismWithFloodAndFaults) {
         testing::fingerprint_digest(scenario.harvest()),
         checker.trace_digest()};
   };
-  const auto first = run();
-  const auto second = run();
-  EXPECT_EQ(first.first, second.first);
-  EXPECT_EQ(first.second, second.second);
+  for (const std::size_t lanes : {1u, 4u}) {
+    SCOPED_TRACE("validation lanes: " + std::to_string(lanes));
+    config.tactic.validation_lanes = lanes;
+    const auto first = run();
+    const auto second = run();
+    EXPECT_EQ(first.first, second.first);
+    EXPECT_EQ(first.second, second.second);
+  }
 }
 
 }  // namespace

@@ -134,8 +134,11 @@ TEST(BarabasiAlbert, DeterministicForSeed) {
 // Table III presets
 // ---------------------------------------------------------------------------
 
+// Every field is a size_t so the struct has no padding: ctest names each
+// case after the printed bytes of its parameter, and padding bytes are
+// indeterminate, which made the case names change from run to run.
 struct PresetExpectation {
-  int index;
+  std::size_t index;
   std::size_t core, edge, clients, attackers;
 };
 
@@ -143,7 +146,8 @@ class PaperPresets : public ::testing::TestWithParam<PresetExpectation> {};
 
 TEST_P(PaperPresets, MatchesTableIII) {
   const auto expected = GetParam();
-  const TopologyParams params = paper_topology(expected.index);
+  const TopologyParams params =
+      paper_topology(static_cast<int>(expected.index));
   EXPECT_EQ(params.core_routers, expected.core);
   EXPECT_EQ(params.edge_routers, expected.edge);
   EXPECT_EQ(params.clients, expected.clients);
