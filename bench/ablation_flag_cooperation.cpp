@@ -28,15 +28,15 @@ int main(int argc, char** argv) {
           config.tactic.flag_cooperation = cooperation;
         });
     table.add_row({cooperation ? "on (paper)" : "off (ablated)",
-                   util::Table::fmt(acc.core_verifies.mean(), 8),
+                   util::Table::fmt(acc.core.sig_verifications.mean(), 8),
                    util::Table::fmt(acc.provider_verifies.mean(), 8),
-                   util::Table::fmt(acc.core_lookups.mean(), 8),
+                   util::Table::fmt(acc.core.bf_lookups.mean(), 8),
                    util::Table::fmt(acc.mean_latency.mean(), 5),
                    util::Table::fmt_ratio(acc.client_delivery.mean())});
     csv.row({cooperation ? "on" : "off",
-             util::CsvWriter::num(acc.core_verifies.mean()),
+             util::CsvWriter::num(acc.core.sig_verifications.mean()),
              util::CsvWriter::num(acc.provider_verifies.mean()),
-             util::CsvWriter::num(acc.core_lookups.mean()),
+             util::CsvWriter::num(acc.core.bf_lookups.mean()),
              util::CsvWriter::num(acc.mean_latency.mean()),
              util::CsvWriter::num(acc.client_delivery.mean())});
   }

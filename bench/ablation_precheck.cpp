@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
           config.attacker.think_time_mean = 2 * event::kSecond;
         });
     const double router_verifies =
-        acc.edge_verifies.mean() + acc.core_verifies.mean();
+        acc.edge.sig_verifications.mean() + acc.core.sig_verifications.mean();
     table.add_row({precheck ? "on (paper)" : "off (ablated)",
                    util::Table::fmt(acc.attacker_received.mean(), 8),
                    util::Table::fmt_ratio(acc.attacker_delivery.mean()),

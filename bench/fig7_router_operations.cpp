@@ -23,15 +23,15 @@ int main(int argc, char** argv) {
       "router class",
       options);
 
+  // One CSV column per statistic of the router stats table
+  // (tactic/router_stats.def), under its table name.
   bench::MaybeCsv csv(options.csv_path);
-  csv.row({"topology", "router_class", "lookups", "insertions",
-           "verifications", "compute_bf_s", "compute_sig_s",
-           "compute_neg_s", "sig_batches", "sig_batched_items",
-           "batch_unbatched_equiv_s", "validation_wait_p50_s",
-           "validation_wait_p95_s", "validation_wait_p99_s",
-           "adaptive_gradient", "adaptive_limit", "quarantine_ejections",
-           "skew_false_rejects", "skew_false_accepts", "skew_soft_accepts",
-           "grace_accepts"});
+  std::vector<std::string> header = {"topology", "router_class"};
+  sim::RouterOpsStats{}.for_each(
+      [&](const char* name, const util::RunningStats&) {
+        header.push_back(name);
+      });
+  csv.row(header);
 
   util::Table table({"Topology", "Class", "L (lookups)", "I (insertions)",
                      "V (verifications)"});
@@ -49,12 +49,12 @@ int main(int argc, char** argv) {
           config.tactic.bloom.capacity =
               static_cast<std::size_t>(bf_capacity);
         });
-    const double reuses = acc.pool_reuses.mean();
-    const double clones = acc.packet_cow_clones.mean();
-    const double inplace = acc.packet_inplace_edits.mean();
+    const double reuses = acc.routers.pool_reuses.mean();
+    const double clones = acc.routers.packet_cow_clones.mean();
+    const double inplace = acc.routers.packet_inplace_edits.mean();
     // Fresh builds net out clone compensation (PoolCounters), so total
     // slab acquisitions = fresh acquires + COW clones.
-    const double slab = acc.pool_acquires.mean() + clones;
+    const double slab = acc.routers.pool_acquires.mean() + clones;
     const double edits = clones + inplace;
     pool_table.add_row(
         {"Topo. " + std::to_string(topo), util::Table::fmt(slab, 10),
@@ -62,53 +62,21 @@ int main(int argc, char** argv) {
          util::Table::fmt(clones, 10), util::Table::fmt(inplace, 10),
          util::Table::fmt(edits == 0 ? 0.0 : 100.0 * inplace / edits, 4)});
     table.add_row({"Topo. " + std::to_string(topo), "edge",
-                   util::Table::fmt(acc.edge_lookups.mean(), 10),
-                   util::Table::fmt(acc.edge_inserts.mean(), 10),
-                   util::Table::fmt(acc.edge_verifies.mean(), 10)});
+                   util::Table::fmt(acc.edge.bf_lookups.mean(), 10),
+                   util::Table::fmt(acc.edge.bf_insertions.mean(), 10),
+                   util::Table::fmt(acc.edge.sig_verifications.mean(), 10)});
     table.add_row({"", "core",
-                   util::Table::fmt(acc.core_lookups.mean(), 10),
-                   util::Table::fmt(acc.core_inserts.mean(), 10),
-                   util::Table::fmt(acc.core_verifies.mean(), 10)});
-    csv.row({std::to_string(topo), "edge",
-             util::CsvWriter::num(acc.edge_lookups.mean()),
-             util::CsvWriter::num(acc.edge_inserts.mean()),
-             util::CsvWriter::num(acc.edge_verifies.mean()),
-             util::CsvWriter::num(acc.edge_compute_bf.mean()),
-             util::CsvWriter::num(acc.edge_compute_sig.mean()),
-             util::CsvWriter::num(acc.edge_compute_neg.mean()),
-             util::CsvWriter::num(acc.edge_batches.mean()),
-             util::CsvWriter::num(acc.edge_batched_items.mean()),
-             util::CsvWriter::num(acc.edge_batch_equiv_s.mean()),
-             util::CsvWriter::num(acc.edge_wait_p50.mean()),
-             util::CsvWriter::num(acc.edge_wait_p95.mean()),
-             util::CsvWriter::num(acc.edge_wait_p99.mean()),
-             util::CsvWriter::num(acc.adaptive_gradient.mean()),
-             util::CsvWriter::num(acc.adaptive_limit.mean()),
-             util::CsvWriter::num(acc.quarantine_ejections.mean()),
-             util::CsvWriter::num(acc.edge_skew_false_rejects.mean()),
-             util::CsvWriter::num(acc.edge_skew_false_accepts.mean()),
-             util::CsvWriter::num(acc.edge_skew_soft_accepts.mean()),
-             util::CsvWriter::num(acc.edge_grace_accepts.mean())});
-    csv.row({std::to_string(topo), "core",
-             util::CsvWriter::num(acc.core_lookups.mean()),
-             util::CsvWriter::num(acc.core_inserts.mean()),
-             util::CsvWriter::num(acc.core_verifies.mean()),
-             util::CsvWriter::num(acc.core_compute_bf.mean()),
-             util::CsvWriter::num(acc.core_compute_sig.mean()),
-             util::CsvWriter::num(acc.core_compute_neg.mean()),
-             util::CsvWriter::num(acc.core_batches.mean()),
-             util::CsvWriter::num(acc.core_batched_items.mean()),
-             util::CsvWriter::num(acc.core_batch_equiv_s.mean()),
-             util::CsvWriter::num(acc.core_wait_p50.mean()),
-             util::CsvWriter::num(acc.core_wait_p95.mean()),
-             util::CsvWriter::num(acc.core_wait_p99.mean()),
-             util::CsvWriter::num(acc.adaptive_gradient.mean()),
-             util::CsvWriter::num(acc.adaptive_limit.mean()),
-             util::CsvWriter::num(acc.quarantine_ejections.mean()),
-             util::CsvWriter::num(acc.core_skew_false_rejects.mean()),
-             util::CsvWriter::num(acc.core_skew_false_accepts.mean()),
-             util::CsvWriter::num(0.0),
-             util::CsvWriter::num(0.0)});
+                   util::Table::fmt(acc.core.bf_lookups.mean(), 10),
+                   util::Table::fmt(acc.core.bf_insertions.mean(), 10),
+                   util::Table::fmt(acc.core.sig_verifications.mean(), 10)});
+    for (const auto& [router_class, stats] :
+         {std::pair{"edge", &acc.edge}, std::pair{"core", &acc.core}}) {
+      std::vector<std::string> row = {std::to_string(topo), router_class};
+      stats->for_each([&](const char*, const util::RunningStats& stat) {
+        row.push_back(util::CsvWriter::num(stat.mean()));
+      });
+      csv.row(row);
+    }
   }
   table.print(std::cout);
   std::printf(

@@ -48,14 +48,14 @@ int main(int argc, char** argv) {
       table.add_row({util::Table::fmt(fpp, 2),
                      std::to_string(expiry) + " s",
                      util::Table::fmt(acc.edge_reqs_per_reset.mean(), 6),
-                     util::Table::fmt(acc.edge_resets.mean(), 6),
+                     util::Table::fmt(acc.edge.bf_resets.mean(), 6),
                      util::Table::fmt(acc.core_reqs_per_reset.mean(), 6),
-                     util::Table::fmt(acc.core_resets.mean(), 6)});
+                     util::Table::fmt(acc.core.bf_resets.mean(), 6)});
       csv.row({util::CsvWriter::num(fpp), std::to_string(expiry),
                util::CsvWriter::num(acc.edge_reqs_per_reset.mean()),
-               util::CsvWriter::num(acc.edge_resets.mean()),
+               util::CsvWriter::num(acc.edge.bf_resets.mean()),
                util::CsvWriter::num(acc.core_reqs_per_reset.mean()),
-               util::CsvWriter::num(acc.core_resets.mean())});
+               util::CsvWriter::num(acc.core.bf_resets.mean())});
     }
   }
   table.print(std::cout);

@@ -46,10 +46,10 @@ int main(int argc, char** argv) {
             config.tactic.bloom.design_fpp = 1e-4;
             config.provider.tag_validity = 10 * event::kSecond;
           });
-      grid[s][f] = Cell{acc.edge_resets.mean(), acc.core_resets.mean()};
+      grid[s][f] = Cell{acc.edge.bf_resets.mean(), acc.core.bf_resets.mean()};
       csv.row({std::to_string(sizes[s]), util::CsvWriter::num(fpps[f]),
-               util::CsvWriter::num(acc.edge_resets.mean()),
-               util::CsvWriter::num(acc.core_resets.mean())});
+               util::CsvWriter::num(acc.edge.bf_resets.mean()),
+               util::CsvWriter::num(acc.core.bf_resets.mean())});
     }
   }
 

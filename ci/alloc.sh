@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-sanitize}"
 
-cmake -B "$BUILD_DIR" -S . -DTACTIC_SANITIZE=ON
+cmake -B "$BUILD_DIR" -S . -DTACTIC_SANITIZE=ON -DTACTIC_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target packet_path
 
 "$BUILD_DIR/bench/packet_path" --seed 9000 \

@@ -2,6 +2,8 @@
 # Builds the whole tree with ASan+UBSan and runs the tier-1 test suite
 # plus a short scenario-fuzz sweep under the sanitizers.  Any sanitizer
 # report aborts the run (-fno-sanitize-recover=all) and fails the script.
+# Every ci/ script configures the same build tree with -DTACTIC_WERROR=ON
+# (CMake caches the option), so a compiler warning fails the build too.
 #
 # Usage: ci/sanitize.sh [build-dir]    (default: build-sanitize)
 
@@ -10,7 +12,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-sanitize}"
 
-cmake -B "$BUILD_DIR" -S . -DTACTIC_SANITIZE=ON
+cmake -B "$BUILD_DIR" -S . -DTACTIC_SANITIZE=ON -DTACTIC_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"

@@ -50,7 +50,7 @@ for NAME in "${NAMES[@]}"; do
   fi
 done
 
-cmake -B "$BUILD_DIR" -S . -DTACTIC_SANITIZE=ON
+cmake -B "$BUILD_DIR" -S . -DTACTIC_SANITIZE=ON -DTACTIC_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target fuzz_scenarios
 
 for NAME in "${NAMES[@]}"; do

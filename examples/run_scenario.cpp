@@ -1,9 +1,9 @@
 // Command-line scenario runner: every ScenarioConfig knob as a flag, one
 // full metrics report out.  The fastest way to poke at the system without
-// writing code.
+// writing code.  Example (one command line, wrapped here):
 //
-//   ./build/examples/run_scenario --topology 2 --duration 120 \
-//       --policy tactic --bf-size 500 --max-fpp 1e-4 --tag-validity 10 \
+//   ./build/examples/run_scenario --topology 2 --duration 120
+//       --policy tactic --bf-size 500 --max-fpp 1e-4 --tag-validity 10
 //       --access-path --traitor-tracing --seed 3
 //
 // Flags (defaults in brackets):

@@ -3,79 +3,26 @@
 namespace tactic::sim {
 
 RouterOps& RouterOps::operator+=(const RouterOps& other) {
-  bf_lookups += other.bf_lookups;
-  bf_insertions += other.bf_insertions;
-  sig_verifications += other.sig_verifications;
-  bf_resets += other.bf_resets;
-  compute_charged_s += other.compute_charged_s;
-  compute_bf_s += other.compute_bf_s;
-  compute_sig_s += other.compute_sig_s;
-  compute_neg_s += other.compute_neg_s;
-  neg_cache_hits += other.neg_cache_hits;
-  neg_cache_insertions += other.neg_cache_insertions;
-  sheds_queue_full += other.sheds_queue_full;
-  sheds_unvouched += other.sheds_unvouched;
-  policer_sheds += other.policer_sheds;
-  staged_resets += other.staged_resets;
-  draining_hits += other.draining_hits;
-  validation_wait_s += other.validation_wait_s;
-  sig_batches_flushed += other.sig_batches_flushed;
-  sig_batched_items += other.sig_batched_items;
-  sig_batch_flush_size_cap += other.sig_batch_flush_size_cap;
-  sig_batch_flush_deadline += other.sig_batch_flush_deadline;
-  sig_batch_flush_queue_drain += other.sig_batch_flush_queue_drain;
-  sig_batches_dropped += other.sig_batches_dropped;
-  if (other.sig_batch_peak > sig_batch_peak) {
-    sig_batch_peak = other.sig_batch_peak;
-  }
-  sig_batch_unbatched_equiv_s += other.sig_batch_unbatched_equiv_s;
-  bf_probes_coalesced += other.bf_probes_coalesced;
-  lane_steals += other.lane_steals;
-  adaptive_windows += other.adaptive_windows;
-  adaptive_minrtt_probes += other.adaptive_minrtt_probes;
-  quarantine_sheds += other.quarantine_sheds;
-  quarantine_ejections += other.quarantine_ejections;
-  quarantine_probes += other.quarantine_probes;
-  quarantine_readmissions += other.quarantine_readmissions;
-  if (other.adaptive_gradient > adaptive_gradient) {
-    adaptive_gradient = other.adaptive_gradient;
-  }
-  if (other.adaptive_limit > adaptive_limit) {
-    adaptive_limit = other.adaptive_limit;
-  }
-  skew_soft_accepts += other.skew_soft_accepts;
-  skew_false_rejects += other.skew_false_rejects;
-  skew_false_accepts += other.skew_false_accepts;
-  grace_accepts += other.grace_accepts;
-  grace_engagements += other.grace_engagements;
-  validation_wait_hist.merge(other.validation_wait_hist);
-  fib_lookups += other.fib_lookups;
-  fib_nodes_visited += other.fib_nodes_visited;
-  pit_lookups += other.pit_lookups;
-  pit_inserts += other.pit_inserts;
-  pit_expiry_polls += other.pit_expiry_polls;
-  cs_evictions += other.cs_evictions;
-  pool_acquires += other.pool_acquires;
-  pool_reuses += other.pool_reuses;
-  pool_refills += other.pool_refills;
-  packet_cow_clones += other.packet_cow_clones;
-  packet_inplace_edits += other.packet_inplace_edits;
+#define ROUTER_STAT(name, type, how, print, layer) \
+  merge(name, other.name, Merge::how);
+#include "tactic/router_stats.def"
   return *this;
 }
 
 TrafficTotals& TrafficTotals::operator+=(const TrafficTotals& other) {
-  requested += other.requested;
-  received += other.received;
-  nacks += other.nacks;
-  timeouts += other.timeouts;
-  tags_requested += other.tags_requested;
-  tags_received += other.tags_received;
-  retransmissions += other.retransmissions;
-  chunks_abandoned += other.chunks_abandoned;
-  registration_retransmissions += other.registration_retransmissions;
-  overload_nacks += other.overload_nacks;
-  proactive_renewals += other.proactive_renewals;
+#define USER_STAT(counter, total, print) total += other.total;
+#include "workload/user_stats.def"
   return *this;
+}
+
+void RouterOpsStats::add(const RouterOps& ops) {
+#define ROUTER_STAT(name, type, merge, print, layer) \
+  name.add(static_cast<double>(ops.name));
+#define ENGINE_HISTOGRAM(name, stem, layer)   \
+  stem##_p50_s.add(ops.name.quantile(0.50)); \
+  stem##_p95_s.add(ops.name.quantile(0.95)); \
+  stem##_p99_s.add(ops.name.quantile(0.99));
+#include "tactic/router_stats.def"
 }
 
 double Metrics::mean_requests_per_reset(
@@ -105,67 +52,11 @@ void MetricsAccumulator::add(const Metrics& metrics) {
   tag_receive_rate.add(
       static_cast<double>(metrics.clients.tags_received) / seconds);
 
-  edge_lookups.add(static_cast<double>(metrics.edge_ops.bf_lookups));
-  edge_inserts.add(static_cast<double>(metrics.edge_ops.bf_insertions));
-  edge_verifies.add(static_cast<double>(metrics.edge_ops.sig_verifications));
-  edge_resets.add(static_cast<double>(metrics.edge_ops.bf_resets));
-  core_lookups.add(static_cast<double>(metrics.core_ops.bf_lookups));
-  core_inserts.add(static_cast<double>(metrics.core_ops.bf_insertions));
-  core_verifies.add(static_cast<double>(metrics.core_ops.sig_verifications));
-  core_resets.add(static_cast<double>(metrics.core_ops.bf_resets));
-  edge_compute_bf.add(metrics.edge_ops.compute_bf_s);
-  edge_compute_sig.add(metrics.edge_ops.compute_sig_s);
-  edge_compute_neg.add(metrics.edge_ops.compute_neg_s);
-  core_compute_bf.add(metrics.core_ops.compute_bf_s);
-  core_compute_sig.add(metrics.core_ops.compute_sig_s);
-  core_compute_neg.add(metrics.core_ops.compute_neg_s);
-  edge_batches.add(static_cast<double>(metrics.edge_ops.sig_batches_flushed));
-  edge_batched_items.add(
-      static_cast<double>(metrics.edge_ops.sig_batched_items));
-  edge_batch_equiv_s.add(metrics.edge_ops.sig_batch_unbatched_equiv_s);
-  core_batches.add(static_cast<double>(metrics.core_ops.sig_batches_flushed));
-  core_batched_items.add(
-      static_cast<double>(metrics.core_ops.sig_batched_items));
-  core_batch_equiv_s.add(metrics.core_ops.sig_batch_unbatched_equiv_s);
-  edge_wait_p50.add(metrics.edge_ops.validation_wait_p50_s());
-  edge_wait_p95.add(metrics.edge_ops.validation_wait_p95_s());
-  edge_wait_p99.add(metrics.edge_ops.validation_wait_p99_s());
-  core_wait_p50.add(metrics.core_ops.validation_wait_p50_s());
-  core_wait_p95.add(metrics.core_ops.validation_wait_p95_s());
-  core_wait_p99.add(metrics.core_ops.validation_wait_p99_s());
-  adaptive_gradient.add(
-      metrics.edge_ops.adaptive_gradient > metrics.core_ops.adaptive_gradient
-          ? metrics.edge_ops.adaptive_gradient
-          : metrics.core_ops.adaptive_gradient);
-  adaptive_limit.add(static_cast<double>(
-      metrics.edge_ops.adaptive_limit > metrics.core_ops.adaptive_limit
-          ? metrics.edge_ops.adaptive_limit
-          : metrics.core_ops.adaptive_limit));
-  quarantine_ejections.add(
-      static_cast<double>(metrics.edge_ops.quarantine_ejections +
-                          metrics.core_ops.quarantine_ejections));
-  edge_skew_false_rejects.add(
-      static_cast<double>(metrics.edge_ops.skew_false_rejects));
-  edge_skew_false_accepts.add(
-      static_cast<double>(metrics.edge_ops.skew_false_accepts));
-  edge_skew_soft_accepts.add(
-      static_cast<double>(metrics.edge_ops.skew_soft_accepts));
-  edge_grace_accepts.add(
-      static_cast<double>(metrics.edge_ops.grace_accepts));
-  core_skew_false_rejects.add(
-      static_cast<double>(metrics.core_ops.skew_false_rejects));
-  core_skew_false_accepts.add(
-      static_cast<double>(metrics.core_ops.skew_false_accepts));
-  pool_acquires.add(static_cast<double>(metrics.edge_ops.pool_acquires +
-                                        metrics.core_ops.pool_acquires));
-  pool_reuses.add(static_cast<double>(metrics.edge_ops.pool_reuses +
-                                      metrics.core_ops.pool_reuses));
-  packet_cow_clones.add(
-      static_cast<double>(metrics.edge_ops.packet_cow_clones +
-                          metrics.core_ops.packet_cow_clones));
-  packet_inplace_edits.add(
-      static_cast<double>(metrics.edge_ops.packet_inplace_edits +
-                          metrics.core_ops.packet_inplace_edits));
+  edge.add(metrics.edge_ops);
+  core.add(metrics.core_ops);
+  RouterOps both = metrics.edge_ops;
+  both += metrics.core_ops;
+  routers.add(both);
   edge_reqs_per_reset.add(
       Metrics::mean_requests_per_reset(metrics.edge_requests_per_reset));
   core_reqs_per_reset.add(

@@ -4,7 +4,9 @@
 // satisfaction ratio, tag statistics — and network-based — BF/signature
 // operation counts and BF reset behaviour, split by router role.
 
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "util/stats.hpp"
@@ -12,90 +14,55 @@
 
 namespace tactic::sim {
 
-/// Aggregated TACTIC operation counts for one router class (Fig. 7).
-struct RouterOps {
-  std::uint64_t bf_lookups = 0;
-  std::uint64_t bf_insertions = 0;
-  std::uint64_t sig_verifications = 0;
-  std::uint64_t bf_resets = 0;
-  /// Total simulated compute time charged for the above (seconds), and
-  /// its per-stage breakdown (compute_bf_s + compute_sig_s +
-  /// compute_neg_s == compute_charged_s; queue wait is
-  /// `validation_wait_s` below).
-  double compute_charged_s = 0.0;
-  double compute_bf_s = 0.0;   // BF lookups and insertions
-  double compute_sig_s = 0.0;  // signature verifications
-  double compute_neg_s = 0.0;  // negative-tag cache probes
-  // Overload-resilience layer (docs/OVERLOAD.md; zero while disabled).
-  std::uint64_t neg_cache_hits = 0;
-  std::uint64_t neg_cache_insertions = 0;
-  std::uint64_t sheds_queue_full = 0;
-  std::uint64_t sheds_unvouched = 0;
-  std::uint64_t policer_sheds = 0;
-  std::uint64_t staged_resets = 0;
-  std::uint64_t draining_hits = 0;
-  /// Time validation jobs spent queued behind earlier work (seconds).
-  double validation_wait_s = 0.0;
-  // Batched-validation layer (docs/ARCHITECTURE.md, "Batched stages";
-  // zero while disabled).
-  std::uint64_t sig_batches_flushed = 0;
-  std::uint64_t sig_batched_items = 0;
-  std::uint64_t sig_batch_flush_size_cap = 0;
-  std::uint64_t sig_batch_flush_deadline = 0;
-  std::uint64_t sig_batch_flush_queue_drain = 0;
-  std::uint64_t sig_batches_dropped = 0;
-  /// Largest pending-batch occupancy observed (max across routers).
-  std::uint64_t sig_batch_peak = 0;
-  /// What the flushed batches would have charged verified one by one
-  /// (seconds); amortization ratio = this / the batched share of
-  /// compute_sig_s.
-  double sig_batch_unbatched_equiv_s = 0.0;
-  std::uint64_t bf_probes_coalesced = 0;
-  /// Validation jobs stolen from a busy home lane by an idle one (zero
-  /// with a single lane; docs/ARCHITECTURE.md "Event engine").
-  /// Never fingerprinted.
-  std::uint64_t lane_steals = 0;
-  // Adaptive overload control (docs/OVERLOAD.md, "Adaptive control &
-  // face quarantine"; zero while disabled).
-  std::uint64_t adaptive_windows = 0;
-  std::uint64_t adaptive_minrtt_probes = 0;
-  std::uint64_t quarantine_sheds = 0;
-  std::uint64_t quarantine_ejections = 0;
-  std::uint64_t quarantine_probes = 0;
-  std::uint64_t quarantine_readmissions = 0;
-  /// End-of-run gradient and concurrency limit (max across routers).
-  double adaptive_gradient = 0.0;
-  std::uint64_t adaptive_limit = 0;
-  // Tag-lifecycle layer (docs/FAULTS.md, "Clock skew & tag lifecycle";
-  // zero while skew tolerance, grace mode, and the clock-skew fault
-  // model are all disabled).
-  std::uint64_t skew_soft_accepts = 0;
-  std::uint64_t skew_false_rejects = 0;
-  std::uint64_t skew_false_accepts = 0;
-  std::uint64_t grace_accepts = 0;
-  std::uint64_t grace_engagements = 0;
-  /// Streaming quantile sketch of per-op validation queue wait
-  /// (seconds; empty while the overload layer is off).  Merged
-  /// bucket-wise across routers, so class-level quantiles are exact
-  /// over the union of samples.  Never fingerprinted.
-  util::QuantileHistogram validation_wait_hist;
-  // Name-table work (FIB trie / PIT slab / CS index; see
-  // docs/ARCHITECTURE.md "Name interning and table structures").  Used by
-  // cost-regression tests and bench/scalability; never fingerprinted.
-  std::uint64_t fib_lookups = 0;
-  std::uint64_t fib_nodes_visited = 0;  // trie nodes touched by lookups
-  std::uint64_t pit_lookups = 0;
-  std::uint64_t pit_inserts = 0;
-  std::uint64_t pit_expiry_polls = 0;  // lazy-heap records examined
-  std::uint64_t cs_evictions = 0;
+// Column values of the stats tables (tactic/router_stats.def,
+// workload/user_stats.def).
 
-  // Packet-pool traffic (ndn::PacketPool; docs/ARCHITECTURE.md "Packet
-  // memory model").  Never fingerprinted.
-  std::uint64_t pool_acquires = 0;       // packets handed out
-  std::uint64_t pool_reuses = 0;         // ... recycling a slot
-  std::uint64_t pool_refills = 0;        // ... growing the slab
-  std::uint64_t packet_cow_clones = 0;   // clone_for_edit on shared packets
-  std::uint64_t packet_inplace_edits = 0;  // edit() on uniquely-held ones
+/// How a row merges across routers, and across classes in operator+=.
+enum class Merge {
+  kSum,
+  kMax,      // end-of-run gauges and peaks
+  kBuckets,  // histograms, bucket-wise
+};
+/// The layer that moves a router row (see router_stats.def).
+enum class Layer {
+  kBase,
+  kOverload,
+  kBatch,
+  kAdaptive,
+  kLifecycle,
+  kForwarder,
+};
+inline constexpr std::size_t index(Layer layer) {
+  return static_cast<std::size_t>(layer);
+}
+inline constexpr std::size_t kLayerCount = index(Layer::kForwarder) + 1;
+/// Whether testing::fingerprint prints a row.
+inline constexpr bool kPrinted = true;
+inline constexpr bool kHidden = false;
+
+template <typename T>
+void merge(T& into, std::type_identity_t<T> from, Merge how) {
+  if (how == Merge::kMax) {
+    if (from > into) into = from;
+  } else {
+    into += from;
+  }
+}
+inline void merge(util::QuantileHistogram& into,
+                  const util::QuantileHistogram& from, Merge) {
+  into.merge(from);
+}
+inline bool nonzero(std::uint64_t value) { return value != 0; }
+inline bool nonzero(double value) { return value != 0.0; }
+inline bool nonzero(const util::QuantileHistogram& hist) {
+  return !hist.empty();
+}
+
+/// Aggregated router counters for one router class (Fig. 7): one field
+/// per row of tactic/router_stats.def.
+struct RouterOps {
+#define ROUTER_STAT(name, type, merge, print, layer) type name{};
+#include "tactic/router_stats.def"
 
   /// Validation-wait quantiles (seconds) from the merged sketch.
   double validation_wait_p50_s() const {
@@ -108,34 +75,15 @@ struct RouterOps {
     return validation_wait_hist.quantile(0.99);
   }
 
-  /// Mean signature-batch occupancy at flush (1.0 = no amortization).
-  double mean_batch_occupancy() const {
-    return sig_batches_flushed == 0
-               ? 0.0
-               : static_cast<double>(sig_batched_items) /
-                     static_cast<double>(sig_batches_flushed);
-  }
-
+  /// Merges `other` row by row, as each row's merge column says.
   RouterOps& operator+=(const RouterOps& other);
 };
 
-/// Traffic totals for one user class (Table IV).
+/// Traffic totals for one user class (Table IV): one field per row of
+/// workload/user_stats.def.
 struct TrafficTotals {
-  std::uint64_t requested = 0;
-  std::uint64_t received = 0;
-  std::uint64_t nacks = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t tags_requested = 0;
-  std::uint64_t tags_received = 0;
-  /// Retransmission bookkeeping (chaos layer; zero without faults).
-  std::uint64_t retransmissions = 0;
-  std::uint64_t chunks_abandoned = 0;
-  std::uint64_t registration_retransmissions = 0;
-  /// kRouterOverloaded NACKs seen (overload layer; zero while disabled).
-  std::uint64_t overload_nacks = 0;
-  /// Proactive renewal timers that fired (tag-lifecycle layer; zero
-  /// while disabled).  Never fingerprinted.
-  std::uint64_t proactive_renewals = 0;
+#define USER_STAT(counter, total, print) std::uint64_t total = 0;
+#include "workload/user_stats.def"
 
   double delivery_ratio() const {
     return requested == 0
@@ -204,6 +152,29 @@ struct Metrics {
       const std::vector<std::uint64_t>& samples);
 };
 
+/// Per-run statistics of one router class: one RunningStats per scalar
+/// row of tactic/router_stats.def (`edge.bf_lookups`), and the p50, p95
+/// and p99 of each histogram row (`edge.validation_wait_p95_s`).
+struct RouterOpsStats {
+#define ROUTER_STAT(name, type, merge, print, layer) util::RunningStats name;
+#define ENGINE_HISTOGRAM(name, stem, layer) \
+  util::RunningStats stem##_p50_s, stem##_p95_s, stem##_p99_s;
+#include "tactic/router_stats.def"
+
+  void add(const RouterOps& ops);
+  /// Calls f(name, stats) for every statistic, in table order (the Fig. 7
+  /// CSV columns).
+  template <typename F>
+  void for_each(F&& f) const {
+#define ROUTER_STAT(name, type, merge, print, layer) f(#name, name);
+#define ENGINE_HISTOGRAM(name, stem, layer) \
+  f(#stem "_p50_s", stem##_p50_s);          \
+  f(#stem "_p95_s", stem##_p95_s);          \
+  f(#stem "_p99_s", stem##_p99_s);
+#include "tactic/router_stats.def"
+  }
+};
+
 /// Element-wise accumulation across seeds (divide by run count for means).
 struct MetricsAccumulator {
   void add(const Metrics& metrics);
@@ -215,28 +186,10 @@ struct MetricsAccumulator {
   util::RunningStats client_requested, client_received;
   util::RunningStats attacker_requested, attacker_received;
   util::RunningStats tag_request_rate, tag_receive_rate;  // per second
-  util::RunningStats edge_lookups, edge_inserts, edge_verifies, edge_resets;
-  util::RunningStats core_lookups, core_inserts, core_verifies, core_resets;
-  /// Per-stage compute breakdown (seconds per run; see RouterOps).
-  util::RunningStats edge_compute_bf, edge_compute_sig, edge_compute_neg;
-  util::RunningStats core_compute_bf, core_compute_sig, core_compute_neg;
-  /// Batched validation (zero while disabled; see RouterOps).
-  util::RunningStats edge_batches, edge_batched_items, edge_batch_equiv_s;
-  util::RunningStats core_batches, core_batched_items, core_batch_equiv_s;
-  /// Validation-wait quantiles and adaptive overload control (zero while
-  /// the overload / adaptive layers are disabled; see RouterOps).
-  util::RunningStats edge_wait_p50, edge_wait_p95, edge_wait_p99;
-  util::RunningStats core_wait_p50, core_wait_p95, core_wait_p99;
-  util::RunningStats adaptive_gradient, adaptive_limit,
-      quarantine_ejections;
-  /// Tag-lifecycle layer (zero while disabled; see RouterOps).
-  util::RunningStats edge_skew_false_rejects, edge_skew_false_accepts,
-      edge_skew_soft_accepts, edge_grace_accepts;
-  util::RunningStats core_skew_false_rejects, core_skew_false_accepts;
-  /// Packet-pool traffic, edge + core combined (see RouterOps; the
-  /// copy-elimination figure in EXPERIMENTS.md "Fig. 7").
-  util::RunningStats pool_acquires, pool_reuses;
-  util::RunningStats packet_cow_clones, packet_inplace_edits;
+  /// Router counters by class, and of both classes merged by
+  /// RouterOps::operator+= (the packet-pool figure in EXPERIMENTS.md
+  /// "Fig. 7").
+  RouterOpsStats edge, core, routers;
   util::RunningStats edge_reqs_per_reset, core_reqs_per_reset;
   util::RunningStats provider_verifies;
   util::RunningStats cache_hit_ratio;

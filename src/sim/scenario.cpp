@@ -475,27 +475,16 @@ Metrics Scenario::harvest() {
   out.tag_receives = metrics_.tag_receives;
   out.recovery_latency = metrics_.recovery_latency;
 
+  const auto harvest_user = [](TrafficTotals& totals,
+                                const workload::UserCounters& c) {
+#define USER_STAT(counter, total, print) totals.total += c.counter;
+#include "workload/user_stats.def"
+  };
   for (const auto& client : clients_) {
-    const auto& c = client->counters();
-    out.clients.requested += c.chunks_requested;
-    out.clients.received += c.chunks_received;
-    out.clients.nacks += c.nacks_received;
-    out.clients.timeouts += c.timeouts;
-    out.clients.tags_requested += c.tags_requested;
-    out.clients.tags_received += c.tags_received;
-    out.clients.retransmissions += c.retransmissions;
-    out.clients.chunks_abandoned += c.chunks_abandoned;
-    out.clients.registration_retransmissions +=
-        c.registration_retransmissions;
-    out.clients.overload_nacks += c.overload_nacks;
-    out.clients.proactive_renewals += c.proactive_renewals;
+    harvest_user(out.clients, client->counters());
   }
   for (const auto& attacker : attackers_) {
-    const auto& c = attacker->counters();
-    out.attackers.requested += c.chunks_requested;
-    out.attackers.received += c.chunks_received;
-    out.attackers.nacks += c.nacks_received;
-    out.attackers.timeouts += c.timeouts;
+    harvest_user(out.attackers, attacker->counters());
   }
 
   auto harvest_router = [&](net::NodeId id, RouterOps& ops,
@@ -504,73 +493,27 @@ Metrics Scenario::harvest() {
     out.cs_hits += node.cs().hits();
     out.cs_misses += node.cs().misses();
     out.pit_evictions += node.counters().pit_evictions;
-    ops.fib_lookups += node.fib().counters().lookups;
-    ops.fib_nodes_visited += node.fib().counters().nodes_visited;
-    ops.pit_lookups += node.pit().counters().lookups;
-    ops.pit_inserts += node.pit().counters().inserts;
-    ops.pit_expiry_polls += node.pit().counters().expiry_polls;
-    ops.cs_evictions += node.cs().evictions();
-    ops.pool_acquires += node.pool().counters().acquires;
-    ops.pool_reuses += node.pool().counters().reuses;
-    ops.pool_refills += node.pool().counters().refills;
-    ops.packet_cow_clones += node.pool().counters().cow_clones;
-    ops.packet_inplace_edits += node.pool().counters().inplace_edits;
+#define FORWARDER_COUNTER(name, source, layer) ops.name += node.source;
+#include "tactic/router_stats.def"
     const auto* tactic =
         dynamic_cast<const core::TacticRouterPolicy*>(&node.policy());
     if (tactic != nullptr) {
       const auto& c = tactic->counters();
-      ops.bf_lookups += c.bf_lookups;
-      ops.bf_insertions += c.bf_insertions;
-      ops.sig_verifications += c.sig_verifications;
-      ops.bf_resets += tactic->bf_resets();
-      ops.compute_charged_s += event::to_seconds(c.compute_charged);
-      ops.compute_bf_s += event::to_seconds(c.compute_bf);
-      ops.compute_sig_s += event::to_seconds(c.compute_sig);
-      ops.compute_neg_s += event::to_seconds(c.compute_neg);
-      ops.neg_cache_hits += c.neg_cache_hits;
-      ops.neg_cache_insertions += c.neg_cache_insertions;
-      ops.sheds_queue_full += c.sheds_queue_full;
-      ops.sheds_unvouched += c.sheds_unvouched;
-      ops.policer_sheds += c.policer_sheds;
-      ops.staged_resets += c.staged_resets;
-      ops.draining_hits += c.draining_hits;
-      ops.validation_wait_s += event::to_seconds(c.validation_wait);
-      ops.sig_batches_flushed += c.sig_batches_flushed;
-      ops.sig_batched_items += c.sig_batched_items;
-      ops.sig_batch_flush_size_cap += c.sig_batch_flush_size_cap;
-      ops.sig_batch_flush_deadline += c.sig_batch_flush_deadline;
-      ops.sig_batch_flush_queue_drain += c.sig_batch_flush_queue_drain;
-      ops.sig_batches_dropped += c.sig_batches_dropped;
-      if (c.sig_batch_peak > ops.sig_batch_peak) {
-        ops.sig_batch_peak = c.sig_batch_peak;
-      }
-      ops.sig_batch_unbatched_equiv_s +=
-          event::to_seconds(c.sig_batch_unbatched_equiv);
-      ops.bf_probes_coalesced += c.bf_probes_coalesced;
-      ops.lane_steals += c.lane_steals;
-      ops.adaptive_windows += c.adaptive_windows;
-      ops.adaptive_minrtt_probes += c.adaptive_minrtt_probes;
-      ops.quarantine_sheds += c.quarantine_sheds;
-      ops.quarantine_ejections += c.quarantine_ejections;
-      ops.quarantine_probes += c.quarantine_probes;
-      ops.quarantine_readmissions += c.quarantine_readmissions;
-      ops.skew_soft_accepts += c.skew_soft_accepts;
-      ops.skew_false_rejects += c.skew_false_rejects;
-      ops.skew_false_accepts += c.skew_false_accepts;
-      ops.grace_accepts += c.grace_accepts;
-      ops.grace_engagements += c.grace_engagements;
-      if (tactic->adaptive_gradient() > ops.adaptive_gradient) {
-        ops.adaptive_gradient = tactic->adaptive_gradient();
-      }
-      if (tactic->adaptive_limit() > ops.adaptive_limit) {
-        ops.adaptive_limit = tactic->adaptive_limit();
-      }
-      ops.validation_wait_hist.merge(c.validation_wait_hist);
+#define ENGINE_COUNTER(name, how, print, layer) \
+  merge(ops.name, c.name, Merge::how);
+#define ENGINE_TIME(name, seconds, print, layer) \
+  ops.seconds += event::to_seconds(c.name);
+#define ENGINE_HISTOGRAM(name, stem, layer) ops.name.merge(c.name);
+#define POLICY_STAT(name, type, how, print, layer) \
+  merge(ops.name, tactic->name(), Merge::how);
+#include "tactic/router_stats.def"
       resets_samples.insert(resets_samples.end(),
                             c.requests_per_reset.begin(),
                             c.requests_per_reset.end());
       return;
     }
+    // The ProbBf baseline's engine also charges compute, but only its
+    // operation counts are this baseline's Fig. 7 figures.
     const auto* prob_bf =
         dynamic_cast<const baselines::ProbBfPolicy*>(&node.policy());
     if (prob_bf != nullptr) {

@@ -42,6 +42,7 @@
 #include "tactic/tag.hpp"
 #include "tactic/traitor_tracing.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace tactic::core {
 
@@ -186,11 +187,14 @@ struct TacticConfig {
 bool is_registration_name(const ndn::Name& name,
                           const TacticConfig& config);
 
-/// Per-router TACTIC operation counters (Fig. 7 / Fig. 8 / Table V).
+/// Per-router TACTIC operation counters (Fig. 7 / Fig. 8 / Table V).  The
+/// fields harvested into sim::RouterOps are the ENGINE_* rows of
+/// tactic/router_stats.def; the rest stay per-router.
 struct TacticCounters {
-  std::uint64_t bf_lookups = 0;
-  std::uint64_t bf_insertions = 0;
-  std::uint64_t sig_verifications = 0;
+#define ENGINE_COUNTER(name, merge, print, layer) std::uint64_t name = 0;
+#define ENGINE_TIME(name, seconds, print, layer) event::Time name = 0;
+#define ENGINE_HISTOGRAM(name, stem, layer) util::QuantileHistogram name;
+#include "tactic/router_stats.def"
   std::uint64_t sig_failures = 0;
   std::uint64_t precheck_rejections = 0;
   std::uint64_t access_path_rejections = 0;
@@ -198,89 +202,10 @@ struct TacticCounters {
   std::uint64_t blacklist_rejections = 0;  // eager-revocation hits
   std::uint64_t probabilistic_revalidations = 0;
   std::uint64_t tagged_requests = 0;
-  /// Total simulated compute time charged by this router's BF and
-  /// signature operations (the quantity the ComputeModel injects), and
-  /// its per-stage breakdown (compute_bf + compute_sig + compute_neg ==
-  /// compute_charged; queue wait is `validation_wait` below).
-  event::Time compute_charged = 0;
-  event::Time compute_bf = 0;   // BF lookups and insertions
-  event::Time compute_sig = 0;  // signature verifications
-  event::Time compute_neg = 0;  // negative-tag cache probes
   /// Requests handled since the router's last BF reset, and the completed
   /// inter-reset request counts (Fig. 8's "# requests for a reset").
   std::uint64_t requests_since_reset = 0;
   std::vector<std::uint64_t> requests_per_reset;
-  // --- Overload-resilience layer (all zero while it is disabled) ---
-  /// Requests answered from the negative-tag verdict cache (each one a
-  /// signature verification the flood did not get to force).
-  std::uint64_t neg_cache_hits = 0;
-  std::uint64_t neg_cache_insertions = 0;
-  /// Load shedding, by reason: validation queue at hard capacity (all
-  /// tagged traffic), unvouched traffic past the high watermark, and
-  /// per-face policer refusals.
-  std::uint64_t sheds_queue_full = 0;
-  std::uint64_t sheds_unvouched = 0;
-  std::uint64_t policer_sheds = 0;
-  /// Staged BF resets taken (rotations into a drain window) and lookups
-  /// answered by the draining filter during its grace window.
-  std::uint64_t staged_resets = 0;
-  std::uint64_t draining_hits = 0;
-  /// Time validation jobs spent queued behind earlier work (the backlog
-  /// signal; excludes the jobs' own service time).
-  event::Time validation_wait = 0;
-  // --- Batched-validation layer (all zero while it is disabled) ---
-  /// Signature batches flushed, items that went through them, and the
-  /// flush-trigger breakdown (size cap / hold deadline / idle-queue
-  /// drain).  flush_size_cap + flush_deadline + flush_queue_drain ==
-  /// sig_batches_flushed.
-  std::uint64_t sig_batches_flushed = 0;
-  std::uint64_t sig_batched_items = 0;
-  std::uint64_t sig_batch_flush_size_cap = 0;
-  std::uint64_t sig_batch_flush_deadline = 0;
-  std::uint64_t sig_batch_flush_queue_drain = 0;
-  /// Batches destroyed by a crash before flushing (their verdicts died
-  /// with the router).
-  std::uint64_t sig_batches_dropped = 0;
-  /// Largest pending-batch occupancy observed.
-  std::uint64_t sig_batch_peak = 0;
-  /// What the flushed batches' items would have charged verified one by
-  /// one (sum of the recorded per-item draws) — the amortization ratio
-  /// is sig_batch_unbatched_equiv / the batched signature charge.
-  event::Time sig_batch_unbatched_equiv = 0;
-  /// Same-instant Bloom lookups coalesced into a multi-probe (charged at
-  /// the marginal probe cost instead of a full lookup).
-  std::uint64_t bf_probes_coalesced = 0;
-  /// Validation jobs stolen from a busy home lane by an idle one (zero
-  /// with a single lane).  Never fingerprinted.
-  std::uint64_t lane_steals = 0;
-  // --- Adaptive overload control (all zero while it is disabled) ---
-  /// Gradient-controller sample windows closed and minRTT re-measurement
-  /// probe windows completed.
-  std::uint64_t adaptive_windows = 0;
-  std::uint64_t adaptive_minrtt_probes = 0;
-  /// Per-face quarantine: Interests refused from quarantined faces,
-  /// ejection events, re-admission probes, and probes that readmitted.
-  std::uint64_t quarantine_sheds = 0;
-  std::uint64_t quarantine_ejections = 0;
-  std::uint64_t quarantine_probes = 0;
-  std::uint64_t quarantine_readmissions = 0;
-  // --- Tag-lifecycle layer (all zero while skew tolerance, grace mode,
-  // and the clock-skew fault model are all disabled) ---
-  /// Expired-looking tags re-accepted inside the skew-tolerance window.
-  std::uint64_t skew_soft_accepts = 0;
-  /// Ground-truth accounting on skewed nodes (requires the fault model's
-  /// true clock to differ from the local one): tags rejected as expired
-  /// that were live on the true clock, and tags accepted that were truly
-  /// expired (tolerance or local clock running behind).
-  std::uint64_t skew_false_rejects = 0;
-  std::uint64_t skew_false_accepts = 0;
-  /// Outage grace mode: expired tags vouched inside the grace window,
-  /// and off→on transitions of the grace state (provider went silent).
-  std::uint64_t grace_accepts = 0;
-  std::uint64_t grace_engagements = 0;
-  /// Streaming quantile sketch of per-op validation queue wait (seconds;
-  /// populated whenever the overload layer is on).  Never fingerprinted.
-  util::QuantileHistogram validation_wait_hist;
 };
 
 /// A BF membership result: hit, plus the vouching filter's FPP (the F

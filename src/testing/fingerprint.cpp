@@ -12,16 +12,16 @@ namespace tactic::testing {
 
 namespace {
 
-void put(std::string& out, const char* key, std::uint64_t value) {
+void put(std::string& out, const std::string& key, std::uint64_t value) {
   char line[96];
-  std::snprintf(line, sizeof(line), "%s=%llu\n", key,
+  std::snprintf(line, sizeof(line), "%s=%llu\n", key.c_str(),
                 static_cast<unsigned long long>(value));
   out += line;
 }
 
-void put(std::string& out, const char* key, double value) {
+void put(std::string& out, const std::string& key, double value) {
   char line[96];
-  std::snprintf(line, sizeof(line), "%s=%a\n", key, value);
+  std::snprintf(line, sizeof(line), "%s=%a\n", key.c_str(), value);
   out += line;
 }
 
@@ -38,101 +38,35 @@ void put_series(std::string& out, const char* key,
   }
 }
 
-void put_totals(std::string& out, const char* key,
+void put_totals(std::string& out, const std::string& prefix,
                 const sim::TrafficTotals& totals) {
-  std::string prefix(key);
-  put(out, (prefix + ".requested").c_str(), totals.requested);
-  put(out, (prefix + ".received").c_str(), totals.received);
-  put(out, (prefix + ".nacks").c_str(), totals.nacks);
-  put(out, (prefix + ".timeouts").c_str(), totals.timeouts);
-  put(out, (prefix + ".tags_requested").c_str(), totals.tags_requested);
-  put(out, (prefix + ".tags_received").c_str(), totals.tags_received);
-  put(out, (prefix + ".retransmissions").c_str(), totals.retransmissions);
-  put(out, (prefix + ".chunks_abandoned").c_str(),
-      totals.chunks_abandoned);
-  put(out, (prefix + ".registration_retransmissions").c_str(),
-      totals.registration_retransmissions);
-  put(out, (prefix + ".overload_nacks").c_str(), totals.overload_nacks);
+#define USER_STAT(counter, total, print) \
+  if (sim::print) put(out, prefix + "." #total, totals.total);
+#include "workload/user_stats.def"
 }
 
-void put_ops(std::string& out, const char* key, const sim::RouterOps& ops) {
-  std::string prefix(key);
-  put(out, (prefix + ".bf_lookups").c_str(), ops.bf_lookups);
-  put(out, (prefix + ".bf_insertions").c_str(), ops.bf_insertions);
-  put(out, (prefix + ".sig_verifications").c_str(), ops.sig_verifications);
-  put(out, (prefix + ".bf_resets").c_str(), ops.bf_resets);
-  put(out, (prefix + ".compute_charged_s").c_str(), ops.compute_charged_s);
-  put(out, (prefix + ".neg_cache_hits").c_str(), ops.neg_cache_hits);
-  put(out, (prefix + ".neg_cache_insertions").c_str(),
-      ops.neg_cache_insertions);
-  put(out, (prefix + ".sheds_queue_full").c_str(), ops.sheds_queue_full);
-  put(out, (prefix + ".sheds_unvouched").c_str(), ops.sheds_unvouched);
-  put(out, (prefix + ".policer_sheds").c_str(), ops.policer_sheds);
-  put(out, (prefix + ".staged_resets").c_str(), ops.staged_resets);
-  put(out, (prefix + ".draining_hits").c_str(), ops.draining_hits);
-  put(out, (prefix + ".validation_wait_s").c_str(), ops.validation_wait_s);
-  // The batch block prints only when the batching layer did something,
-  // so batch-off fingerprints stay byte-identical to the pre-batching
-  // goldens (same precedent as omitting the compute breakdown).
-  const bool batched = ops.sig_batches_flushed != 0 ||
-                       ops.sig_batched_items != 0 ||
-                       ops.sig_batches_dropped != 0 ||
-                       ops.bf_probes_coalesced != 0;
-  if (batched) {
-    put(out, (prefix + ".sig_batches_flushed").c_str(),
-        ops.sig_batches_flushed);
-    put(out, (prefix + ".sig_batched_items").c_str(), ops.sig_batched_items);
-    put(out, (prefix + ".sig_batch_flush_size_cap").c_str(),
-        ops.sig_batch_flush_size_cap);
-    put(out, (prefix + ".sig_batch_flush_deadline").c_str(),
-        ops.sig_batch_flush_deadline);
-    put(out, (prefix + ".sig_batch_flush_queue_drain").c_str(),
-        ops.sig_batch_flush_queue_drain);
-    put(out, (prefix + ".sig_batches_dropped").c_str(),
-        ops.sig_batches_dropped);
-    put(out, (prefix + ".sig_batch_peak").c_str(), ops.sig_batch_peak);
-    put(out, (prefix + ".sig_batch_unbatched_equiv_s").c_str(),
-        ops.sig_batch_unbatched_equiv_s);
-    put(out, (prefix + ".bf_probes_coalesced").c_str(),
-        ops.bf_probes_coalesced);
-  }
-  // Same precedent for the adaptive layer: its counters print only when
-  // the controller or quarantine actually acted, so adaptive-off
-  // fingerprints stay byte-identical to the pinned goldens.
-  const bool adaptive = ops.adaptive_windows != 0 ||
-                        ops.adaptive_minrtt_probes != 0 ||
-                        ops.quarantine_sheds != 0 ||
-                        ops.quarantine_ejections != 0 ||
-                        ops.quarantine_probes != 0 ||
-                        ops.quarantine_readmissions != 0;
-  if (adaptive) {
-    put(out, (prefix + ".adaptive_windows").c_str(), ops.adaptive_windows);
-    put(out, (prefix + ".adaptive_minrtt_probes").c_str(),
-        ops.adaptive_minrtt_probes);
-    put(out, (prefix + ".quarantine_sheds").c_str(), ops.quarantine_sheds);
-    put(out, (prefix + ".quarantine_ejections").c_str(),
-        ops.quarantine_ejections);
-    put(out, (prefix + ".quarantine_probes").c_str(), ops.quarantine_probes);
-    put(out, (prefix + ".quarantine_readmissions").c_str(),
-        ops.quarantine_readmissions);
-  }
-  // And for the tag-lifecycle layer: skew/grace counters print only when
-  // skewed clocks, the tolerance window, or grace mode actually did
-  // something, keeping lifecycle-off fingerprints byte-identical.
-  const bool lifecycle = ops.skew_soft_accepts != 0 ||
-                         ops.skew_false_rejects != 0 ||
-                         ops.skew_false_accepts != 0 ||
-                         ops.grace_accepts != 0 ||
-                         ops.grace_engagements != 0;
-  if (lifecycle) {
-    put(out, (prefix + ".skew_soft_accepts").c_str(), ops.skew_soft_accepts);
-    put(out, (prefix + ".skew_false_rejects").c_str(),
-        ops.skew_false_rejects);
-    put(out, (prefix + ".skew_false_accepts").c_str(),
-        ops.skew_false_accepts);
-    put(out, (prefix + ".grace_accepts").c_str(), ops.grace_accepts);
-    put(out, (prefix + ".grace_engagements").c_str(), ops.grace_engagements);
-  }
+void put_ops(std::string& out, const std::string& prefix,
+             const sim::RouterOps& ops) {
+  // Rows print in table order.  A batch, adaptive or lifecycle block
+  // prints only when one of its printed rows is nonzero, so runs with
+  // those layers off keep the fingerprints recorded before the layers
+  // existed.
+  bool moved[sim::kLayerCount] = {};
+#define ENGINE_HISTOGRAM(name, stem, layer)
+#define ROUTER_STAT(name, type, merge, print, layer) \
+  moved[sim::index(sim::Layer::layer)] |= sim::print && sim::nonzero(ops.name);
+#include "tactic/router_stats.def"
+  const auto block_prints = [&moved](sim::Layer layer) {
+    const bool gated = layer == sim::Layer::kBatch ||
+                       layer == sim::Layer::kAdaptive ||
+                       layer == sim::Layer::kLifecycle;
+    return !gated || moved[sim::index(layer)];
+  };
+#define ENGINE_HISTOGRAM(name, stem, layer)
+#define ROUTER_STAT(name, type, merge, print, layer)  \
+  if (sim::print && block_prints(sim::Layer::layer)) \
+    put(out, prefix + "." #name, ops.name);
+#include "tactic/router_stats.def"
 }
 
 void put_vector(std::string& out, const char* key,

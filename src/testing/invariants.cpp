@@ -263,53 +263,55 @@ void InvariantChecker::finalize() {
                          "without a fault plan");
     }
   }
-  if (!config.tactic.overload.enabled) {
-    // A disabled overload layer must be perfectly inert.
-    const sim::RouterOps* classes[] = {&metrics.edge_ops, &metrics.core_ops};
-    for (const sim::RouterOps* ops : classes) {
-      if (ops->neg_cache_hits != 0 || ops->neg_cache_insertions != 0 ||
-          ops->sheds_queue_full != 0 || ops->sheds_unvouched != 0 ||
-          ops->policer_sheds != 0 || ops->staged_resets != 0 ||
-          ops->draining_hits != 0 || ops->validation_wait_s != 0.0 ||
-          !ops->validation_wait_hist.empty()) {
-        add_violation(now, "-", "overload accounting: overload-layer counters "
-                           "nonzero while the layer is disabled");
-      }
+  // A disabled layer must be perfectly inert: every router row of its
+  // layer in tactic/router_stats.def stays zero.  Returns the violation
+  // for a disabled layer, null for a live one.
+  const auto inert_violation = [&config](sim::Layer layer) -> const char* {
+    switch (layer) {
+      case sim::Layer::kOverload:
+        if (config.tactic.overload.enabled) return nullptr;
+        return "overload accounting: overload-layer counters nonzero while "
+               "the layer is disabled";
+      case sim::Layer::kBatch:
+        if (config.tactic.batch.enabled) return nullptr;
+        return "batch accounting: batch-layer counters nonzero while the "
+               "layer is disabled";
+      case sim::Layer::kAdaptive:
+        // The adaptive layer only arms when both its own flag and the
+        // overload layer are on.
+        if (config.tactic.adaptive.enabled && config.tactic.overload.enabled) {
+          return nullptr;
+        }
+        return "adaptive accounting: adaptive-layer counters nonzero while "
+               "the layer is disabled";
+      case sim::Layer::kLifecycle:
+        if (config.faults.clock_skew.any() || config.tactic.skew.enabled ||
+            config.tactic.grace.enabled) {
+          return nullptr;
+        }
+        return "lifecycle accounting: skew/grace counters nonzero while "
+               "skewed clocks, the tolerance window, and grace mode are all "
+               "disabled";
+      case sim::Layer::kBase:
+      case sim::Layer::kForwarder:
+        return nullptr;
     }
-    if (metrics.clients.overload_nacks != 0) {
-      add_violation(now, "-", "overload accounting: clients saw "
-                         "kRouterOverloaded NACKs while the layer is "
-                         "disabled");
+    return nullptr;
+  };
+  for (const sim::RouterOps* ops : {&metrics.edge_ops, &metrics.core_ops}) {
+    bool moved[sim::kLayerCount] = {};
+#define ROUTER_STAT(name, type, merge, print, layer) \
+  moved[sim::index(sim::Layer::layer)] |= sim::nonzero(ops->name);
+#include "tactic/router_stats.def"
+    for (std::size_t layer = 0; layer < sim::kLayerCount; ++layer) {
+      const char* why = inert_violation(static_cast<sim::Layer>(layer));
+      if (moved[layer] && why != nullptr) add_violation(now, "-", why);
     }
   }
-  if (!config.tactic.adaptive.enabled || !config.tactic.overload.enabled) {
-    // The adaptive layer only arms when both its own flag and the
-    // overload layer are on; otherwise it must be perfectly inert.
-    const sim::RouterOps* classes[] = {&metrics.edge_ops, &metrics.core_ops};
-    for (const sim::RouterOps* ops : classes) {
-      if (ops->adaptive_windows != 0 || ops->adaptive_minrtt_probes != 0 ||
-          ops->quarantine_sheds != 0 || ops->quarantine_ejections != 0 ||
-          ops->quarantine_probes != 0 || ops->quarantine_readmissions != 0 ||
-          ops->adaptive_gradient != 0.0 || ops->adaptive_limit != 0) {
-        add_violation(now, "-", "adaptive accounting: adaptive-layer counters "
-                           "nonzero while the layer is disabled");
-      }
-    }
-  }
-  if (!config.faults.clock_skew.any() && !config.tactic.skew.enabled &&
-      !config.tactic.grace.enabled) {
-    // With identity clocks and both lifecycle features off, the
-    // lifecycle counters must be perfectly inert.
-    const sim::RouterOps* classes[] = {&metrics.edge_ops, &metrics.core_ops};
-    for (const sim::RouterOps* ops : classes) {
-      if (ops->skew_soft_accepts != 0 || ops->skew_false_rejects != 0 ||
-          ops->skew_false_accepts != 0 || ops->grace_accepts != 0 ||
-          ops->grace_engagements != 0) {
-        add_violation(now, "-", "lifecycle accounting: skew/grace counters "
-                           "nonzero while skewed clocks, the tolerance "
-                           "window, and grace mode are all disabled");
-      }
-    }
+  if (!config.tactic.overload.enabled && metrics.clients.overload_nacks != 0) {
+    add_violation(now, "-", "overload accounting: clients saw "
+                       "kRouterOverloaded NACKs while the layer is "
+                       "disabled");
   }
   if (!config.client.proactive_renewal &&
       metrics.clients.proactive_renewals != 0) {

@@ -81,33 +81,16 @@ struct ClientConfig {
   event::Time expired_tag_grace = 0;
 };
 
-/// Per-user traffic counters (Table IV's rows; Fig. 6's tag rates).
+/// Per-user traffic counters (Table IV's rows; Fig. 6's tag rates).  The
+/// fields harvested into sim::TrafficTotals are rows of
+/// workload/user_stats.def.
 struct UserCounters {
-  std::uint64_t chunks_requested = 0;
-  std::uint64_t chunks_received = 0;
-  std::uint64_t nacks_received = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t tags_requested = 0;
-  std::uint64_t tags_received = 0;
+#define USER_STAT(counter, total, print) std::uint64_t counter = 0;
+#include "workload/user_stats.def"
   std::uint64_t registrations_refused = 0;
   /// Content that failed client-side signature verification (fake or
   /// unsigned content under a protected prefix with verification on).
   std::uint64_t content_verification_failures = 0;
-  /// Chunk Interests re-sent after a timeout (each also counts in
-  /// `chunks_requested`, so accounting stays attempt-based).
-  std::uint64_t retransmissions = 0;
-  /// Chunks given up after exhausting the retry budget.
-  std::uint64_t chunks_abandoned = 0;
-  /// Registration Interests re-sent after a timeout.
-  std::uint64_t registration_retransmissions = 0;
-  /// kRouterOverloaded NACKs received (standalone or attached to Data);
-  /// each also counts in `nacks_received`.  These retry with backoff
-  /// immediately instead of waiting out the chunk timeout.
-  std::uint64_t overload_nacks = 0;
-  /// Renewal timers that fired and triggered a registration before the
-  /// tag expired (proactive_renewal; each also counts in
-  /// `tags_requested`).
-  std::uint64_t proactive_renewals = 0;
   /// Per-reason breakdown of `nacks_received` (chunk verdicts only;
   /// registration NACKs are excluded just as they are from
   /// `nacks_received`).  Indexed by ndn::NackReason.  The batching

@@ -155,7 +155,9 @@ TEST(AesCtr, RoundTripAllSizes) {
     }
     const Bytes ciphertext = aes128_ctr(key, 0x1234, plaintext);
     EXPECT_EQ(ciphertext.size(), size);
-    if (size > 0) EXPECT_NE(ciphertext, plaintext);
+    if (size > 0) {
+      EXPECT_NE(ciphertext, plaintext);
+    }
     EXPECT_EQ(aes128_ctr(key, 0x1234, ciphertext), plaintext);
   }
 }

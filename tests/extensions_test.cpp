@@ -112,8 +112,12 @@ TEST(Mobility, MovedClientReregistersAndKeepsStreaming) {
   const std::uint64_t new_ap_hash = core::entity_id_hash(
       scenario.network().access_points()[new_ap].label);
   ASSERT_TRUE(tag0 || tag1);
-  if (tag0) EXPECT_EQ(tag0->access_path(), new_ap_hash);
-  if (tag1) EXPECT_EQ(tag1->access_path(), new_ap_hash);
+  if (tag0) {
+    EXPECT_EQ(tag0->access_path(), new_ap_hash);
+  }
+  if (tag1) {
+    EXPECT_EQ(tag1->access_path(), new_ap_hash);
+  }
 }
 
 TEST(Mobility, MoveAcrossEdgeRoutersWorks) {

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -41,6 +43,32 @@ TEST(TrafficTotals, Accumulation) {
   EXPECT_EQ(a.tags_requested, 2u);
 }
 
+void fill(std::uint64_t& value, int seed) {
+  value = 1000 + 7 * static_cast<std::uint64_t>(seed);
+}
+void fill(double& value, int seed) { value = 0.5 + 0.125 * seed; }
+void fill(util::QuantileHistogram& hist, int seed) {
+  for (int i = 0; i <= seed % 3; ++i) hist.add(0.001 * (seed + i));
+}
+
+void expect_merged(const char* row, std::uint64_t got, std::uint64_t left,
+                   std::uint64_t right, Merge how) {
+  EXPECT_EQ(got, how == Merge::kMax ? std::max(left, right) : left + right)
+      << row;
+}
+void expect_merged(const char* row, double got, double left, double right,
+                   Merge how) {
+  EXPECT_EQ(got, how == Merge::kMax ? std::max(left, right) : left + right)
+      << row;
+}
+void expect_merged(const char* row, const util::QuantileHistogram& got,
+                   const util::QuantileHistogram& left,
+                   const util::QuantileHistogram& right, Merge how) {
+  EXPECT_EQ(how, Merge::kBuckets) << row;
+  EXPECT_EQ(got.count(), left.count() + right.count()) << row;
+  EXPECT_DOUBLE_EQ(got.sum(), left.sum() + right.sum()) << row;
+}
+
 TEST(RouterOps, AccumulationIncludesCompute) {
   RouterOps a, b;
   a.bf_lookups = 100;
@@ -52,6 +80,33 @@ TEST(RouterOps, AccumulationIncludesCompute) {
   EXPECT_EQ(a.bf_lookups, 150u);
   EXPECT_EQ(a.sig_verifications, 3u);
   EXPECT_DOUBLE_EQ(a.compute_charged_s, 0.75);
+
+  // Every row of the stats table, filled with distinct values on both
+  // sides, merges as its row says, in either order.  Odd rows hold the
+  // larger value on the left, so a max row cannot pass by keeping one
+  // side.
+  RouterOps left, right;
+  int row = 0;
+#define ROUTER_STAT(name, type, merge, print, layer) \
+  fill(left.name, 2 * row + row % 2);                \
+  fill(right.name, 2 * row + 1 - row % 2);           \
+  ++row;
+#include "tactic/router_stats.def"
+  RouterOps left_right = left;
+  left_right += right;
+  RouterOps right_left = right;
+  right_left += left;
+  std::set<std::string> max_rows, bucket_rows;
+#define ROUTER_STAT(name, type, merge, print, layer)                          \
+  expect_merged(#name, left_right.name, left.name, right.name, Merge::merge); \
+  expect_merged(#name, right_left.name, left.name, right.name, Merge::merge); \
+  if (Merge::merge == Merge::kMax) max_rows.insert(#name);                    \
+  if (Merge::merge == Merge::kBuckets) bucket_rows.insert(#name);
+#include "tactic/router_stats.def"
+  EXPECT_EQ(max_rows, (std::set<std::string>{"adaptive_gradient",
+                                             "adaptive_limit",
+                                             "sig_batch_peak"}));
+  EXPECT_EQ(bucket_rows, std::set<std::string>{"validation_wait_hist"});
 }
 
 TEST(Metrics, MeanRequestsPerReset) {
@@ -82,7 +137,7 @@ TEST(MetricsAccumulator, AveragesAcrossRuns) {
   EXPECT_EQ(acc.runs, 2u);
   EXPECT_DOUBLE_EQ(acc.client_requested.mean(), 150.0);
   EXPECT_DOUBLE_EQ(acc.client_delivery.mean(), 0.75);  // (1.0 + 0.5)/2
-  EXPECT_DOUBLE_EQ(acc.edge_lookups.mean(), 20.0);
+  EXPECT_DOUBLE_EQ(acc.edge.bf_lookups.mean(), 20.0);
 }
 
 // ---------------------------------------------------------------------------

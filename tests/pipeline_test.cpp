@@ -1,8 +1,8 @@
 // Stage-level tests for the composable validation pipeline
 // (tactic/pipeline.hpp): each ValidationStage's verdicts, counters and
 // compute charges in isolation, the per-stage compute breakdown
-// invariant, and the pipeline-vs-golden fingerprint-parity check over
-// the fixed-seed fuzz corpus.
+// invariant, and the fingerprint and verdict parity check against the
+// goldens over the fixed-seed fuzz corpus.
 
 #include <gtest/gtest.h>
 
@@ -558,7 +558,7 @@ TEST_F(PipelineTest, WipeVolatileClearsEngineState) {
 }
 
 // ---------------------------------------------------------------------------
-// Fingerprint parity against the pre-refactor goldens
+// Fingerprint and verdict parity against the goldens
 // ---------------------------------------------------------------------------
 
 struct GoldenEntry {
@@ -567,10 +567,10 @@ struct GoldenEntry {
   std::string digest;
 };
 
-std::vector<GoldenEntry> load_goldens(const std::string& mode) {
-  std::ifstream in(TACTIC_GOLDEN_FINGERPRINTS);
-  EXPECT_TRUE(in.is_open())
-      << "missing golden list: " TACTIC_GOLDEN_FINGERPRINTS;
+std::vector<GoldenEntry> load_goldens(const char* path,
+                                      const std::string& mode) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << "missing golden list: " << path;
   std::vector<GoldenEntry> entries;
   std::string line;
   while (std::getline(in, line)) {
@@ -584,25 +584,38 @@ std::vector<GoldenEntry> load_goldens(const std::string& mode) {
 }
 
 // Re-runs the fixed-seed fuzz corpus for one mode and compares every
-// scenario's metrics fingerprint against the digest captured from the
-// pre-pipeline monolith.  Keep the generator knobs in sync with
+// scenario's metrics fingerprint and verdict multiset against the
+// goldens.  Those were captured from the pre-pipeline monolith, except
+// one seed-9014 fingerprint line, regenerated on purpose when the client
+// samples began to fold at harvest in (time, client, position) order: a
+// latency sum moved by one ulp.  Keep the generator knobs in sync with
 // src/testing/fingerprint_corpus.cpp (16 seeds from 9000, duration 6).
 void check_parity(const std::string& mode, bool faults, bool overload) {
-  const std::vector<GoldenEntry> goldens = load_goldens(mode);
+  const std::vector<GoldenEntry> goldens =
+      load_goldens(TACTIC_GOLDEN_FINGERPRINTS, mode);
+  const std::vector<GoldenEntry> verdicts =
+      load_goldens(TACTIC_GOLDEN_VERDICTS, mode);
   ASSERT_GE(goldens.size(), 16u);
+  ASSERT_EQ(verdicts.size(), goldens.size());
   tt::GeneratorOptions generator;
   generator.duration = event::from_seconds(6.0);
   generator.with_faults = faults;
   generator.with_overload = overload;
-  for (const GoldenEntry& golden : goldens) {
+  for (std::size_t i = 0; i < goldens.size(); ++i) {
+    const GoldenEntry& golden = goldens[i];
+    ASSERT_EQ(verdicts[i].seed, golden.seed);
     sim::Scenario scenario(tt::random_config(golden.seed, generator));
     scenario.run();
-    EXPECT_EQ(tt::fingerprint_digest(scenario.harvest()),
-              golden.digest)
+    const std::string repro =
+        " (repro: fuzz_scenarios --seed " + std::to_string(golden.seed) +
+        " --repro" + (faults ? " --faults" : "") +
+        (overload ? " --overload" : "") + ")";
+    EXPECT_EQ(tt::fingerprint_digest(scenario.harvest()), golden.digest)
         << "behaviour drift at mode=" << mode << " seed=" << golden.seed
-        << " (repro: fuzz_scenarios --seed " << golden.seed << " --repro"
-        << (faults ? " --faults" : "") << (overload ? " --overload" : "")
-        << ")";
+        << repro;
+    EXPECT_EQ(tt::verdict_digest(scenario), verdicts[i].digest)
+        << "verdict drift at mode=" << mode << " seed=" << golden.seed
+        << repro;
   }
 }
 

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/scenario.hpp"
 #include "testing/fingerprint.hpp"
 #include "testing/generator.hpp"
@@ -180,6 +187,139 @@ TEST(Fingerprint, DistinguishesDifferentRuns) {
   EXPECT_NE(a.metrics_fingerprint, b.metrics_fingerprint);
   EXPECT_NE(testing_::fingerprint_digest(a.metrics),
             testing_::fingerprint_digest(b.metrics));
+}
+
+std::vector<std::string> fingerprint_lines(const sim::Metrics& metrics) {
+  std::vector<std::string> lines;
+  std::istringstream in(testing_::fingerprint(metrics));
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// The batch, adaptive and lifecycle blocks print if and only if one of
+// their printed rows is nonzero; the fuzz goldens never enable those
+// layers, so this is what pins the blocks.  Setting any printed row of a
+// block must add exactly that block, and setting a row the fingerprint
+// never prints must change nothing.  A few batch rows only ever move
+// together with another: sig_batch_peak with sig_batched_items (an item
+// was queued), the flush-reason counts and the unbatched equivalent with
+// sig_batches_flushed (a batch flushed).  Those are set with their
+// partner, the state a run can reach.
+TEST(Fingerprint, LayerBlocksPrintOnlyWhenTheirRowsMove) {
+  using Set = std::function<void(sim::RouterOps&)>;
+  struct Block {
+    std::vector<std::string> keys;  // in print order
+    std::vector<Set> rows;          // one setter per printed row
+  };
+  const std::vector<Block> blocks = {
+      {{"sig_batches_flushed", "sig_batched_items", "sig_batch_flush_size_cap",
+        "sig_batch_flush_deadline", "sig_batch_flush_queue_drain",
+        "sig_batches_dropped", "sig_batch_peak", "sig_batch_unbatched_equiv_s",
+        "bf_probes_coalesced"},
+       {[](sim::RouterOps& o) { o.sig_batches_flushed = 1; },
+        [](sim::RouterOps& o) { o.sig_batched_items = 1; },
+        [](sim::RouterOps& o) {
+          o.sig_batches_flushed = 1;
+          o.sig_batch_flush_size_cap = 1;
+        },
+        [](sim::RouterOps& o) {
+          o.sig_batches_flushed = 1;
+          o.sig_batch_flush_deadline = 1;
+        },
+        [](sim::RouterOps& o) {
+          o.sig_batches_flushed = 1;
+          o.sig_batch_flush_queue_drain = 1;
+        },
+        [](sim::RouterOps& o) { o.sig_batches_dropped = 1; },
+        [](sim::RouterOps& o) {
+          o.sig_batched_items = 1;
+          o.sig_batch_peak = 1;
+        },
+        [](sim::RouterOps& o) {
+          o.sig_batches_flushed = 1;
+          o.sig_batch_unbatched_equiv_s = 0.5;
+        },
+        [](sim::RouterOps& o) { o.bf_probes_coalesced = 1; }}},
+      {{"adaptive_windows", "adaptive_minrtt_probes", "quarantine_sheds",
+        "quarantine_ejections", "quarantine_probes",
+        "quarantine_readmissions"},
+       {[](sim::RouterOps& o) { o.adaptive_windows = 1; },
+        [](sim::RouterOps& o) { o.adaptive_minrtt_probes = 1; },
+        [](sim::RouterOps& o) { o.quarantine_sheds = 1; },
+        [](sim::RouterOps& o) { o.quarantine_ejections = 1; },
+        [](sim::RouterOps& o) { o.quarantine_probes = 1; },
+        [](sim::RouterOps& o) { o.quarantine_readmissions = 1; }}},
+      {{"skew_soft_accepts", "skew_false_rejects", "skew_false_accepts",
+        "grace_accepts", "grace_engagements"},
+       {[](sim::RouterOps& o) { o.skew_soft_accepts = 1; },
+        [](sim::RouterOps& o) { o.skew_false_rejects = 1; },
+        [](sim::RouterOps& o) { o.skew_false_accepts = 1; },
+        [](sim::RouterOps& o) { o.grace_accepts = 1; },
+        [](sim::RouterOps& o) { o.grace_engagements = 1; }}},
+  };
+  const std::vector<Set> hidden = {
+      [](sim::RouterOps& o) { o.adaptive_gradient = 0.5; },
+      [](sim::RouterOps& o) { o.adaptive_limit = 1; },
+      [](sim::RouterOps& o) { o.lane_steals = 1; },
+      [](sim::RouterOps& o) { o.compute_bf_s = 0.5; },
+      [](sim::RouterOps& o) { o.compute_sig_s = 0.5; },
+      [](sim::RouterOps& o) { o.compute_neg_s = 0.5; },
+      [](sim::RouterOps& o) { o.validation_wait_hist.add(0.5); },
+      [](sim::RouterOps& o) { o.fib_lookups = 1; },
+      [](sim::RouterOps& o) { o.fib_nodes_visited = 1; },
+      [](sim::RouterOps& o) { o.pit_lookups = 1; },
+      [](sim::RouterOps& o) { o.pit_inserts = 1; },
+      [](sim::RouterOps& o) { o.pit_expiry_polls = 1; },
+      [](sim::RouterOps& o) { o.cs_evictions = 1; },
+      [](sim::RouterOps& o) { o.pool_acquires = 1; },
+      [](sim::RouterOps& o) { o.pool_reuses = 1; },
+      [](sim::RouterOps& o) { o.pool_refills = 1; },
+      [](sim::RouterOps& o) { o.packet_cow_clones = 1; },
+      [](sim::RouterOps& o) { o.packet_inplace_edits = 1; },
+  };
+
+  const std::vector<std::string> base = fingerprint_lines(sim::Metrics{});
+  const std::pair<std::string, sim::RouterOps sim::Metrics::*> classes[] = {
+      {"edge_ops.", &sim::Metrics::edge_ops},
+      {"core_ops.", &sim::Metrics::core_ops}};
+  for (const auto& [prefix, ops] : classes) {
+    for (const Block& block : blocks) {
+      std::vector<std::string> expected;
+      for (const std::string& key : block.keys) {
+        expected.push_back(prefix + key);
+      }
+      for (std::size_t r = 0; r < block.rows.size(); ++r) {
+        sim::Metrics metrics;
+        block.rows[r](metrics.*ops);
+        // The added lines are exactly the block, in print order, and
+        // every other line is the empty-metrics fingerprint's.
+        std::vector<std::string> added, rest;
+        for (const std::string& line : fingerprint_lines(metrics)) {
+          const std::string key = line.substr(0, line.find('='));
+          if (std::find(expected.begin(), expected.end(), key) !=
+              expected.end()) {
+            added.push_back(key);
+          } else {
+            rest.push_back(line);
+          }
+        }
+        EXPECT_EQ(added, expected) << prefix << block.keys[r];
+        EXPECT_EQ(rest, base) << prefix << block.keys[r];
+      }
+    }
+    for (std::size_t h = 0; h < hidden.size(); ++h) {
+      sim::Metrics metrics;
+      hidden[h](metrics.*ops);
+      EXPECT_EQ(fingerprint_lines(metrics), base)
+          << prefix << " hidden row #" << h;
+    }
+  }
+  for (sim::TrafficTotals sim::Metrics::*totals :
+       {&sim::Metrics::clients, &sim::Metrics::attackers}) {
+    sim::Metrics metrics;
+    (metrics.*totals).proactive_renewals = 1;
+    EXPECT_EQ(fingerprint_lines(metrics), base);
+  }
 }
 
 }  // namespace

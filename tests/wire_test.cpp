@@ -80,7 +80,7 @@ TEST(Tlv, UintElementUsesShortestWidth) {
 TEST(Tlv, TruncationThrows) {
   Bytes out;
   ndn::append_tlv(out, 0x42, Bytes(100, 0xAA));
-  out.resize(out.size() - 1);
+  out.pop_back();
   ndn::TlvReader reader(out);
   EXPECT_THROW(reader.read_element(), ndn::TlvError);
 }
