@@ -1,29 +1,38 @@
 #!/usr/bin/env bash
 # Behaviour-preservation gate for the validation pipeline: builds the
 # tree with ASan+UBSan, runs the fixed-seed fuzz corpus (plain, faults,
-# faults+overload — 16 seeds each), and diffs the metrics-fingerprint
-# digests against the checked-in golden list.  Any behavioural drift in
-# router policy code — an extra RNG draw, a reordered charge, a dropped
-# counter — fails the diff; a mismatching seed reproduces with
-# `fuzz_scenarios --seed N --repro [--faults] [--overload]`.
+# faults+overload, layers — 16 seeds each), and diffs the
+# metrics-fingerprint digests against the checked-in golden list.  Any
+# behavioural drift in router policy code — an extra RNG draw, a
+# reordered charge, a dropped counter — fails the diff; a mismatching
+# seed reproduces with
+#   fuzz_scenarios --seed N --repro --duration 6 [--faults] [--overload]
+# adding `--policy tactic --batch --adaptive --skew` for `layers`.  The
+# fuzzer's `metrics=` digest differs from the corpus digest even then:
+# InvariantChecker::finalize drains the run before the fuzzer harvests.
 #
-# The goldens were captured from the pre-pipeline monolith, except one
-# seed-9014 fingerprint line, regenerated on purpose when the client
+# The goldens were captured from the pre-pipeline monolith, except the
+# `layers` lines, captured when that mode was added, and one seed-9014
+# fingerprint line.  That line was regenerated on purpose when the client
 # samples began to fold at harvest in (time, client, position) order (a
-# latency sum moved by one ulp).  tests/pipeline_test.cpp checks both
+# latency sum moved by one ulp), and again when they began to add
+# straight into the series in dispatch order, which moved it back and
+# moved `layers 9007` by one ulp.  tests/pipeline_test.cpp checks both
 # golden files in tier-1 too.  Regenerate them ONLY for an intentional
 # behaviour change, with
 #   build/fingerprint_corpus > tests/golden/fingerprints.txt
 #   build/fingerprint_corpus --verdicts > tests/golden/verdicts.txt
 # and say so in the commit message.
 #
-# The corpus runs with the batching layer OFF (the generator never
-# samples it without --batch), so this diff is also the bit-identity
-# check for a disabled batch layer: any batch code that leaks into the
-# unbatched path — a stray RNG draw, a rounded charge, a counter that
-# prints when it shouldn't — fails here.  The verdict corpus pins the
-# order-insensitive per-user verdict multisets the batching equivalence
-# harness (tests/batching_test.cpp) compares.
+# The plain, faults and faults+overload modes run with the batching
+# layer OFF (the generator never samples it without --batch), so their
+# lines are also the bit-identity check for a disabled batch layer: any
+# batch code that leaks into the unbatched path — a stray RNG draw, a
+# rounded charge, a counter that prints when it shouldn't — fails here.
+# The layers mode pins the batch, adaptive and tag-lifecycle layers
+# themselves.  The verdict corpus pins the order-insensitive per-user
+# verdict multisets the batching equivalence harness
+# (tests/batching_test.cpp) compares.
 #
 # Usage: ci/parity.sh [build-dir]    (default: build-sanitize)
 

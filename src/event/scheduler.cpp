@@ -66,6 +66,9 @@ Time Scheduler::run() {
 }
 
 Time Scheduler::run_until(Time until) {
+  if (until < now_) {
+    throw std::invalid_argument("Scheduler: running until the past");
+  }
   while (!queue_.empty() && queue_.top().when <= until) {
     const Entry entry = queue_.top();
     queue_.pop();

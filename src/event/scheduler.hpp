@@ -63,7 +63,8 @@ class Scheduler {
   /// Runs events until the queue empties.  Returns the final time.
   Time run();
 
-  /// Runs events with timestamp <= `until`, then sets now() to `until`.
+  /// Runs events with timestamp <= `until`, then sets now() to `until`
+  /// (>= now()).
   Time run_until(Time until);
 
   /// Number of events executed so far.

@@ -226,15 +226,19 @@ void Forwarder::send_interest(const std::vector<Fib::NextHop>& next_hops,
   });
 }
 
-void Forwarder::schedule_pit_expiry(PitEntry& entry, event::Time expiry) {
-  if (entry.expiry_event.valid()) scheduler_.cancel(entry.expiry_event);
+void Forwarder::set_pit_expiry(PitEntry& entry, event::Time expiry) {
   pit_.set_expiry(entry, expiry);  // updates expiry_time + the expiry heap
-  const PitToken token = pit_.token_of(entry);
-  entry.expiry_event = scheduler_.schedule_at(expiry, [this, token] {
-    if (PitEntry* entry = pit_.find_token(token)) {
-      ++counters_.pit_expirations;
-      pit_.erase(entry->name);
-    }
+  if (expiry_wakeup_at_ && *expiry_wakeup_at_ <= expiry) return;
+  if (expiry_wakeup_at_) scheduler_.cancel(expiry_wakeup_);
+  arm_expiry_wakeup(expiry);
+}
+
+void Forwarder::arm_expiry_wakeup(event::Time when) {
+  expiry_wakeup_at_ = when;
+  expiry_wakeup_ = scheduler_.schedule_at(when, [this] {
+    expiry_wakeup_at_.reset();
+    counters_.pit_expirations += pit_.erase_expired(scheduler_.now());
+    if (const auto next = pit_.min_expiry()) arm_expiry_wakeup(*next);
   });
 }
 
@@ -304,7 +308,7 @@ void Forwarder::on_interest(FaceId in_face, InterestPtr&& packet) {
         interest->flag_f, interest->access_path, record_expiry});
     ++counters_.interests_aggregated;
     if (record_expiry > entry->expiry_time) {
-      schedule_pit_expiry(*entry, record_expiry);
+      set_pit_expiry(*entry, record_expiry);
     }
     return;
   }
@@ -328,9 +332,6 @@ void Forwarder::on_interest(FaceId in_face, InterestPtr&& packet) {
   if (pit_capacity_ > 0 && pit_.size() >= pit_capacity_ &&
       pit_.find(interest->name) == nullptr) {
     if (PitEntry* victim = pit_.lru_victim()) {
-      if (victim->expiry_event.valid()) {
-        scheduler_.cancel(victim->expiry_event);
-      }
       pit_.erase(victim->name);
       ++counters_.pit_evictions;
     }
@@ -340,7 +341,7 @@ void Forwarder::on_interest(FaceId in_face, InterestPtr&& packet) {
       in_face, interest->nonce, interest->tag, interest->tag_wire_size,
       interest->flag_f, interest->access_path, record_expiry});
   entry.forwarded = true;
-  schedule_pit_expiry(entry, record_expiry);
+  set_pit_expiry(entry, record_expiry);
   ++counters_.interests_forwarded;
   send_interest(route->next_hops, interest.take(), compute);
 }
@@ -408,7 +409,6 @@ void Forwarder::on_data(FaceId in_face, DataPtr&& packet) {
     send(record.face, PacketVariant(outgoing.take()),
          compute + decision.compute);
   }
-  if (entry->expiry_event.valid()) scheduler_.cancel(entry->expiry_event);
   pit_.erase(data->name);
 }
 
@@ -417,12 +417,12 @@ void Forwarder::crash() {
   alive_ = false;
   ++epoch_;  // deferred sends scheduled before this instant die silently
   ++counters_.crashes;
-  // Volatile forwarding state is lost: every PIT entry (with its expiry
-  // timer), the whole Content Store, and the pool's recycled packet
-  // buffers (live packets belong to other nodes / in-flight frames).
-  pit_.for_each([this](const PitEntry& entry) {
-    if (entry.expiry_event.valid()) scheduler_.cancel(entry.expiry_event);
-  });
+  // Volatile forwarding state is lost: every PIT entry (with the expiry
+  // wakeup waiting on their deadlines), the whole Content Store, and the
+  // pool's recycled packet buffers (live packets belong to other nodes /
+  // in-flight frames).
+  if (expiry_wakeup_at_) scheduler_.cancel(expiry_wakeup_);
+  expiry_wakeup_at_.reset();
   pit_.clear();
   cs_.clear();
   pool_.wipe_volatile();
@@ -447,7 +447,6 @@ void Forwarder::on_nack(FaceId /*in_face*/, NackPtr&& packet) {
     ++counters_.nacks_sent;
     send(record.face, PacketVariant(NackPtr(nack)), 0);
   }
-  if (entry->expiry_event.valid()) scheduler_.cancel(entry->expiry_event);
   pit_.erase(nack->name);
 }
 

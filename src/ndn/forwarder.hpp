@@ -22,6 +22,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -144,7 +145,7 @@ class Forwarder {
 
   /// Caps the PIT at `capacity` entries (0 = unbounded, the default).
   /// When a new entry would exceed the cap, the least-recently-used
-  /// entry is evicted — its expiry timer cancelled, `pit_evictions`
+  /// entry is evicted — erased with its deadline, `pit_evictions`
   /// incremented — so an Interest flood can no longer grow router state
   /// without bound.
   void set_pit_capacity(std::size_t capacity) { pit_capacity_ = capacity; }
@@ -213,8 +214,8 @@ class Forwarder {
   }
 
   /// Crash semantics: a crashed node drops all in-flight deferred work,
-  /// refuses arriving packets, and loses its volatile state (PIT with all
-  /// expiry timers, Content Store, pooled packet slots).  Policy state is
+  /// refuses arriving packets, and loses its volatile state (PIT with its
+  /// expiry wakeup, Content Store, pooled packet slots).  Policy state is
   /// wiped on restart via AccessControlPolicy::on_restart — for TACTIC
   /// that means the Bloom filter, forcing the F=0 "cannot vouch" fallback
   /// until it refills.
@@ -257,13 +258,23 @@ class Forwarder {
   void do_send_interest(const std::vector<Fib::NextHop>& next_hops,
                         InterestPtr&& interest);
 
-  void schedule_pit_expiry(PitEntry& entry, event::Time expiry);
+  /// Records `entry`'s deadline in the PIT's expiry heap and re-arms the
+  /// expiry wakeup when the deadline is earlier than the pending one.
+  void set_pit_expiry(PitEntry& entry, event::Time expiry);
+  /// Schedules the wakeup that erases every PIT entry due at `when` and
+  /// re-arms at the next deadline.
+  void arm_expiry_wakeup(event::Time when);
 
   event::Scheduler& scheduler_;
   net::NodeInfo info_;
   Fib fib_;
   Pit pit_;
   std::size_t pit_capacity_ = 0;  // 0 = unbounded
+  /// The one pending PIT-expiry wakeup, at or before the PIT's earliest
+  /// deadline, and its time — empty when none is pending, which the id
+  /// cannot tell: it stays valid after its event ran.
+  event::EventId expiry_wakeup_;
+  std::optional<event::Time> expiry_wakeup_at_;
   ContentStore cs_;
   PacketPool pool_;
   std::unique_ptr<AccessControlPolicy> policy_;

@@ -48,7 +48,6 @@ void Pit::free_slot(std::uint32_t s) {
   slot.entry.name.clear();        // keeps component capacity
   slot.entry.in_records.clear();  // keeps capacity — the arena win
   slot.entry.forwarded = false;
-  slot.entry.expiry_event = event::EventId();
   slot.entry.expiry_time = 0;
   ++slot.gen;  // invalidates any expiry-heap records for this slot
   slot.live = false;
@@ -63,18 +62,6 @@ PitEntry* Pit::find(const Name& name) {
   lru_unlink(s);
   lru_push_back(s);  // touch
   return &slots_[s].entry;
-}
-
-PitEntry* Pit::find_token(PitToken token) {
-  ++counters_.lookups;
-  if (token.slot >= slots_.size()) return nullptr;
-  Slot& slot = slots_[token.slot];
-  if (!slot.live || slot.gen != token.gen) return nullptr;
-  return &slot.entry;
-}
-
-void Pit::erase_token(PitToken token) {
-  if (PitEntry* entry = find_token(token)) erase(entry->name);
 }
 
 PitEntry& Pit::get_or_create(const Name& name) {
@@ -99,7 +86,11 @@ PitEntry& Pit::get_or_create(const Name& name) {
 void Pit::erase(const Name& name) {
   const std::uint32_t s = index_.find(
       name.id_hash(), [&](std::uint32_t v) { return slot_holds(v, name); });
-  if (s == util::HashIndex::kNpos) return;
+  if (s != util::HashIndex::kNpos) erase_slot(s);
+}
+
+void Pit::erase_slot(std::uint32_t s) {
+  const Name& name = slots_[s].entry.name;
   index_.erase(name.id_hash(),
                [&](std::uint32_t v) { return slot_holds(v, name); });
   lru_unlink(s);
@@ -160,6 +151,15 @@ std::optional<event::Time> Pit::min_expiry() {
     expiry_heap_.pop_back();
   }
   return std::nullopt;
+}
+
+std::size_t Pit::erase_expired(event::Time now) {
+  std::size_t erased = 0;
+  for (auto next = min_expiry(); next && *next <= now; next = min_expiry()) {
+    erase_slot(expiry_heap_.front().slot);  // min_expiry() left it current
+    ++erased;
+  }
+  return erased;
 }
 
 bool Pit::has_nonce(const PitEntry& entry, std::uint64_t nonce) {

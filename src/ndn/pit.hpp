@@ -11,9 +11,11 @@
 // indexed by an interned-name hash map, with recency kept as an intrusive
 // doubly-linked list of slot indices.  Freed slots keep their in_records
 // vector capacity, so steady-state operation allocates nothing per
-// Interest.  Expiry bookkeeping is a lazy min-heap: the invariant sampler
-// asks for the earliest live deadline in O(1) amortized instead of
-// scanning the whole table (see Pit::min_expiry).
+// Interest.  The lazy expiry min-heap is the only record of deadlines:
+// the owning forwarder keeps one scheduler wakeup at or before
+// min_expiry() and erases what is due with erase_expired(), and the
+// invariant sampler reads the earliest live deadline in O(1) amortized
+// instead of scanning the whole table.
 
 #include <cstdint>
 #include <deque>
@@ -21,7 +23,7 @@
 #include <optional>
 #include <vector>
 
-#include "event/scheduler.hpp"
+#include "event/time.hpp"
 #include "ndn/fib.hpp"
 #include "ndn/name.hpp"
 #include "ndn/packet.hpp"
@@ -46,20 +48,11 @@ struct PitEntry {
   /// True once the Interest has been sent upstream (subsequent arrivals
   /// are aggregated, matching the paper's Protocol 4 lines 1-5).
   bool forwarded = false;
-  event::EventId expiry_event;
   /// Absolute time at which the whole entry expires (max over records).
   /// Keep in sync via Pit::set_expiry so the expiry heap sees updates.
   event::Time expiry_time = 0;
   /// Arena slot this entry occupies (maintained by Pit itself).
   std::uint32_t slot = 0;
-};
-
-/// Stable reference to a PIT entry across erases and slot reuse: the slot
-/// index plus the slot's generation at issue time.  Lets the expiry timer
-/// find its entry without capturing (and heap-copying) the Name.
-struct PitToken {
-  std::uint32_t slot = 0;
-  std::uint32_t gen = 0;
 };
 
 class Pit {
@@ -68,21 +61,6 @@ class Pit {
   /// use for LRU purposes.
   PitEntry* find(const Name& name);
 
-  /// Token for an entry returned by find()/get_or_create(); resolves back
-  /// via find_token() until the entry is erased (then never again — slot
-  /// reuse bumps the generation).
-  PitToken token_of(const PitEntry& entry) const {
-    return PitToken{entry.slot, slots_[entry.slot].gen};
-  }
-
-  /// Resolves a token; nullptr once the entry was erased.  Counts as a
-  /// lookup but does not touch LRU recency (its only caller erases the
-  /// entry immediately).
-  PitEntry* find_token(PitToken token);
-
-  /// Erases the entry a token resolves to (no-op on a stale token).
-  void erase_token(PitToken token);
-
   /// Creates (or returns the existing) entry; either way the entry
   /// becomes most-recently used.  References remain valid across later
   /// inserts (slab storage).
@@ -90,8 +68,8 @@ class Pit {
 
   void erase(const Name& name);
 
-  /// Drops every entry.  Callers owning scheduler events (expiry timers)
-  /// must cancel them first — the PIT does not know the scheduler.
+  /// Drops every entry.  The PIT does not know the scheduler: an owner
+  /// whose wakeup waits on these deadlines cancels it itself.
   void clear();
 
   std::size_t size() const { return index_.size(); }
@@ -100,9 +78,9 @@ class Pit {
   /// enforces a capacity); nullptr when empty.  Does not touch recency.
   PitEntry* lru_victim();
 
-  /// Visits every live entry (slot order).  Used for crash-time timer
-  /// cancellation and invariant-failure reporting — never on a per-packet
-  /// path, and nothing fingerprint-visible may depend on the order.
+  /// Visits every live entry (slot order).  Used for invariant-failure
+  /// reporting — never on a per-packet path, and nothing
+  /// fingerprint-visible may depend on the order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Slot& slot : slots_) {
@@ -118,8 +96,13 @@ class Pit {
   /// Earliest expiry deadline over all live entries; nullopt when none
   /// has a deadline.  Lazily discards records for erased or re-scheduled
   /// entries, so the amortized cost is O(1) per set_expiry call — the
-  /// invariant sampler polls this instead of scanning the table.
+  /// owner's expiry wakeup and the invariant sampler poll this instead of
+  /// scanning the table.
   std::optional<event::Time> min_expiry();
+
+  /// Erases every entry whose deadline is at or before `now`, earliest
+  /// first, and returns how many it erased.
+  std::size_t erase_expired(event::Time now);
 
   /// Whether a downstream face already requested this name with this nonce
   /// (duplicate/looping Interest detection).
@@ -154,6 +137,8 @@ class Pit {
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t s);
+  /// Unindexes and frees live slot `s`.
+  void erase_slot(std::uint32_t s);
   void lru_unlink(std::uint32_t s);
   void lru_push_back(std::uint32_t s);
   /// True when the heap record still describes a live, current deadline.

@@ -1,6 +1,5 @@
 #include "sim/scenario.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "tactic/access_path.hpp"
@@ -31,7 +30,6 @@ Scenario::Scenario(ScenarioConfig config)
           .set_impl(config_.fib_impl);
     }
   }
-  client_samples_.resize(network_->clients().size());
   build_providers();
   install_policies();
   build_clients();
@@ -169,21 +167,20 @@ void Scenario::build_clients() {
     }
     if (prob_bf_shared_) prob_bf_shared_->authorized.insert(locator);
 
-    // Buffer per client; harvest() folds in (when, client, position)
-    // order, the defined accumulation order of the sample series.
-    ClientSamples& samples = client_samples_[clients_.size()];
-    client->on_latency_sample = [&samples](event::Time when, double latency) {
-      samples.latency.emplace_back(when, latency);
+    // Samples add to the series in dispatch order, the defined
+    // accumulation order: per-bucket sums depend on it, and the goldens
+    // in tests/golden/ pin it.
+    client->on_latency_sample = [this](event::Time when, double latency) {
+      metrics_.latency.add(event::to_seconds(when), latency);
     };
-    client->on_tag_request = [&samples](event::Time when) {
-      samples.tag_requests.push_back(when);
+    client->on_tag_request = [this](event::Time when) {
+      metrics_.tag_requests.add_event(event::to_seconds(when));
     };
-    client->on_tag_receive = [&samples](event::Time when) {
-      samples.tag_receives.push_back(when);
+    client->on_tag_receive = [this](event::Time when) {
+      metrics_.tag_receives.add_event(event::to_seconds(when));
     };
-    client->on_recovery_sample = [&samples](event::Time when,
-                                            double latency) {
-      samples.recovery.emplace_back(when, latency);
+    client->on_recovery_sample = [this](event::Time when, double latency) {
+      metrics_.recovery_latency.add(event::to_seconds(when), latency);
     };
     client->start();
     clients_.push_back(std::move(client));
@@ -402,73 +399,6 @@ const Metrics& Scenario::run() {
 }
 
 Metrics Scenario::harvest() {
-  {
-    // Replay the per-client buffers in (when, client index, per-client
-    // position) order.  This is the defined accumulation order of the
-    // client sample series, same-nanosecond cross-client ties included:
-    // per-bucket floating-point sums depend on it, and the goldens in
-    // tests/golden/ pin it.
-    struct ValueSample {
-      event::Time when;
-      std::uint32_t client;
-      std::uint32_t pos;
-      double value;
-    };
-    const auto by_key = [](const ValueSample& a, const ValueSample& b) {
-      if (a.when != b.when) return a.when < b.when;
-      if (a.client != b.client) return a.client < b.client;
-      return a.pos < b.pos;
-    };
-    auto merge_values =
-        [&](std::vector<std::pair<event::Time, double>> ClientSamples::*
-                member,
-            util::TimeSeries& series) {
-          std::vector<ValueSample> merged;
-          for (std::size_t c = 0; c < client_samples_.size(); ++c) {
-            const auto& buffer = client_samples_[c].*member;
-            for (std::size_t i = 0; i < buffer.size(); ++i) {
-              merged.push_back(ValueSample{buffer[i].first,
-                                           static_cast<std::uint32_t>(c),
-                                           static_cast<std::uint32_t>(i),
-                                           buffer[i].second});
-            }
-          }
-          std::sort(merged.begin(), merged.end(), by_key);
-          for (const ValueSample& sample : merged) {
-            series.add(event::to_seconds(sample.when), sample.value);
-          }
-        };
-    auto merge_events = [&](std::vector<event::Time> ClientSamples::* member,
-                            util::TimeSeries& series) {
-      std::vector<ValueSample> merged;
-      for (std::size_t c = 0; c < client_samples_.size(); ++c) {
-        const auto& buffer = client_samples_[c].*member;
-        for (std::size_t i = 0; i < buffer.size(); ++i) {
-          merged.push_back(ValueSample{buffer[i],
-                                       static_cast<std::uint32_t>(c),
-                                       static_cast<std::uint32_t>(i), 0.0});
-        }
-      }
-      std::sort(merged.begin(), merged.end(), by_key);
-      for (const ValueSample& sample : merged) {
-        series.add_event(event::to_seconds(sample.when));
-      }
-    };
-    merge_values(&ClientSamples::latency, metrics_.latency);
-    merge_values(&ClientSamples::recovery, metrics_.recovery_latency);
-    merge_events(&ClientSamples::tag_requests, metrics_.tag_requests);
-    merge_events(&ClientSamples::tag_receives, metrics_.tag_receives);
-    // The fold goes into metrics_ and consumes the buffers, so harvest()
-    // stays idempotent and incremental: samples buffered after an earlier
-    // harvest (e.g. late arrivals during the drain grace) fold exactly
-    // once, appended behind the earlier fold in chronological order.
-    for (ClientSamples& samples : client_samples_) {
-      samples.latency.clear();
-      samples.recovery.clear();
-      samples.tag_requests.clear();
-      samples.tag_receives.clear();
-    }
-  }
   Metrics out;
   out.latency = metrics_.latency;
   out.tag_requests = metrics_.tag_requests;

@@ -169,21 +169,8 @@ class Scenario {
       workload::AttackerMode mode, std::size_t attacker_index,
       net::NodeId node_id);
 
-  /// Per-client metric samples.  Hooks buffer here and harvest() folds
-  /// the buffers sorted by (when, client index, per-client order).  That
-  /// fold order is the defined accumulation order of the client sample
-  /// series, including same-nanosecond cross-client ties; the goldens in
-  /// tests/golden/ pin it down to the last floating-point bit.
-  struct ClientSamples {
-    std::vector<std::pair<event::Time, double>> latency;
-    std::vector<std::pair<event::Time, double>> recovery;
-    std::vector<event::Time> tag_requests;
-    std::vector<event::Time> tag_receives;
-  };
-
   ScenarioConfig config_;
   event::Scheduler scheduler_;
-  std::vector<ClientSamples> client_samples_;
   util::Rng rng_;
   core::TrustAnchors anchors_;
   std::unique_ptr<topology::Network> network_;
@@ -194,6 +181,9 @@ class Scenario {
   std::shared_ptr<const crypto::RsaPrivateKey> forger_key_;
   std::shared_ptr<baselines::ProbBfPolicy::Shared> prob_bf_shared_;
   std::unique_ptr<core::TraitorTracer> tracer_;
+  /// The client sample series live here: the hooks build_clients()
+  /// installs add each sample as it is dispatched, and harvest() copies
+  /// them out.
   Metrics metrics_;
   bool ran_ = false;
 };

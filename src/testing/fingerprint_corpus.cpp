@@ -6,12 +6,19 @@
 // output against tests/golden/fingerprints.txt, so any change to router
 // policy code that alters behaviour — an extra RNG draw, a reordered
 // charge, a dropped counter — shows up as a digest mismatch on a seed
-// that reproduces with `fuzz_scenarios --seed N --repro [--faults ...]`.
+// that reproduces with
+//   fuzz_scenarios --seed N --repro --duration 6 [--faults] [--overload]
+// adding `--policy tactic --batch --adaptive --skew` for `layers`.  The
+// fuzzer's `metrics=` digest differs from this corpus digest even then:
+// InvariantChecker::finalize drains the run before the fuzzer harvests.
 //
 // Modes mirror the fuzz harness's axes: `plain` (no chaos), `faults`
-// (random fault plans), and `faults+overload` (fault plans plus the
-// overload-resilience layer).  Defaults match the checked-in golden
-// list; keep them in sync with ci/parity.sh and tests/pipeline_test.cpp.
+// (random fault plans), `faults+overload` (fault plans plus the
+// overload-resilience layer), and `layers` (faults and overload plus the
+// batch, adaptive and tag-lifecycle layers, on TACTIC runs only — the
+// layers the other modes never turn on).  Defaults match the checked-in
+// golden list; keep them in sync with ci/parity.sh and
+// tests/pipeline_test.cpp.
 
 #include <cstdio>
 #include <exception>
@@ -33,7 +40,8 @@ constexpr const char* kUsage =
     "  --seeds N      seeds per mode (default 16)\n"
     "  --base S       first seed (default 9000)\n"
     "  --duration D   base simulated seconds per run (default 6)\n"
-    "  --mode NAME    one of plain|faults|faults+overload|all (default all)\n"
+    "  --mode NAME    one of plain|faults|faults+overload|layers|all\n"
+    "                 (default all)\n"
     "  --verdicts     emit per-run verdict-multiset digests instead of\n"
     "                 metrics digests (order-insensitive per-user verdict\n"
     "                 counts; pinned by tests/golden/verdicts.txt)\n"
@@ -44,12 +52,14 @@ struct Mode {
   const char* name;
   bool faults;
   bool overload;
+  bool layers;  // batch, adaptive and skew on; policy forced to TACTIC
 };
 
 constexpr Mode kModes[] = {
-    {"plain", false, false},
-    {"faults", true, false},
-    {"faults+overload", true, true},
+    {"plain", false, false, false},
+    {"faults", true, false, false},
+    {"faults+overload", true, true, false},
+    {"layers", true, true, true},
 };
 
 }  // namespace
@@ -91,6 +101,10 @@ int main(int argc, char** argv) {
       generator.duration = event::from_seconds(duration_s);
       generator.with_faults = mode.faults;
       generator.with_overload = mode.overload;
+      generator.with_batch = mode.layers;
+      generator.with_adaptive = mode.layers;
+      generator.with_skew = mode.layers;
+      if (mode.layers) generator.forced_policy = sim::PolicyKind::kTactic;
       for (std::int64_t i = 0; i < seeds; ++i) {
         const std::uint64_t seed = base + static_cast<std::uint64_t>(i);
         sim::Scenario scenario(testing::random_config(seed, generator));

@@ -119,6 +119,16 @@ TEST(Scheduler, RunUntilAdvancesTimeEvenWhenIdle) {
   EXPECT_EQ(sched.now(), 10 * kSecond);
 }
 
+TEST(Scheduler, RunUntilIntoThePastThrows) {
+  Scheduler sched;
+  sched.run_until(10 * kSecond);
+  EXPECT_THROW(sched.run_until(5 * kSecond), std::invalid_argument);
+  EXPECT_EQ(sched.now(), 10 * kSecond);  // the clock did not rewind
+  EXPECT_THROW(sched.schedule_at(5 * kSecond, [] {}), std::invalid_argument);
+  sched.run_until(10 * kSecond);  // the present itself is fine
+  EXPECT_EQ(sched.now(), 10 * kSecond);
+}
+
 TEST(Scheduler, NegativeDelayThrows) {
   Scheduler sched;
   EXPECT_THROW(sched.schedule(-1, [] {}), std::invalid_argument);

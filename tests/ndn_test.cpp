@@ -425,6 +425,98 @@ TEST(Forwarder, PitExpiryCleansEntry) {
   EXPECT_GE(chain.router->counters().pit_expirations, 1u);
 }
 
+/// One forwarder whose FIB routes "/p" to an app face that swallows
+/// Interests: every entry it creates stays pending until satisfied by
+/// hand or expired.
+struct Blackhole {
+  event::Scheduler sched;
+  Forwarder node{sched, net::NodeInfo{0, net::NodeKind::kCoreRouter, "r"}, 0};
+  FaceId consumer = node.add_app_face(AppSink{});
+  FaceId producer = node.add_app_face(AppSink{});
+
+  Blackhole() { node.fib().add_route(Name("/p"), producer); }
+
+  void express(const std::string& uri, event::Time lifetime,
+               std::uint64_t nonce = 1) {
+    Interest interest = make_interest(uri, nonce);
+    interest.lifetime = lifetime;
+    node.inject_from_app(consumer, std::move(interest));
+  }
+  void satisfy(const std::string& uri) {
+    Data data;
+    data.name = Name(uri);
+    node.inject_from_app(producer, std::move(data));
+  }
+  bool pending(const std::string& uri) {
+    return node.pit().find(Name(uri)) != nullptr;
+  }
+  std::uint64_t expirations() const {
+    return node.counters().pit_expirations;
+  }
+};
+
+TEST(Forwarder, EarlierDeadlineExpiresFirst) {
+  Blackhole net;
+  net.express("/p/long", 10 * kSecond);
+  net.sched.run_until(100 * kMillisecond);
+  net.express("/p/short", kSecond);
+  net.sched.run_until(1100 * kMillisecond - 1);
+  EXPECT_TRUE(net.pending("/p/short"));
+  net.sched.run_until(1100 * kMillisecond);
+  EXPECT_FALSE(net.pending("/p/short"));  // left at exactly its deadline
+  EXPECT_TRUE(net.pending("/p/long"));
+  EXPECT_EQ(net.expirations(), 1u);
+  net.sched.run_until(10 * kSecond);
+  EXPECT_FALSE(net.pending("/p/long"));
+  EXPECT_EQ(net.expirations(), 2u);
+}
+
+TEST(Forwarder, SatisfyingEarliestEntryKeepsLaterDeadline) {
+  Blackhole net;
+  net.express("/p/a", kSecond);
+  net.express("/p/b", 2 * kSecond);
+  net.sched.run_until(500 * kMillisecond);
+  net.satisfy("/p/a");
+  EXPECT_FALSE(net.pending("/p/a"));
+  net.sched.run_until(2 * kSecond - 1);
+  EXPECT_TRUE(net.pending("/p/b"));  // not early
+  net.sched.run_until(2 * kSecond);
+  EXPECT_FALSE(net.pending("/p/b"));  // not late
+  EXPECT_EQ(net.expirations(), 1u);
+}
+
+TEST(Forwarder, AggregatedInterestExtendsEntry) {
+  Blackhole net;
+  net.express("/p/x", kSecond, 1);
+  net.sched.run_until(500 * kMillisecond);
+  net.express("/p/x", kSecond, 2);  // aggregated; deadline moves to 1.5 s
+  EXPECT_EQ(net.node.counters().interests_aggregated, 1u);
+  net.sched.run_until(1500 * kMillisecond - 1);
+  EXPECT_TRUE(net.pending("/p/x"));  // survived the first deadline
+  EXPECT_EQ(net.expirations(), 0u);
+  net.sched.run_until(1500 * kMillisecond);
+  EXPECT_FALSE(net.pending("/p/x"));
+  EXPECT_EQ(net.expirations(), 1u);
+}
+
+TEST(Forwarder, EntryAfterRestartStillExpires) {
+  Blackhole net;
+  net.express("/p/lost", kSecond);
+  net.sched.run_until(500 * kMillisecond);
+  net.node.crash();
+  net.node.restart();
+  EXPECT_FALSE(net.pending("/p/lost"));  // wiped with the PIT
+  // Due after the wiped entry's deadline (1 s), so a wakeup still armed
+  // for that deadline must not stand in for this one.
+  net.express("/p/new", kSecond);
+  net.sched.run_until(1500 * kMillisecond - 1);
+  EXPECT_TRUE(net.pending("/p/new"));
+  net.sched.run_until(1500 * kMillisecond);
+  EXPECT_FALSE(net.pending("/p/new"));
+  net.sched.run_until(10 * kSecond);
+  EXPECT_EQ(net.expirations(), 1u);  // the wiped entry never counts
+}
+
 TEST(Forwarder, CountersTrackPipeline) {
   Chain chain;
   chain.express("/p/a", 1);

@@ -258,8 +258,8 @@ TEST(BoundedPit, LruEvictionAtCapacity) {
   EXPECT_EQ(node.pit().find(ndn::Name("/n3")), nullptr);
   EXPECT_EQ(node.counters().pit_evictions, 3u);
 
-  // Evicted entries' expiry timers were cancelled: running the scheduler
-  // past every lifetime fires only the survivors' timers.
+  // Evicted entries took their deadlines with them: running the scheduler
+  // past every lifetime expires only the survivors.
   sched.run_until(200 * kSecond);
   EXPECT_EQ(node.pit().size(), 0u);
   EXPECT_EQ(node.counters().pit_expirations, 4u);

@@ -586,30 +586,41 @@ std::vector<GoldenEntry> load_goldens(const char* path,
 // Re-runs the fixed-seed fuzz corpus for one mode and compares every
 // scenario's metrics fingerprint and verdict multiset against the
 // goldens.  Those were captured from the pre-pipeline monolith, except
-// one seed-9014 fingerprint line, regenerated on purpose when the client
-// samples began to fold at harvest in (time, client, position) order: a
-// latency sum moved by one ulp.  Keep the generator knobs in sync with
-// src/testing/fingerprint_corpus.cpp (16 seeds from 9000, duration 6).
-void check_parity(const std::string& mode, bool faults, bool overload) {
+// the `layers` lines, captured when that mode was added, and one
+// seed-9014 fingerprint line: a latency sum moved by one ulp when the
+// client samples began to fold at harvest in (time, client, position)
+// order, and moved back (with `layers 9007`) when they began to add
+// straight into the series in dispatch order.  Keep the generator knobs
+// in sync with src/testing/fingerprint_corpus.cpp (16 seeds from 9000,
+// duration 6).
+void check_parity(const std::string& mode, tt::GeneratorOptions generator) {
   const std::vector<GoldenEntry> goldens =
       load_goldens(TACTIC_GOLDEN_FINGERPRINTS, mode);
   const std::vector<GoldenEntry> verdicts =
       load_goldens(TACTIC_GOLDEN_VERDICTS, mode);
   ASSERT_GE(goldens.size(), 16u);
   ASSERT_EQ(verdicts.size(), goldens.size());
-  tt::GeneratorOptions generator;
   generator.duration = event::from_seconds(6.0);
-  generator.with_faults = faults;
-  generator.with_overload = overload;
+  // The fuzzer replays the same scenario, but its `metrics=` digest is
+  // not this one: InvariantChecker::finalize drains before it harvests.
+  const std::string flags =
+      std::string(" --duration 6") +
+      (generator.forced_policy == sim::PolicyKind::kTactic
+           ? " --policy tactic"
+           : "") +
+      (generator.with_faults ? " --faults" : "") +
+      (generator.with_overload ? " --overload" : "") +
+      (generator.with_batch ? " --batch" : "") +
+      (generator.with_adaptive ? " --adaptive" : "") +
+      (generator.with_skew ? " --skew" : "");
   for (std::size_t i = 0; i < goldens.size(); ++i) {
     const GoldenEntry& golden = goldens[i];
     ASSERT_EQ(verdicts[i].seed, golden.seed);
     sim::Scenario scenario(tt::random_config(golden.seed, generator));
     scenario.run();
-    const std::string repro =
-        " (repro: fuzz_scenarios --seed " + std::to_string(golden.seed) +
-        " --repro" + (faults ? " --faults" : "") +
-        (overload ? " --overload" : "") + ")";
+    const std::string repro = " (repro: fuzz_scenarios --seed " +
+                              std::to_string(golden.seed) + " --repro" +
+                              flags + "; its metrics= digest differs)";
     EXPECT_EQ(tt::fingerprint_digest(scenario.harvest()), golden.digest)
         << "behaviour drift at mode=" << mode << " seed=" << golden.seed
         << repro;
@@ -620,15 +631,33 @@ void check_parity(const std::string& mode, bool faults, bool overload) {
 }
 
 TEST(PipelineParity, PlainCorpusMatchesGoldenFingerprints) {
-  check_parity("plain", false, false);
+  check_parity("plain", {});
 }
 
 TEST(PipelineParity, FaultsCorpusMatchesGoldenFingerprints) {
-  check_parity("faults", true, false);
+  tt::GeneratorOptions generator;
+  generator.with_faults = true;
+  check_parity("faults", generator);
 }
 
 TEST(PipelineParity, FaultsOverloadCorpusMatchesGoldenFingerprints) {
-  check_parity("faults+overload", true, true);
+  tt::GeneratorOptions generator;
+  generator.with_faults = true;
+  generator.with_overload = true;
+  check_parity("faults+overload", generator);
+}
+
+// The layers no other mode turns on: batching, adaptive control and the
+// tag lifecycle, on TACTIC runs with faults and overload.
+TEST(PipelineParity, LayersCorpusMatchesGoldenFingerprints) {
+  tt::GeneratorOptions generator;
+  generator.with_faults = true;
+  generator.with_overload = true;
+  generator.with_batch = true;
+  generator.with_adaptive = true;
+  generator.with_skew = true;
+  generator.forced_policy = sim::PolicyKind::kTactic;
+  check_parity("layers", generator);
 }
 
 }  // namespace
