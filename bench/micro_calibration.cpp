@@ -1,14 +1,25 @@
-// Micro-calibration benchmarks (google-benchmark) — the analogue of the
-// paper's Section 8.B measurement pass, which benchmarked BF lookup, BF
-// insertion, and signature verification on a Core-i7 and injected the
-// measured distributions into ndnSIM.  Running this binary re-measures
-// the same operations on the host for our own implementations, alongside
-// the other hot-path primitives of the stack.
+// Micro-calibration pass — the analogue of the paper's Section 8.B
+// measurement, which benchmarked BF lookup, BF insertion, and signature
+// verification on a Core-i7 and injected the measured distributions into
+// ndnSIM.  Running this binary re-measures the same operations on the
+// host for our own implementations, alongside the other hot-path
+// primitives of the stack.
+//
+//   build/bench/micro_calibration
+//
+// Each case builds its fixture, then warms up by doubling its batch size
+// until one batch takes at least kMinBatch on std::chrono::steady_clock.
+// It then times kBatches batches of that size and prints the median time
+// per operation, one line per case with its unit.
 //
 // Paper's published means: BF lookup 9.14e-7 s, BF insert 3.35e-7 s,
 // signature verification 1.12e-5 s.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bloom/bloom_filter.hpp"
 #include "crypto/aes.hpp"
@@ -24,58 +35,78 @@
 namespace {
 
 using namespace tactic;
+using Clock = std::chrono::steady_clock;
+
+constexpr std::chrono::milliseconds kMinBatch{20};
+constexpr int kBatches = 15;
+
+/// Makes `value` observable, so the work that produced it is not dropped.
+template <class T>
+void keep(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
+/// Times `op`, one operation per call, and prints the median per-op time.
+template <class Op>
+void run_case(const std::string& name, Op op) {
+  const auto time_batch = [&op](std::size_t ops) {
+    const auto start = Clock::now();
+    for (std::size_t i = 0; i < ops; ++i) op();
+    return Clock::now() - start;
+  };
+  std::size_t ops = 1;
+  while (time_batch(ops) < kMinBatch) ops *= 2;
+  std::vector<double> ns_per_op;
+  for (int b = 0; b < kBatches; ++b) {
+    const std::chrono::duration<double, std::nano> batch = time_batch(ops);
+    ns_per_op.push_back(batch.count() / static_cast<double>(ops));
+  }
+  std::sort(ns_per_op.begin(), ns_per_op.end());
+  const double median = ns_per_op[kBatches / 2];
+  const bool micros = median >= 1000.0;
+  std::printf("%-24s %10.3f %s/op  (median of %d batches of %zu)\n",
+              name.c_str(), micros ? median / 1000.0 : median,
+              micros ? "us" : "ns", kBatches, ops);
+  std::fflush(stdout);
+}
 
 util::Bytes element(int i) {
   return util::to_bytes("tag-element-" + std::to_string(i));
 }
 
-void BM_BloomLookup(benchmark::State& state) {
-  bloom::BloomFilter bf(
-      {static_cast<std::size_t>(state.range(0)), 5, 1e-4});
-  for (int i = 0; i < state.range(0); ++i) bf.insert(element(i));
+void bloom_lookup(int capacity) {
+  bloom::BloomFilter bf({static_cast<std::size_t>(capacity), 5, 1e-4});
+  for (int i = 0; i < capacity; ++i) bf.insert(element(i));
   int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bf.contains(element(i++ & 1023)));
-  }
+  run_case("BloomLookup/" + std::to_string(capacity),
+           [&] { keep(bf.contains(element(i++ & 1023))); });
 }
-BENCHMARK(BM_BloomLookup)->Arg(500)->Arg(5000);
 
-void BM_BloomInsert(benchmark::State& state) {
+void bloom_insert() {
   bloom::BloomFilter bf({100000, 5, 1e-4});
   int i = 0;
-  for (auto _ : state) {
+  run_case("BloomInsert", [&] {
     bf.insert(element(i++));
     if (bf.saturated()) bf.reset();
-  }
+  });
 }
-BENCHMARK(BM_BloomInsert);
 
-void BM_Sha256_1KiB(benchmark::State& state) {
-  util::Bytes data(1024, 0xAB);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Sha256::digest(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          1024);
+void sha256_1kib() {
+  const util::Bytes data(1024, 0xAB);
+  run_case("Sha256_1KiB", [&] { keep(crypto::Sha256::digest(data)); });
 }
-BENCHMARK(BM_Sha256_1KiB);
 
-void BM_Aes128Ctr_1KiB(benchmark::State& state) {
+void aes128_ctr_1kib() {
   const util::Bytes key(16, 0x42);
   const util::Bytes data(1024, 0xCD);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::aes128_ctr(key, 7, data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          1024);
+  run_case("Aes128Ctr_1KiB", [&] { keep(crypto::aes128_ctr(key, 7, data)); });
 }
-BENCHMARK(BM_Aes128Ctr_1KiB);
 
-struct RsaFixtureState {
+struct RsaFixture {
   crypto::RsaKeyPair keys;
   core::TagPtr tag;
   crypto::Pki pki;
-  explicit RsaFixtureState(std::size_t bits) {
+  explicit RsaFixture(std::size_t bits) {
     util::Rng rng(1);
     keys = crypto::generate_rsa_keypair(rng, bits);
     core::Tag::Fields fields;
@@ -88,57 +119,41 @@ struct RsaFixtureState {
   }
 };
 
-void BM_TagSign(benchmark::State& state) {
-  RsaFixtureState fixture(static_cast<std::size_t>(state.range(0)));
+void tag_sign_and_verify(std::size_t bits) {
+  const RsaFixture fixture(bits);
   core::Tag::Fields fields = fixture.tag->fields();
   std::int64_t expiry = 0;
-  for (auto _ : state) {
+  run_case("TagSign/" + std::to_string(bits), [&] {
     fields.expiry = ++expiry;  // fresh tag each time, like a provider
-    benchmark::DoNotOptimize(
-        core::issue_tag(fields, fixture.keys.private_key));
-  }
+    keep(core::issue_tag(fields, fixture.keys.private_key));
+  });
+  run_case("TagVerify/" + std::to_string(bits), [&] {
+    keep(core::verify_tag_signature(*fixture.tag, fixture.pki));
+  });
 }
-BENCHMARK(BM_TagSign)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
-void BM_TagVerify(benchmark::State& state) {
-  RsaFixtureState fixture(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::verify_tag_signature(*fixture.tag, fixture.pki));
-  }
-}
-BENCHMARK(BM_TagVerify)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
-
-void BM_TagPrecheck(benchmark::State& state) {
-  RsaFixtureState fixture(1024);
+void tag_precheck() {
+  const RsaFixture fixture(1024);
   const ndn::Name name("/provider0/obj3/c7");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::edge_precheck(*fixture.tag, name, event::kSecond));
-  }
+  run_case("TagPrecheck", [&] {
+    keep(core::edge_precheck(*fixture.tag, name, event::kSecond));
+  });
 }
-BENCHMARK(BM_TagPrecheck);
 
-void BM_NameParse(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ndn::Name("/provider3/obj17/c42"));
-  }
+void name_parse() {
+  run_case("NameParse", [] { keep(ndn::Name("/provider3/obj17/c42")); });
 }
-BENCHMARK(BM_NameParse);
 
-void BM_FibLongestPrefixMatch(benchmark::State& state) {
+void fib_longest_prefix_match() {
   ndn::Fib fib;
   for (int i = 0; i < 1000; ++i) {
     fib.add_route(ndn::Name("/provider" + std::to_string(i)), 1);
   }
   const ndn::Name name("/provider512/obj1/c1");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fib.lookup(name));
-  }
+  run_case("FibLongestPrefixMatch", [&] { keep(fib.lookup(name)); });
 }
-BENCHMARK(BM_FibLongestPrefixMatch);
 
-void BM_ContentStoreHit(benchmark::State& state) {
+void content_store_hit() {
   ndn::ContentStore cs(10000);
   for (int i = 0; i < 10000; ++i) {
     auto data = std::make_shared<ndn::Data>();
@@ -146,13 +161,24 @@ void BM_ContentStoreHit(benchmark::State& state) {
     cs.insert(std::move(data));
   }
   int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cs.find(ndn::Name("/p/obj" + std::to_string(i++ % 10000) + "/c0")));
-  }
+  run_case("ContentStoreHit", [&] {
+    keep(cs.find(ndn::Name("/p/obj" + std::to_string(i++ % 10000) + "/c0")));
+  });
 }
-BENCHMARK(BM_ContentStoreHit);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  bloom_lookup(500);
+  bloom_lookup(5000);
+  bloom_insert();
+  sha256_1kib();
+  aes128_ctr_1kib();
+  tag_sign_and_verify(1024);
+  tag_sign_and_verify(2048);
+  tag_precheck();
+  name_parse();
+  fib_longest_prefix_match();
+  content_store_hit();
+  return 0;
+}

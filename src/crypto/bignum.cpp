@@ -1,18 +1,36 @@
 #include "crypto/bignum.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
 namespace tactic::crypto {
 
 namespace {
-constexpr std::uint64_t kBase = 1ULL << 32;
+
+using Limb = std::uint64_t;
+using Wide = unsigned __int128;
+
+/// a * b + c + carry; returns the low limb and leaves the high one in
+/// `carry`.  Cannot overflow: (2^64 - 1)^2 + 2 (2^64 - 1) = 2^128 - 1.
+Limb mul_add(Limb a, Limb b, Limb c, Limb& carry) {
+  const Wide t = Wide{a} * b + c + carry;
+  carry = static_cast<Limb>(t >> 64);
+  return static_cast<Limb>(t);
 }
 
+/// a - b - borrow; returns the low limb and sets `borrow` to 0 or 1.
+Limb sub_borrow(Limb a, Limb b, Limb& borrow) {
+  const Wide diff = Wide{a} - b - borrow;
+  borrow = static_cast<Limb>(diff >> 127);
+  return static_cast<Limb>(diff);
+}
+
+}  // namespace
+
 BigUInt::BigUInt(std::uint64_t value) {
-  if (value != 0) limbs_.push_back(static_cast<std::uint32_t>(value));
-  if (value >> 32) limbs_.push_back(static_cast<std::uint32_t>(value >> 32));
+  if (value != 0) limbs_.push_back(value);
 }
 
 void BigUInt::normalize() {
@@ -21,15 +39,9 @@ void BigUInt::normalize() {
 
 BigUInt BigUInt::from_bytes_be(util::BytesView bytes) {
   BigUInt out;
-  for (std::uint8_t b : bytes) {
-    // out = out * 256 + b, done limb-wise for efficiency.
-    std::uint64_t carry = b;
-    for (auto& limb : out.limbs_) {
-      const std::uint64_t v = (static_cast<std::uint64_t>(limb) << 8) | carry;
-      limb = static_cast<std::uint32_t>(v);
-      carry = v >> 32;
-    }
-    if (carry) out.limbs_.push_back(static_cast<std::uint32_t>(carry));
+  out.limbs_.assign((bytes.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    out.limbs_[i / 8] |= Limb{bytes[bytes.size() - 1 - i]} << (8 * (i % 8));
   }
   out.normalize();
   return out;
@@ -41,9 +53,8 @@ util::Bytes BigUInt::to_bytes_be(std::size_t min_size) const {
   const std::size_t size = std::max(significant, min_size);
   out.assign(size, 0);
   for (std::size_t i = 0; i < significant; ++i) {
-    const std::size_t limb = i / 4;
-    const std::size_t shift = 8 * (i % 4);
-    out[size - 1 - i] = static_cast<std::uint8_t>(limbs_[limb] >> shift);
+    out[size - 1 - i] =
+        static_cast<std::uint8_t>(limbs_[i / 8] >> (8 * (i % 8)));
   }
   return out;
 }
@@ -64,27 +75,27 @@ std::string BigUInt::to_hex() const {
 
 std::size_t BigUInt::bit_length() const {
   if (limbs_.empty()) return 0;
-  std::size_t bits = 32 * (limbs_.size() - 1);
-  std::uint32_t top = limbs_.back();
-  while (top) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return 64 * (limbs_.size() - 1) + std::bit_width(limbs_.back());
 }
 
 bool BigUInt::bit(std::size_t i) const {
-  const std::size_t limb = i / 32;
+  const std::size_t limb = i / 64;
   if (limb >= limbs_.size()) return false;
-  return (limbs_[limb] >> (i % 32)) & 1;
+  return (limbs_[limb] >> (i % 64)) & 1;
 }
 
 std::uint64_t BigUInt::to_u64() const {
-  if (limbs_.size() > 2) throw std::overflow_error("BigUInt: > 64 bits");
-  std::uint64_t v = 0;
-  if (limbs_.size() >= 2) v = static_cast<std::uint64_t>(limbs_[1]) << 32;
-  if (!limbs_.empty()) v |= limbs_[0];
-  return v;
+  if (limbs_.size() > 1) throw std::overflow_error("BigUInt: > 64 bits");
+  return limbs_.empty() ? 0 : limbs_[0];
+}
+
+std::uint64_t BigUInt::mod_u64(std::uint64_t d) const {
+  if (d == 0) throw std::domain_error("BigUInt: division by zero");
+  Wide rem = 0;
+  for (std::size_t i = limbs_.size(); i-- > 0;) {
+    rem = ((rem << 64) | limbs_[i]) % d;
+  }
+  return static_cast<std::uint64_t>(rem);
 }
 
 int BigUInt::compare(const BigUInt& other) const {
@@ -101,14 +112,14 @@ int BigUInt::compare(const BigUInt& other) const {
 
 BigUInt& BigUInt::operator+=(const BigUInt& rhs) {
   if (limbs_.size() < rhs.limbs_.size()) limbs_.resize(rhs.limbs_.size(), 0);
-  std::uint64_t carry = 0;
+  Limb carry = 0;
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    std::uint64_t sum = static_cast<std::uint64_t>(limbs_[i]) + carry;
+    Wide sum = Wide{limbs_[i]} + carry;
     if (i < rhs.limbs_.size()) sum += rhs.limbs_[i];
-    limbs_[i] = static_cast<std::uint32_t>(sum);
-    carry = sum >> 32;
+    limbs_[i] = static_cast<Limb>(sum);
+    carry = static_cast<Limb>(sum >> 64);
   }
-  if (carry) limbs_.push_back(static_cast<std::uint32_t>(carry));
+  if (carry) limbs_.push_back(carry);
   return *this;
 }
 
@@ -116,17 +127,10 @@ BigUInt& BigUInt::operator-=(const BigUInt& rhs) {
   if (compare(rhs) < 0) {
     throw std::underflow_error("BigUInt: subtraction would go negative");
   }
-  std::int64_t borrow = 0;
+  Limb borrow = 0;
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(limbs_[i]) - borrow;
-    if (i < rhs.limbs_.size()) diff -= rhs.limbs_[i];
-    if (diff < 0) {
-      diff += static_cast<std::int64_t>(kBase);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    limbs_[i] = static_cast<std::uint32_t>(diff);
+    const Limb r = i < rhs.limbs_.size() ? rhs.limbs_[i] : 0;
+    limbs_[i] = sub_borrow(limbs_[i], r, borrow);
   }
   assert(borrow == 0);
   normalize();
@@ -138,51 +142,44 @@ BigUInt operator*(const BigUInt& a, const BigUInt& b) {
   if (a.is_zero() || b.is_zero()) return out;
   out.limbs_.assign(a.limbs_.size() + b.limbs_.size(), 0);
   for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
-    std::uint64_t carry = 0;
-    const std::uint64_t ai = a.limbs_[i];
+    Limb carry = 0;
     for (std::size_t j = 0; j < b.limbs_.size(); ++j) {
-      const std::uint64_t t = ai * b.limbs_[j] + out.limbs_[i + j] + carry;
-      out.limbs_[i + j] = static_cast<std::uint32_t>(t);
-      carry = t >> 32;
+      out.limbs_[i + j] =
+          mul_add(a.limbs_[i], b.limbs_[j], out.limbs_[i + j], carry);
     }
-    out.limbs_[i + b.limbs_.size()] = static_cast<std::uint32_t>(carry);
+    out.limbs_[i + b.limbs_.size()] = carry;
   }
   out.normalize();
   return out;
 }
 
 BigUInt BigUInt::operator<<(std::size_t bits) const {
-  if (is_zero() || bits == 0) {
-    BigUInt out = *this;
-    return out;
-  }
-  const std::size_t limb_shift = bits / 32;
-  const std::size_t bit_shift = bits % 32;
+  if (is_zero() || bits == 0) return *this;
+  const std::size_t limb_shift = bits / 64;
+  const std::size_t bit_shift = bits % 64;
   BigUInt out;
   out.limbs_.assign(limbs_.size() + limb_shift + 1, 0);
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    const std::uint64_t v = static_cast<std::uint64_t>(limbs_[i]) << bit_shift;
-    out.limbs_[i + limb_shift] |= static_cast<std::uint32_t>(v);
-    out.limbs_[i + limb_shift + 1] |= static_cast<std::uint32_t>(v >> 32);
+    const Wide v = Wide{limbs_[i]} << bit_shift;
+    out.limbs_[i + limb_shift] |= static_cast<Limb>(v);
+    out.limbs_[i + limb_shift + 1] |= static_cast<Limb>(v >> 64);
   }
   out.normalize();
   return out;
 }
 
 BigUInt BigUInt::operator>>(std::size_t bits) const {
-  const std::size_t limb_shift = bits / 32;
+  const std::size_t limb_shift = bits / 64;
   if (limb_shift >= limbs_.size()) return BigUInt{};
-  const std::size_t bit_shift = bits % 32;
+  const std::size_t bit_shift = bits % 64;
   BigUInt out;
   out.limbs_.assign(limbs_.size() - limb_shift, 0);
   for (std::size_t i = 0; i < out.limbs_.size(); ++i) {
-    std::uint64_t v = static_cast<std::uint64_t>(limbs_[i + limb_shift]) >>
-                      bit_shift;
-    if (bit_shift != 0 && i + limb_shift + 1 < limbs_.size()) {
-      v |= static_cast<std::uint64_t>(limbs_[i + limb_shift + 1])
-           << (32 - bit_shift);
+    Wide v = limbs_[i + limb_shift];
+    if (i + limb_shift + 1 < limbs_.size()) {
+      v |= Wide{limbs_[i + limb_shift + 1]} << 64;
     }
-    out.limbs_[i] = static_cast<std::uint32_t>(v);
+    out.limbs_[i] = static_cast<Limb>(v >> bit_shift);
   }
   out.normalize();
   return out;
@@ -195,17 +192,17 @@ std::pair<BigUInt, BigUInt> BigUInt::divmod(const BigUInt& num,
 
   // Single-limb divisor: simple schoolbook short division.
   if (den.limbs_.size() == 1) {
-    const std::uint64_t d = den.limbs_[0];
+    const Limb d = den.limbs_[0];
     BigUInt q;
     q.limbs_.assign(num.limbs_.size(), 0);
-    std::uint64_t rem = 0;
+    Wide rem = 0;
     for (std::size_t i = num.limbs_.size(); i-- > 0;) {
-      const std::uint64_t cur = (rem << 32) | num.limbs_[i];
-      q.limbs_[i] = static_cast<std::uint32_t>(cur / d);
+      const Wide cur = (rem << 64) | num.limbs_[i];
+      q.limbs_[i] = static_cast<Limb>(cur / d);
       rem = cur % d;
     }
     q.normalize();
-    return {q, BigUInt{rem}};
+    return {q, BigUInt{static_cast<Limb>(rem)}};
   }
 
   // Knuth, TAOCP Vol. 2, Algorithm D.
@@ -213,76 +210,60 @@ std::pair<BigUInt, BigUInt> BigUInt::divmod(const BigUInt& num,
   const std::size_t m = num.limbs_.size() - n;
 
   // D1: normalize so the divisor's top limb has its high bit set.
-  int shift = 0;
-  for (std::uint32_t top = den.limbs_.back(); !(top & 0x80000000u);
-       top <<= 1) {
-    ++shift;
-  }
-  const BigUInt u_norm = num << static_cast<std::size_t>(shift);
-  const BigUInt v_norm = den << static_cast<std::size_t>(shift);
-  std::vector<std::uint32_t> u = u_norm.limbs_;
+  const std::size_t shift =
+      static_cast<std::size_t>(std::countl_zero(den.limbs_.back()));
+  std::vector<Limb> u = (num << shift).limbs_;
   u.resize(num.limbs_.size() + 1, 0);  // extra high limb for D4 borrow space
-  const std::vector<std::uint32_t>& v = v_norm.limbs_;
+  const BigUInt v_norm = den << shift;
+  const std::vector<Limb>& v = v_norm.limbs_;
   assert(v.size() == n);
 
   BigUInt q;
   q.limbs_.assign(m + 1, 0);
 
   for (std::size_t j = m + 1; j-- > 0;) {
-    // D3: estimate q_hat.
-    const std::uint64_t numerator =
-        (static_cast<std::uint64_t>(u[j + n]) << 32) | u[j + n - 1];
-    std::uint64_t q_hat = numerator / v[n - 1];
-    std::uint64_t r_hat = numerator % v[n - 1];
-    while (q_hat >= kBase ||
-           q_hat * v[n - 2] > ((r_hat << 32) | u[j + n - 2])) {
+    // D3: estimate q_hat.  The q_hat >= 2^64 test comes first, so
+    // q_hat * v[n - 2] is only formed once it fits in 128 bits.
+    const Wide numerator = (Wide{u[j + n]} << 64) | u[j + n - 1];
+    Wide q_hat = numerator / v[n - 1];
+    Wide r_hat = numerator % v[n - 1];
+    while ((q_hat >> 64) != 0 ||
+           q_hat * v[n - 2] > ((r_hat << 64) | u[j + n - 2])) {
       --q_hat;
       r_hat += v[n - 1];
-      if (r_hat >= kBase) break;
+      if ((r_hat >> 64) != 0) break;
     }
 
     // D4: multiply and subtract u[j..j+n] -= q_hat * v.
-    std::int64_t borrow = 0;
-    std::uint64_t carry = 0;
+    Limb qj = static_cast<Limb>(q_hat);
+    Limb carry = 0;
+    Limb borrow = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t product = q_hat * v[i] + carry;
-      carry = product >> 32;
-      std::int64_t diff = static_cast<std::int64_t>(u[i + j]) -
-                          static_cast<std::int64_t>(product & 0xFFFFFFFFu) -
-                          borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(kBase);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      u[i + j] = static_cast<std::uint32_t>(diff);
+      const Limb product = mul_add(qj, v[i], 0, carry);
+      u[i + j] = sub_borrow(u[i + j], product, borrow);
     }
-    std::int64_t top_diff = static_cast<std::int64_t>(u[j + n]) -
-                            static_cast<std::int64_t>(carry) - borrow;
-    if (top_diff < 0) {
-      // D6: q_hat was one too large; add the divisor back.
-      top_diff += static_cast<std::int64_t>(kBase);
-      --q_hat;
-      std::uint64_t add_carry = 0;
+    const Wide top = Wide{u[j + n]} - carry - borrow;
+    u[j + n] = static_cast<Limb>(top);
+    if ((top >> 127) != 0) {
+      // D6: q_hat was one too large; add the divisor back.  The carry out
+      // of the top limb cancels the borrow that made it negative.
+      --qj;
+      Limb add_carry = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t sum =
-            static_cast<std::uint64_t>(u[i + j]) + v[i] + add_carry;
-        u[i + j] = static_cast<std::uint32_t>(sum);
-        add_carry = sum >> 32;
+        const Wide sum = Wide{u[i + j]} + v[i] + add_carry;
+        u[i + j] = static_cast<Limb>(sum);
+        add_carry = static_cast<Limb>(sum >> 64);
       }
-      top_diff += static_cast<std::int64_t>(add_carry);
-      top_diff &= 0xFFFFFFFFll;
+      u[j + n] += add_carry;
     }
-    u[j + n] = static_cast<std::uint32_t>(top_diff);
-    q.limbs_[j] = static_cast<std::uint32_t>(q_hat);
+    q.limbs_[j] = qj;
   }
 
   q.normalize();
   BigUInt r;
   r.limbs_.assign(u.begin(), u.begin() + static_cast<std::ptrdiff_t>(n));
   r.normalize();
-  r = r >> static_cast<std::size_t>(shift);
+  r = r >> shift;
   return {q, r};
 }
 
@@ -337,20 +318,23 @@ std::optional<BigUInt> BigUInt::mod_inverse(const BigUInt& a,
   return t0 % m;
 }
 
+BigUInt BigUInt::random_words(util::Rng& rng, std::size_t bits) {
+  BigUInt out;
+  const std::size_t words = (bits + 31) / 32;
+  out.limbs_.assign((words + 1) / 2, 0);
+  for (std::size_t w = 0; w < words; ++w) {
+    out.limbs_[w / 2] |= (rng() & 0xFFFFFFFFu) << (32 * (w % 2));
+  }
+  if (bits % 64 != 0) out.limbs_.back() &= (Limb{1} << (bits % 64)) - 1;
+  out.normalize();
+  return out;
+}
+
 BigUInt BigUInt::random_bits(util::Rng& rng, std::size_t bits) {
   if (bits == 0) return BigUInt{};
-  BigUInt out;
-  const std::size_t limbs = (bits + 31) / 32;
-  out.limbs_.resize(limbs);
-  for (auto& limb : out.limbs_) {
-    limb = static_cast<std::uint32_t>(rng());
-  }
-  const std::size_t top_bits = bits - 32 * (limbs - 1);
-  if (top_bits < 32) {
-    out.limbs_.back() &= (1u << top_bits) - 1;
-  }
-  out.limbs_.back() |= 1u << (top_bits - 1);  // force exact bit length
-  out.normalize();
+  BigUInt out = random_words(rng, bits);
+  out.limbs_.resize((bits + 63) / 64, 0);
+  out.limbs_.back() |= Limb{1} << ((bits - 1) % 64);  // exact bit length
   return out;
 }
 
@@ -358,18 +342,9 @@ BigUInt BigUInt::random_below(util::Rng& rng, const BigUInt& bound) {
   if (bound.is_zero()) {
     throw std::invalid_argument("random_below: zero bound");
   }
-  const std::size_t bits = bound.bit_length();
   // Rejection sampling from [0, 2^bits).
   for (;;) {
-    BigUInt candidate;
-    const std::size_t limbs = (bits + 31) / 32;
-    candidate.limbs_.resize(limbs);
-    for (auto& limb : candidate.limbs_) {
-      limb = static_cast<std::uint32_t>(rng());
-    }
-    const std::size_t top_bits = bits - 32 * (limbs - 1);
-    if (top_bits < 32) candidate.limbs_.back() &= (1u << top_bits) - 1;
-    candidate.normalize();
+    BigUInt candidate = random_words(rng, bound.bit_length());
     if (candidate < bound) return candidate;
   }
 }
@@ -382,138 +357,114 @@ Montgomery::Montgomery(BigUInt modulus) : modulus_(std::move(modulus)) {
   if (!modulus_.is_odd() || modulus_ <= BigUInt{1}) {
     throw std::invalid_argument("Montgomery: modulus must be odd and > 1");
   }
-  // Build the little-endian limb vector of the modulus.
-  {
-    const util::Bytes be = modulus_.to_bytes_be();
-    const std::size_t limbs = (be.size() + 3) / 4;
-    n_.assign(limbs, 0);
-    for (std::size_t i = 0; i < be.size(); ++i) {
-      const std::size_t byte_index = be.size() - 1 - i;  // little-endian i
-      n_[i / 4] |= static_cast<std::uint32_t>(be[byte_index]) << (8 * (i % 4));
-    }
-  }
+  // n0_inv = -n^{-1} mod 2^64 by Newton iteration on the low limb: an odd
+  // n0 is its own inverse mod 8, and each step doubles the correct bits.
+  const Limb n0 = modulus_.limbs_[0];
+  Limb inv = n0;
+  for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;  // 3 -> 96 bits
+  n0_inv_ = 0 - inv;
 
-  // n0_inv = -n^{-1} mod 2^32 via Newton iteration on the low limb.
-  const std::uint32_t n0 = n_[0];
-  std::uint32_t inv = 1;
-  for (int i = 0; i < 5; ++i) {
-    inv *= 2 - n0 * inv;  // doubles correct bits each step (mod 2^32)
-  }
-  n0_inv_ = static_cast<std::uint32_t>(0u - inv);
-
-  // R^2 mod n, with R = 2^(32 * len).
-  const std::size_t r_bits = 32 * n_.size();
-  r2_ = (BigUInt{1} << (2 * r_bits)) % modulus_;
+  r2_ = ((BigUInt{1} << (2 * 64 * len())) % modulus_).limbs_;
+  r2_.resize(len(), 0);
 }
 
-std::vector<std::uint32_t> Montgomery::mont_mul(
-    const std::vector<std::uint32_t>& a,
-    const std::vector<std::uint32_t>& b) const {
+void Montgomery::mont_mul(Limb* out, const Limb* a, const Limb* b,
+                          Limb* scratch) const {
   // CIOS (coarsely integrated operand scanning) Montgomery multiplication.
-  const std::size_t len = n_.size();
-  std::vector<std::uint32_t> t(len + 2, 0);
+  const std::size_t len = this->len();
+  const Limb* n = modulus_.limbs_.data();
+  Limb* t = scratch;
+  std::fill_n(t, len + 2, Limb{0});
   for (std::size_t i = 0; i < len; ++i) {
     // t += a[i] * b
-    std::uint64_t carry = 0;
-    const std::uint64_t ai = a[i];
-    for (std::size_t j = 0; j < len; ++j) {
-      const std::uint64_t sum = ai * b[j] + t[j] + carry;
-      t[j] = static_cast<std::uint32_t>(sum);
-      carry = sum >> 32;
-    }
-    std::uint64_t sum = static_cast<std::uint64_t>(t[len]) + carry;
-    t[len] = static_cast<std::uint32_t>(sum);
-    t[len + 1] = static_cast<std::uint32_t>(sum >> 32);
+    const Limb ai = a[i];
+    Limb carry = 0;
+    for (std::size_t j = 0; j < len; ++j) t[j] = mul_add(ai, b[j], t[j], carry);
+    Wide sum = Wide{t[len]} + carry;
+    t[len] = static_cast<Limb>(sum);
+    t[len + 1] = static_cast<Limb>(sum >> 64);
 
-    // m = t[0] * n0_inv mod 2^32;  t += m * n;  t >>= 32.
-    const std::uint64_t m =
-        static_cast<std::uint32_t>(t[0] * n0_inv_);
+    // m = t[0] * n0_inv mod 2^64;  t += m * n;  t >>= 64.
+    const Limb m = t[0] * n0_inv_;
     carry = 0;
-    {
-      const std::uint64_t s0 = m * n_[0] + t[0];
-      carry = s0 >> 32;  // low 32 bits are zero by construction
-    }
+    mul_add(m, n[0], t[0], carry);  // low limb is zero by construction
     for (std::size_t j = 1; j < len; ++j) {
-      const std::uint64_t s = m * n_[j] + t[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(s);
-      carry = s >> 32;
+      t[j - 1] = mul_add(m, n[j], t[j], carry);
     }
-    sum = static_cast<std::uint64_t>(t[len]) + carry;
-    t[len - 1] = static_cast<std::uint32_t>(sum);
-    t[len] = t[len + 1] + static_cast<std::uint32_t>(sum >> 32);
-    t[len + 1] = 0;
+    sum = Wide{t[len]} + carry;
+    t[len - 1] = static_cast<Limb>(sum);
+    t[len] = t[len + 1] + static_cast<Limb>(sum >> 64);
   }
   // Conditional final subtraction: t in [0, 2n).
-  t.resize(len + 1);
   bool ge = t[len] != 0;
   if (!ge) {
     ge = true;
     for (std::size_t i = len; i-- > 0;) {
-      if (t[i] != n_[i]) {
-        ge = t[i] > n_[i];
+      if (t[i] != n[i]) {
+        ge = t[i] > n[i];
         break;
       }
     }
   }
   if (ge) {
-    std::int64_t borrow = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      std::int64_t diff = static_cast<std::int64_t>(t[i]) -
-                          static_cast<std::int64_t>(n_[i]) - borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(kBase);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      t[i] = static_cast<std::uint32_t>(diff);
-    }
+    Limb borrow = 0;
+    for (std::size_t i = 0; i < len; ++i) t[i] = sub_borrow(t[i], n[i], borrow);
   }
-  t.resize(len);
-  return t;
-}
-
-std::vector<std::uint32_t> Montgomery::to_mont(const BigUInt& x) const {
-  const BigUInt reduced = x % modulus_;
-  const util::Bytes be = reduced.to_bytes_be();
-  std::vector<std::uint32_t> limbs(n_.size(), 0);
-  for (std::size_t i = 0; i < be.size(); ++i) {
-    const std::size_t byte_index = be.size() - 1 - i;
-    limbs[i / 4] |= static_cast<std::uint32_t>(be[byte_index]) << (8 * (i % 4));
-  }
-  const util::Bytes r2_be = r2_.to_bytes_be();
-  std::vector<std::uint32_t> r2_limbs(n_.size(), 0);
-  for (std::size_t i = 0; i < r2_be.size(); ++i) {
-    const std::size_t byte_index = r2_be.size() - 1 - i;
-    r2_limbs[i / 4] |= static_cast<std::uint32_t>(r2_be[byte_index])
-                       << (8 * (i % 4));
-  }
-  return mont_mul(limbs, r2_limbs);
+  std::copy_n(t, len, out);
 }
 
 BigUInt Montgomery::exp(const BigUInt& base, const BigUInt& exponent) const {
-  const std::size_t len = n_.size();
-  // one_mont = R mod n (Montgomery form of 1).
-  std::vector<std::uint32_t> one(len, 0);
-  one[0] = 1;
-  std::vector<std::uint32_t> result = to_mont(BigUInt{1});
-  const std::vector<std::uint32_t> base_mont = to_mont(base);
+  const std::size_t bits = exponent.bit_length();
+  if (bits == 0) return BigUInt{1};
+  const std::size_t len = this->len();
+  // A window table pays for itself only on long exponents; e = 65537 runs
+  // bit by bit.
+  const std::size_t window = bits > 64 ? 4 : 1;
+  const std::size_t powers = (std::size_t{1} << window) - 1;
 
-  for (std::size_t i = exponent.bit_length(); i-- > 0;) {
-    result = mont_mul(result, result);
-    if (exponent.bit(i)) result = mont_mul(result, base_mont);
-  }
-  // Convert out of Montgomery form: REDC(result * 1).
-  result = mont_mul(result, one);
+  // The one allocation: accumulator, scratch, then base^1 .. base^powers in
+  // Montgomery form.  The accumulator comes first, so these limbs become
+  // the result's.
+  std::vector<Limb> work((2 + powers) * len + 2, 0);
+  Limb* const acc = work.data();
+  Limb* const scratch = acc + len;
+  Limb* const table = scratch + len + 2;
+  const auto power = [&](std::size_t k) { return table + (k - 1) * len; };
 
-  util::Bytes be(4 * len);
-  for (std::size_t i = 0; i < len; ++i) {
-    for (std::size_t b = 0; b < 4; ++b) {
-      be[4 * len - 1 - (4 * i + b)] =
-          static_cast<std::uint8_t>(result[i] >> (8 * b));
-    }
+  if (base < modulus_) {
+    std::copy(base.limbs_.begin(), base.limbs_.end(), acc);
+  } else {
+    const BigUInt reduced = base % modulus_;
+    std::copy(reduced.limbs_.begin(), reduced.limbs_.end(), acc);
   }
-  return BigUInt::from_bytes_be(be);
+  mont_mul(power(1), acc, r2_.data(), scratch);
+  for (std::size_t k = 2; k <= powers; ++k) {
+    mont_mul(power(k), power(k - 1), power(1), scratch);
+  }
+
+  const auto digit = [&](std::size_t pos) {
+    std::size_t d = 0;
+    for (std::size_t b = window; b-- > 0;) d = (d << 1) | exponent.bit(pos + b);
+    return d;
+  };
+  std::size_t pos = (bits - 1) / window * window;
+  std::copy_n(power(digit(pos)), len, acc);  // the top digit is nonzero
+  while (pos > 0) {
+    pos -= window;
+    for (std::size_t s = 0; s < window; ++s) mont_mul(acc, acc, acc, scratch);
+    if (const std::size_t d = digit(pos)) mont_mul(acc, acc, power(d), scratch);
+  }
+
+  // Leave Montgomery form: acc * 1 * R^-1.  The table is spent, so its
+  // first slot holds the 1.
+  std::fill_n(table, len, Limb{0});
+  table[0] = 1;
+  mont_mul(acc, acc, table, scratch);
+  work.resize(len);
+  BigUInt out;
+  out.limbs_ = std::move(work);
+  out.normalize();
+  return out;
 }
 
 }  // namespace tactic::crypto

@@ -2,11 +2,11 @@
 // Arbitrary-precision unsigned integers, from scratch.
 //
 // This is the arithmetic substrate for the RSA signatures that protect
-// TACTIC tags.  Limbs are 32-bit, little-endian, always normalized (no
-// leading zero limbs; zero is the empty limb vector).  Division is Knuth's
-// Algorithm D; modular exponentiation uses Montgomery multiplication for
-// odd moduli (every RSA modulus) and falls back to divide-and-reduce
-// otherwise.
+// TACTIC tags.  Limbs are 64-bit, little-endian, always normalized (no
+// leading zero limbs; zero is the empty limb vector); products and
+// carries go through unsigned __int128.  Division is Knuth's Algorithm D;
+// modular exponentiation uses Montgomery multiplication for odd moduli
+// (every RSA modulus) and falls back to divide-and-reduce otherwise.
 
 #include <cstdint>
 #include <optional>
@@ -42,6 +42,9 @@ class BigUInt {
   bool bit(std::size_t i) const;
   /// Value as uint64; throws std::overflow_error if it does not fit.
   std::uint64_t to_u64() const;
+  /// Remainder modulo a single-limb divisor, without allocating; throws
+  /// std::domain_error if `d` is zero.
+  std::uint64_t mod_u64(std::uint64_t d) const;
 
   /// Three-way comparison: -1, 0, +1.
   int compare(const BigUInt& other) const;
@@ -101,13 +104,19 @@ class BigUInt {
   static BigUInt random_below(util::Rng& rng, const BigUInt& bound);
 
  private:
-  void normalize();
+  friend class Montgomery;
+  using Limb = std::uint64_t;
 
-  std::vector<std::uint32_t> limbs_;
+  void normalize();
+  /// `bits` random bits from one rng() per 32 bits, least-significant
+  /// word first, keeping each draw's low 32 bits.
+  static BigUInt random_words(util::Rng& rng, std::size_t bits);
+
+  std::vector<Limb> limbs_;
 };
 
 /// Montgomery-form modular arithmetic for a fixed odd modulus.  Exposed so
-/// RSA-CRT can reuse one context per prime.
+/// each RSA key and each Miller-Rabin candidate builds its context once.
 class Montgomery {
  public:
   /// Modulus must be odd and > 1; throws std::invalid_argument otherwise.
@@ -115,20 +124,23 @@ class Montgomery {
 
   const BigUInt& modulus() const { return modulus_; }
 
-  /// base^exp mod modulus using left-to-right binary exponentiation over
-  /// Montgomery products.
+  /// base^exp mod modulus, left to right over Montgomery products: bit by
+  /// bit for exponents of up to 64 bits, with a fixed 4-bit window above.
+  /// Allocates once, for the window table, accumulator and scratch.
   BigUInt exp(const BigUInt& base, const BigUInt& exp) const;
 
  private:
-  std::vector<std::uint32_t> mont_mul(const std::vector<std::uint32_t>& a,
-                                      const std::vector<std::uint32_t>& b)
-      const;
-  std::vector<std::uint32_t> to_mont(const BigUInt& x) const;
+  using Limb = BigUInt::Limb;
+
+  /// out = a * b * R^-1 mod n (CIOS).  a and b are reduced, each len()
+  /// limbs; out may alias either; scratch holds len() + 2 limbs.
+  void mont_mul(Limb* out, const Limb* a, const Limb* b,
+                Limb* scratch) const;
+  std::size_t len() const { return modulus_.limbs_.size(); }
 
   BigUInt modulus_;
-  std::vector<std::uint32_t> n_;   // modulus limbs, padded length
-  std::uint32_t n0_inv_;           // -n^{-1} mod 2^32
-  BigUInt r2_;                     // R^2 mod n, R = 2^(32*len)
+  Limb n0_inv_ = 0;        // -n^{-1} mod 2^64
+  std::vector<Limb> r2_;   // R^2 mod n, padded to len() limbs; R = 2^(64 len)
 };
 
 }  // namespace tactic::crypto

@@ -1,5 +1,6 @@
 #include "crypto/prime.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -23,35 +24,21 @@ const std::vector<std::uint32_t>& small_primes() {
   return primes;
 }
 
-/// Remainder of `n` modulo a small value, without a full divmod.
-std::uint32_t mod_small(const BigUInt& n, std::uint32_t d) {
-  return static_cast<std::uint32_t>((n % BigUInt{d}).to_u64());
-}
-
-bool miller_rabin_witness(const BigUInt& n, const BigUInt& a,
-                          const BigUInt& d, std::size_t r) {
-  const BigUInt n_minus_1 = n - BigUInt{1};
-  BigUInt x = BigUInt::modexp(a, d, n);
-  if (x == BigUInt{1} || x == n_minus_1) return false;  // not a witness
-  for (std::size_t i = 1; i < r; ++i) {
-    x = (x * x) % n;
-    if (x == n_minus_1) return false;
-  }
-  return true;  // composite witnessed
-}
-
-}  // namespace
-
-bool is_probable_prime(const BigUInt& n, util::Rng& rng, std::size_t rounds) {
-  if (n < BigUInt{2}) return false;
+/// Trial division of n >= 2 by the small primes: the verdict when it
+/// settles primality (n is one of them, or has one as a factor), nullopt
+/// when n has no factor below the sieve limit and is above it.
+std::optional<bool> trial_division(const BigUInt& n) {
   for (std::uint32_t p : small_primes()) {
-    if (n == BigUInt{p}) return true;
-    if (mod_small(n, p) == 0) return false;
+    if (n.mod_u64(p) == 0) return n == BigUInt{p};
   }
-  // All small factors excluded; n > kLimit^... n could still be a small
-  // composite only if its least factor exceeds the sieve limit, i.e.
-  // n > 8192^2, which Miller-Rabin handles below.
+  return std::nullopt;
+}
 
+/// Miller–Rabin on an odd n above the sieve limit, over one Montgomery
+/// context.  Below 2^32 the bases 2, 7 and 61 decide exactly (for every
+/// n < 4,759,123,141) and nothing is drawn; above it, `rounds` bases are
+/// drawn uniformly from [2, n-2].
+bool miller_rabin(const BigUInt& n, util::Rng& rng, std::size_t rounds) {
   // Write n - 1 = d * 2^r with d odd.
   const BigUInt n_minus_1 = n - BigUInt{1};
   BigUInt d = n_minus_1;
@@ -60,14 +47,37 @@ bool is_probable_prime(const BigUInt& n, util::Rng& rng, std::size_t rounds) {
     d = d >> 1;
     ++r;
   }
+  const Montgomery mont(n);
+  const auto is_witness = [&](const BigUInt& a) {
+    BigUInt x = mont.exp(a, d);
+    if (x == BigUInt{1} || x == n_minus_1) return false;
+    for (std::size_t i = 1; i < r; ++i) {
+      x = (x * x) % n;
+      if (x == n_minus_1) return false;
+    }
+    return true;  // composite witnessed
+  };
 
+  if (n.bit_length() <= 32) {
+    for (const std::uint64_t a : {2u, 7u, 61u}) {
+      if (is_witness(BigUInt{a})) return false;
+    }
+    return true;
+  }
   for (std::size_t i = 0; i < rounds; ++i) {
-    // a uniform in [2, n-2]
     const BigUInt a =
         BigUInt{2} + BigUInt::random_below(rng, n - BigUInt{3});
-    if (miller_rabin_witness(n, a, d, r)) return false;
+    if (is_witness(a)) return false;
   }
   return true;
+}
+
+}  // namespace
+
+bool is_probable_prime(const BigUInt& n, util::Rng& rng, std::size_t rounds) {
+  if (n < BigUInt{2}) return false;
+  if (const auto verdict = trial_division(n)) return *verdict;
+  return miller_rabin(n, rng, rounds);
 }
 
 BigUInt random_prime(util::Rng& rng, std::size_t bits,
@@ -83,16 +93,10 @@ BigUInt random_prime(util::Rng& rng, std::size_t bits,
     if (!candidate.bit(bits - 2)) candidate += BigUInt{1} << (bits - 2);
     if (!candidate.is_odd()) candidate += BigUInt{1};
 
-    // Cheap trial division first.
-    bool has_small_factor = false;
-    for (std::uint32_t p : small_primes()) {
-      if (mod_small(candidate, p) == 0 && candidate != BigUInt{p}) {
-        has_small_factor = true;
-        break;
-      }
-    }
-    if (has_small_factor) continue;
-    if (is_probable_prime(candidate, rng, mr_rounds)) return candidate;
+    // The candidate exceeds the sieve limit, so trial division can only
+    // reject it.
+    if (trial_division(candidate)) continue;
+    if (miller_rabin(candidate, rng, mr_rounds)) return candidate;
   }
 }
 

@@ -9,9 +9,10 @@
 
 namespace tactic::crypto {
 
-/// Miller–Rabin probabilistic primality test with `rounds` random bases.
-/// Deterministically correct for n < 2^32 regardless of `rounds` (small
-/// inputs are checked by trial division).
+/// Miller–Rabin probabilistic primality test with `rounds` random bases,
+/// after trial division by the primes below 8192.  Deterministically
+/// correct for n < 2^32 regardless of `rounds`: there the fixed bases 2, 7
+/// and 61 decide, and nothing is drawn from `rng`.
 bool is_probable_prime(const BigUInt& n, util::Rng& rng,
                        std::size_t rounds = 24);
 

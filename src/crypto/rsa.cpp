@@ -40,6 +40,7 @@ util::Bytes emsa_pkcs1_encode(util::BytesView message, std::size_t em_len) {
 RsaPublicKey::RsaPublicKey(BigUInt n, BigUInt e)
     : n_(std::move(n)), e_(std::move(e)) {
   modulus_size_ = (n_.bit_length() + 7) / 8;
+  mont_n_ = std::make_shared<const Montgomery>(n_);
 }
 
 bool RsaPublicKey::verify_pkcs1_sha256(util::BytesView message,
@@ -47,7 +48,7 @@ bool RsaPublicKey::verify_pkcs1_sha256(util::BytesView message,
   if (!valid() || signature.size() != modulus_size_) return false;
   const BigUInt s = BigUInt::from_bytes_be(signature);
   if (s >= n_) return false;
-  const BigUInt m = BigUInt::modexp(s, e_, n_);
+  const BigUInt m = mont_n_->exp(s, e_);
   const util::Bytes em = m.to_bytes_be(modulus_size_);
   const util::Bytes expected = emsa_pkcs1_encode(message, modulus_size_);
   return util::constant_time_equal(em, expected);
@@ -71,7 +72,7 @@ util::Bytes RsaPublicKey::encrypt_pkcs1(util::Rng& rng,
   em.push_back(0x00);
   em.insert(em.end(), message.begin(), message.end());
   const BigUInt m = BigUInt::from_bytes_be(em);
-  const BigUInt c = BigUInt::modexp(m, e_, n_);
+  const BigUInt c = mont_n_->exp(m, e_);
   return c.to_bytes_be(modulus_size_);
 }
 
@@ -97,15 +98,15 @@ RsaPrivateKey::RsaPrivateKey(BigUInt n, BigUInt e, BigUInt d, BigUInt p,
   const auto qinv = BigUInt::mod_inverse(q_, p_);
   if (!qinv) throw std::invalid_argument("RSA: p, q not coprime");
   qinv_ = *qinv;
-  mont_p_ = std::make_shared<Montgomery>(p_);
-  mont_q_ = std::make_shared<Montgomery>(q_);
+  mont_p_ = std::make_shared<const Montgomery>(p_);
+  mont_q_ = std::make_shared<const Montgomery>(q_);
 }
 
 BigUInt RsaPrivateKey::rsa_private_op(const BigUInt& input) const {
   // CRT: m1 = c^dp mod p, m2 = c^dq mod q,
   //      h = qinv * (m1 - m2) mod p, m = m2 + h*q.
-  const BigUInt m1 = mont_p_->exp(input % p_, dp_);
-  const BigUInt m2 = mont_q_->exp(input % q_, dq_);
+  const BigUInt m1 = mont_p_->exp(input, dp_);
+  const BigUInt m2 = mont_q_->exp(input, dq_);
   BigUInt diff = m1;
   if (diff < m2 % p_) diff += p_;
   diff -= m2 % p_;

@@ -22,6 +22,8 @@ namespace tactic::crypto {
 class RsaPublicKey {
  public:
   RsaPublicKey() = default;
+  /// Builds the key's Montgomery context for n, so n must be odd and > 1
+  /// (every RSA modulus); throws std::invalid_argument otherwise.
   RsaPublicKey(BigUInt n, BigUInt e);
 
   const BigUInt& n() const { return n_; }
@@ -48,6 +50,7 @@ class RsaPublicKey {
   BigUInt n_;
   BigUInt e_;
   std::size_t modulus_size_ = 0;
+  std::shared_ptr<const Montgomery> mont_n_;  // shared: keys are copied around
 };
 
 /// RSA private key with CRT acceleration.
@@ -72,7 +75,7 @@ class RsaPrivateKey {
   BigUInt d_;
   BigUInt p_, q_;
   BigUInt dp_, dq_, qinv_;
-  std::shared_ptr<Montgomery> mont_p_, mont_q_;  // shared: key objects are copied around
+  std::shared_ptr<const Montgomery> mont_p_, mont_q_;  // shared, as mont_n_
 };
 
 /// Key pair generation.  `bits` is the modulus size (>= 512); e = 65537.

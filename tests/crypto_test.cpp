@@ -2,7 +2,8 @@
 //
 // SHA-256 / HMAC / AES are pinned to published vectors (FIPS 180-4,
 // RFC 4231, FIPS 197, SP 800-38A); bignum and RSA are checked by algebraic
-// properties and round-trips.
+// properties and round-trips, and RSA keygen and signing are also pinned
+// to known answers captured from the 32-bit-limb implementation.
 
 #include <gtest/gtest.h>
 
@@ -249,7 +250,16 @@ TEST(BigUInt, DivmodProperty) {
     const auto [q, r] = BigUInt::divmod(a, b);
     EXPECT_EQ(q * b + r, a);
     EXPECT_LT(r, b);
+    // The allocation-free single-limb remainder agrees with divmod.
+    for (const std::uint64_t d :
+         {std::uint64_t{1}, std::uint64_t{3}, std::uint64_t{8191},
+          std::uint64_t{0xFFFFFFFFu}, ~std::uint64_t{0}, rng() | 1, rng()}) {
+      if (d == 0) continue;
+      EXPECT_EQ(a.mod_u64(d), (a % BigUInt{d}).to_u64()) << d;
+    }
   }
+  EXPECT_EQ(BigUInt{}.mod_u64(7), 0u);
+  EXPECT_THROW(BigUInt{5}.mod_u64(0), std::domain_error);
 }
 
 TEST(BigUInt, DivmodEdgeCases) {
@@ -263,13 +273,22 @@ TEST(BigUInt, DivmodEdgeCases) {
 }
 
 TEST(BigUInt, KnuthD6AddBackCase) {
-  // A divisor/dividend pair engineered to hit the rare "add back" branch:
-  // top limbs equal, forcing q_hat overestimation.
-  const BigUInt num = BigUInt::from_hex("80000000000000000000000000000000");
-  const BigUInt den = BigUInt::from_hex("800000000000000000000001");
-  const auto [q, r] = BigUInt::divmod(num, den);
-  EXPECT_EQ(q * den + r, num);
-  EXPECT_LT(r, den);
+  // Divisor/dividend pairs engineered to hit the rare "add back" branch
+  // (step D6): top limbs equal, forcing q_hat overestimation.  The first,
+  // 2^127 / (2^95 + 1), reaches D6 with 32-bit limbs; the second,
+  // 2^255 / (2^191 + 1), reaches it with 64-bit limbs.  Both quotients
+  // are one limb of ones: (2^k - 1) * (2^(b-k) + 1) < 2^b.
+  struct Case {
+    std::size_t num_bits, den_bits, quotient_bits;
+  };
+  for (const Case c : {Case{127, 95, 32}, Case{255, 191, 64}}) {
+    const BigUInt num = BigUInt{1} << c.num_bits;
+    const BigUInt den = (BigUInt{1} << c.den_bits) + BigUInt{1};
+    const auto [q, r] = BigUInt::divmod(num, den);
+    EXPECT_EQ(q, (BigUInt{1} << c.quotient_bits) - BigUInt{1}) << c.num_bits;
+    EXPECT_EQ(q * den + r, num) << c.num_bits;
+    EXPECT_LT(r, den) << c.num_bits;
+  }
 }
 
 TEST(BigUInt, ModexpSmallAgainstNaive) {
@@ -306,12 +325,8 @@ TEST(BigUInt, ModexpFermat) {
 
 TEST(BigUInt, ModexpMatchesNaiveBigOperands) {
   // Cross-check Montgomery against multiply-divide reduction.
-  util::Rng rng(77);
-  for (int i = 0; i < 20; ++i) {
-    BigUInt mod = BigUInt::random_bits(rng, 128);
-    if (!mod.is_odd()) mod += BigUInt{1};
-    const BigUInt base = BigUInt::random_bits(rng, 120);
-    const BigUInt exp = BigUInt::random_bits(rng, 24);
+  const auto naive_modexp = [](const BigUInt& base, const BigUInt& exp,
+                               const BigUInt& mod) {
     // Naive square-and-multiply with divide-based reduction.
     BigUInt naive{1};
     const BigUInt b = base % mod;
@@ -319,7 +334,37 @@ TEST(BigUInt, ModexpMatchesNaiveBigOperands) {
       naive = (naive * naive) % mod;
       if (exp.bit(bit)) naive = (naive * b) % mod;
     }
-    EXPECT_EQ(BigUInt::modexp(base, exp, mod), naive);
+    return naive;
+  };
+  util::Rng rng(77);
+  for (int i = 0; i < 20; ++i) {
+    BigUInt mod = BigUInt::random_bits(rng, 128);
+    if (!mod.is_odd()) mod += BigUInt{1};
+    const BigUInt base = BigUInt::random_bits(rng, 120);
+    const BigUInt exp = BigUInt::random_bits(rng, 24);
+    EXPECT_EQ(BigUInt::modexp(base, exp, mod), naive_modexp(base, exp, mod));
+  }
+  // Limb and window edges: moduli on both sides of 64-bit limb boundaries,
+  // exponents from empty to the modulus's own length, and the extreme
+  // bases (zero, n - 1, and one that needs reducing first).
+  for (const std::size_t mod_bits :
+       {33u, 63u, 64u, 65u, 127u, 129u, 191u, 257u, 521u}) {
+    BigUInt mod = BigUInt::random_bits(rng, mod_bits);
+    if (!mod.is_odd()) mod += BigUInt{1};
+    ASSERT_EQ(mod.bit_length(), mod_bits);
+    const BigUInt bases[] = {BigUInt{}, mod - BigUInt{1},
+                             mod + BigUInt::random_bits(rng, mod_bits + 7)};
+    for (const std::size_t exp_bits : {std::size_t{0}, std::size_t{1},
+                                       std::size_t{4}, std::size_t{5},
+                                       mod_bits}) {
+      const BigUInt exp = BigUInt::random_bits(rng, exp_bits);
+      for (const BigUInt& base : bases) {
+        EXPECT_EQ(BigUInt::modexp(base, exp, mod),
+                  naive_modexp(base, exp, mod))
+            << "mod " << mod_bits << " bits, exp " << exp_bits
+            << " bits, base " << base.to_hex();
+      }
+    }
   }
 }
 
@@ -385,6 +430,18 @@ TEST(Prime, LargeKnownPrime) {
   // 2^67 - 1 is famously composite (193707721 * 761838257287).
   const BigUInt m67 = (BigUInt{1} << 67) - BigUInt{1};
   EXPECT_FALSE(is_probable_prime(m67, rng));
+}
+
+TEST(Prime, DeterministicBelowTwoTo32) {
+  // Both factors of 8209 * 8219 are primes above the trial-division limit
+  // (8192), so only Miller-Rabin can reject it; below 2^32 it uses fixed
+  // bases, so zero random rounds still decide, and nothing is drawn.
+  util::Rng rng(5);
+  util::Rng untouched(5);
+  EXPECT_FALSE(is_probable_prime(BigUInt{8209ull * 8219ull}, rng, 0));
+  // The largest prime below 2^32.
+  EXPECT_TRUE(is_probable_prime(BigUInt{4294967291ull}, rng, 0));
+  EXPECT_EQ(rng(), untouched());
 }
 
 TEST(Prime, RandomPrimeHasRequestedShape) {
@@ -455,6 +512,48 @@ TEST(Rsa, DeterministicKeygenForSeed) {
   const RsaKeyPair ka = generate_rsa_keypair(a, 512);
   const RsaKeyPair kb = generate_rsa_keypair(b, 512);
   EXPECT_EQ(ka.public_key.n(), kb.public_key.n());
+}
+
+TEST(Rsa, KnownAnswersForSeeds) {
+  // Keys, signatures and the generator's position after keygen, pinned at
+  // two seeds and two sizes.  Any change to the arithmetic, to the number
+  // of draws, or to how draws fill limbs moves at least one of them.
+  struct Vector {
+    std::uint64_t seed;
+    std::size_t bits;
+    const char* key_sha256;  // SHA-256 of public_key.encode()
+    const char* sig_sha256;  // SHA-256 of the signature over the message
+    std::uint64_t next_draw;  // rng() right after keygen
+  };
+  const Vector vectors[] = {
+      {1, 512,
+       "bad1e30b277121b3a3c094fe149426eb2238f3eabace3193da411a39a259c987",
+       "d2accafebe8880612c0ffbc6763507551d684a94bf6f3ea99176eb1710bee5da",
+       0x2b865752098ca519ull},
+      {1, 1024,
+       "7815f090e8979f0080f06010a36a04bce91e9df09fbc9a115499e0bd91708ab4",
+       "a1ea9166900b03207b34f6a39f2375c90ff1863da03d432a358f0b8f521792b5",
+       0x88a356c80c93d473ull},
+      {42, 512,
+       "fb000ac5780df7794d8f908e3468ab8c0ae307e6bfc8817afa101fecf999ae48",
+       "fe4e69d1c9bc6b14953f22c3da17348304fde5d93cdeb2be8e15bf6959d593d7",
+       0xb3dd089b72625948ull},
+      {42, 1024,
+       "375128dc36549e901abc1847d5f79ba4d97047ec1c9fbe89b6f51a8ed8420df0",
+       "23829368f2c024a92388e01994a38d9da094525e71d03c6dbd1f3fdda07e2a59",
+       0xb38228f2a5cf5319ull},
+  };
+  const Bytes msg = to_bytes("tag fields to protect");
+  for (const Vector& v : vectors) {
+    util::Rng rng(v.seed);
+    const RsaKeyPair pair = generate_rsa_keypair(rng, v.bits);
+    EXPECT_EQ(rng(), v.next_draw) << v.seed << "/" << v.bits;
+    EXPECT_EQ(to_hex(Sha256::digest(pair.public_key.encode())), v.key_sha256)
+        << v.seed << "/" << v.bits;
+    EXPECT_EQ(to_hex(Sha256::digest(pair.private_key.sign_pkcs1_sha256(msg))),
+              v.sig_sha256)
+        << v.seed << "/" << v.bits;
+  }
 }
 
 TEST(Rsa, EncryptDecryptRoundTrip) {
