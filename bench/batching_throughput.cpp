@@ -1,5 +1,5 @@
 // Batched validation throughput (docs/ARCHITECTURE.md, "Batched
-// stages"): amortized batch-RSA under an attacker flood.
+// validation"): amortized batch-RSA under an attacker flood.
 //
 // A forged-tag flood forces a signature verification per attack
 // Interest at the edge — the router-DoS vector resilience_attacker_flood

@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# Golden gate for the paper's figures and the layer harnesses: builds
+# every deterministic harness in bench/ with -DTACTIC_WERROR=ON, reruns
+# it and diffs its stdout against tests/golden/figures/<harness>.txt.
+# The harnesses are seed-deterministic, so any difference is a behaviour
+# change: an extra RNG draw, a reordered charge, a counter that moved.
+#
+#   paper harnesses (Tables II/IV/V, Figs. 5-8, the four ablations) run
+#   at --topologies 1; the layer harnesses (batching, tag lifecycle, the
+#   four resilience sweeps) run at their defaults.
+#
+# micro_calibration, scalability and packet_path print wall-clock
+# timings and are left out.  EXPERIMENTS.md quotes its numbers from the
+# golden files.  Each harness runs inside $BUILD_DIR/figures, so the
+# BENCH_*.json files some of them write land there, and its stdout is
+# kept there as <harness>.txt.  Regenerate the golden files ONLY for an
+# intentional behaviour change, with
+#   ci/figures.sh; cp build-figures/figures/*.txt tests/golden/figures/
+# and say so in the commit message.
+#
+# Usage: ci/figures.sh [build-dir]    (default: build-figures)
+
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+BUILD_DIR="${1:-build-figures}"
+GOLDEN_DIR="$PWD/tests/golden/figures"
+
+PAPER=(table2_comparison table4_delivery_ratio table5_bf_resets
+       fig5_latency_bf_size fig6_tag_rates fig7_router_operations
+       fig8_bf_reset_threshold ablation_access_path ablation_flag_cooperation
+       ablation_precheck ablation_revocation)
+LAYERS=(batching_throughput tag_lifecycle_resilience
+        resilience_attacker_flood resilience_edge_chaos resilience_flood_ramp
+        resilience_provider_outage)
+
+cmake -B "$BUILD_DIR" -S . -DTACTIC_WERROR=ON
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${PAPER[@]}" "${LAYERS[@]}"
+
+mkdir -p "$BUILD_DIR/figures"
+cd "$BUILD_DIR/figures"
+
+FAILED=()
+check() {
+  local name="$1"
+  shift
+  echo "figures: $name${*:+ $*}"
+  "../bench/$name" "$@" > "$name.txt"
+  if ! diff -u "$GOLDEN_DIR/$name.txt" "$name.txt"; then
+    FAILED+=("$name")
+  fi
+}
+
+for NAME in "${PAPER[@]}"; do check "$NAME" --topologies 1; done
+for NAME in "${LAYERS[@]}"; do check "$NAME"; done
+
+if [ ${#FAILED[@]} -gt 0 ]; then
+  echo "figures: STDOUT MISMATCH against $GOLDEN_DIR: ${FAILED[*]}" >&2
+  exit 1
+fi
+echo "figures: OK ($((${#PAPER[@]} + ${#LAYERS[@]})) harnesses byte-identical)"

@@ -2,7 +2,7 @@
 # Builds the whole tree with ASan+UBSan and runs the tier-1 test suite
 # plus a short scenario-fuzz sweep under the sanitizers.  Any sanitizer
 # report aborts the run (-fno-sanitize-recover=all) and fails the script.
-# Every ci/ script configures the same build tree with -DTACTIC_WERROR=ON
+# Every ci/ script configures its build tree with -DTACTIC_WERROR=ON
 # (CMake caches the option), so a compiler warning fails the build too.
 #
 # Usage: ci/sanitize.sh [build-dir]    (default: build-sanitize)

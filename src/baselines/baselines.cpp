@@ -1,5 +1,6 @@
 #include "baselines/baselines.hpp"
 
+#include "tactic/registration.hpp"
 #include "tactic/tag.hpp"
 #include "util/bytes.hpp"
 
@@ -77,29 +78,37 @@ ndn::AccessControlPolicy::InterestDecision ProbBfPolicy::on_interest(
   }
 
   // Registration traffic is not content; let it through.
-  if (interest->name.size() >= 2 && interest->name.at(1) == "register") {
-    return decision;
-  }
-
-  ++engine_.counters().tagged_requests;
+  if (core::is_registration_name(interest->name)) return decision;
 
   // The requester's identity rides in its credential (we reuse the tag's
   // client key locator as the client-identity carrier).
+  core::TacticCounters& counters = engine_.counters();
   if (!interest->tag) {
-    ++engine_.counters().no_tag_rejections;
+    ++counters.no_tag_rejections;
     decision.action = InterestDecision::Action::kDropWithNack;
     decision.nack_reason = ndn::NackReason::kNoTag;
     return decision;
   }
 
-  core::ValidationContext ctx(engine_, *interest->tag,
-                              node.scheduler().now());
-  const core::Verdict verdict = pipeline_.run(ctx);
-  decision.compute = ctx.compute;
-  if (verdict.kind == core::Verdict::Kind::kReject) {
+  // BF membership of the client's public key (early filtration of [8]).
+  const event::Time now = node.scheduler().now();
+  ++counters.bf_lookups;
+  engine_.charge(now, engine_.compute_model().bf_lookup_cost(engine_.rng()),
+                 decision.compute, core::CostKind::kBf);
+  if (!engine_.bloom().contains(
+          util::to_bytes(interest->tag->client_key_locator()))) {
     decision.action = InterestDecision::Action::kDropWithNack;
-    decision.nack_reason = verdict.reason;
+    decision.nack_reason = ndn::NackReason::kInvalidSignature;
+    return decision;
   }
+
+  // Per-request client-signature verification at every router — the
+  // per-hop crypto burden that motivates TACTIC's Bloom-filter reuse.
+  // Only its cost is modelled: the authorized-set filter above already
+  // decided.
+  ++counters.sig_verifications;
+  engine_.charge(now, engine_.compute_model().sig_verify_cost(engine_.rng()),
+                 decision.compute, core::CostKind::kSignature);
   return decision;
 }
 

@@ -39,9 +39,9 @@ class ClientSideAcPolicy : public ndn::NullPolicy {};
 
 /// Provider-side per-request authentication: suppress cache reuse (and
 /// caching) of protected content so the always-online provider sees, and
-/// authenticates, every request.  A zero-stage adapter in pipeline terms:
-/// it does no per-tag validation of its own, only cache/aggregation
-/// suppression, so there is no ValidationPipeline to run.
+/// authenticates, every request.  It does no per-tag validation of its
+/// own, only cache/aggregation suppression, so it needs no
+/// ValidationEngine.
 class PerRequestAuthPolicy : public ndn::AccessControlPolicy {
  public:
   explicit PerRequestAuthPolicy(const core::TrustAnchors& anchors)
@@ -70,12 +70,11 @@ class PerRequestAuthPolicy : public ndn::AccessControlPolicy {
 /// verification charge.  The authorized set is preloaded by the scenario
 /// (the always-online publisher of [8] pushes it).
 ///
-/// Runs on the same ValidationEngine/stage machinery as TACTIC: the
-/// Interest path is ValidationPipeline::prob_bf_interest()
-/// (authorized-set BF filter, then the per-hop signature charge); the
-/// lazy authorized-set load stays in this adapter because its timing —
-/// first packet, before the registration check — is part of the
-/// observable insertion counts.
+/// Runs on the same ValidationEngine as TACTIC (its BF, counters and
+/// charge() seam): the Interest path is the authorized-set BF filter,
+/// then the per-hop signature charge.  The lazy authorized-set load's
+/// timing — first packet, before the registration check — is part of
+/// the observable insertion counts.
 class ProbBfPolicy : public ndn::AccessControlPolicy {
  public:
   struct Shared {
@@ -100,11 +99,9 @@ class ProbBfPolicy : public ndn::AccessControlPolicy {
  private:
   std::shared_ptr<const Shared> shared_;
   /// No scenario-wide trust state in this baseline: the engine only needs
-  /// the anchors reference for stages this pipeline never runs.
+  /// the anchors reference for primitives this policy never calls.
   core::TrustAnchors anchors_;
   core::ValidationEngine engine_;
-  core::ValidationPipeline pipeline_ =
-      core::ValidationPipeline::prob_bf_interest();
   bool bloom_loaded_ = false;
 };
 

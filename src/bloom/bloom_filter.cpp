@@ -101,44 +101,4 @@ void BloomFilter::wipe() {
   items_ = 0;
 }
 
-CountingBloomFilter::CountingBloomFilter(BloomParams params)
-    : params_(params) {
-  counters_.assign(validated_bit_count(params_), 0);
-}
-
-void CountingBloomFilter::insert(util::BytesView element) {
-  const auto [h1, h2] = base_hashes(element);
-  const std::size_t m = counters_.size();
-  for (std::size_t i = 0; i < params_.hashes; ++i) {
-    auto& counter = counters_[(h1 + i * h2) % m];
-    if (counter < 0x0F) ++counter;  // saturate; never wraps
-  }
-  ++items_;
-}
-
-void CountingBloomFilter::remove(util::BytesView element) {
-  const auto [h1, h2] = base_hashes(element);
-  const std::size_t m = counters_.size();
-  for (std::size_t i = 0; i < params_.hashes; ++i) {
-    auto& counter = counters_[(h1 + i * h2) % m];
-    // Saturated counters are sticky: decrementing one could create a false
-    // negative for another element that pushed it to the cap.
-    if (counter > 0 && counter < 0x0F) --counter;
-  }
-  if (items_ > 0) --items_;
-}
-
-bool CountingBloomFilter::contains(util::BytesView element) const {
-  const auto [h1, h2] = base_hashes(element);
-  const std::size_t m = counters_.size();
-  for (std::size_t i = 0; i < params_.hashes; ++i) {
-    if (counters_[(h1 + i * h2) % m] == 0) return false;
-  }
-  return true;
-}
-
-double CountingBloomFilter::current_fpp() const {
-  return theoretical_fpp(counters_.size(), params_.hashes, items_);
-}
-
 }  // namespace tactic::bloom

@@ -89,28 +89,4 @@ class BloomFilter {
   std::uint64_t resets_ = 0;
 };
 
-/// Counting Bloom filter supporting deletion (4-bit saturating counters).
-/// Not used by the paper's protocols; provided for the revocation-ablation
-/// experiments where tags are removed eagerly instead of by expiry.
-class CountingBloomFilter {
- public:
-  explicit CountingBloomFilter(BloomParams params = {});
-
-  const BloomParams& params() const { return params_; }
-  std::size_t item_count() const { return items_; }
-
-  void insert(util::BytesView element);
-  /// Removes one occurrence; removing an absent element may corrupt other
-  /// entries (inherent to counting filters), so callers only remove what
-  /// they inserted.
-  void remove(util::BytesView element);
-  bool contains(util::BytesView element) const;
-  double current_fpp() const;
-
- private:
-  BloomParams params_;
-  std::vector<std::uint8_t> counters_;
-  std::size_t items_ = 0;
-};
-
 }  // namespace tactic::bloom

@@ -22,7 +22,7 @@ namespace tactic::ndn {
 class Forwarder;
 
 /// Asynchronous verdict delivery for batched validation (see
-/// docs/ARCHITECTURE.md, "Batched stages").  A validation stage that
+/// docs/ARCHITECTURE.md, "Batched validation").  A validation that
 /// joined a batch hands one of these back through its decision; the
 /// forwarder binds the deferred send closure, and the batch flush fires
 /// it with the batch's completion delay.  The two calls may arrive in
@@ -107,7 +107,7 @@ class AccessControlPolicy {
     /// continues to PIT/FIB as a miss.
     bool respond = true;
     event::Time compute = 0;
-    /// Set when a batched validation stage deferred the verdict: the
+    /// Set when a batched validation deferred the verdict: the
     /// forwarder must bind the response send to this handle instead of
     /// sending after `compute`.  Null on the synchronous path.
     std::shared_ptr<DeferredVerdict> deferred;

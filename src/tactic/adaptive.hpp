@@ -148,7 +148,7 @@ class GradientController {
 ///   probation --(bad verdict)--> quarantined (interval *= factor)
 ///
 /// Verdicts arrive from the owning policy's observation points: edge
-/// Interest verdicts (no-tag, pipeline reject/vouch) and per-PIT-record
+/// Interest verdicts (no-tag, validation reject/vouch) and per-PIT-record
 /// data-path verdicts — including verdicts whose *delivery* was deferred
 /// by the batching layer, since the crypto outcome is known at
 /// verification time.

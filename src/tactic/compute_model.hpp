@@ -37,7 +37,7 @@ class ComputeModel {
     /// Negative-tag verdict-cache probe (overload layer): a hash-map
     /// lookup, modeled at BF-lookup scale.  Not a paper quantity.
     util::NormalDist neg_lookup{1.5e-7, 1.0e-8};
-    /// Batched validation (docs/ARCHITECTURE.md, "Batched stages").
+    /// Batched validation (docs/ARCHITECTURE.md, "Batched validation").
     /// Marginal cost of each additional signature in a batch, as a
     /// fraction of a full verification: batch-RSA pays one full-size
     /// exponentiation plus cheap per-item combination work, so

@@ -8,10 +8,6 @@ namespace tactic::core {
 // Shared scenario state
 // ---------------------------------------------------------------------------
 
-bool is_registration_name(const ndn::Name& name, const TacticConfig& config) {
-  return name.size() >= 2 && name.at(1) == config.registration_component;
-}
-
 void RevocationBlacklist::blacklist(const Tag& tag,
                                     std::size_t router_count) {
   keys.insert(util::to_hex(tag.bloom_key()));
@@ -181,54 +177,31 @@ void ValidationEngine::bloom_insert(const Tag& tag, event::Time now,
   }
 }
 
-bool ValidationEngine::verify_signature(const Tag& tag, event::Time now,
-                                        event::Time& compute) {
-  const std::size_t lane = lane_for(tag);
-  if (config_.overload.enabled) {
-    charge(now, compute_.neg_lookup_cost(rng_), compute,
-           CostKind::kNegCache, lane);
-    if (neg_cache_.contains(util::to_hex(tag.bloom_key()), now)) {
-      // Known-bad tag: same verdict, none of the signature work.
-      ++counters_.neg_cache_hits;
-      return false;
-    }
-  }
-  ++counters_.sig_verifications;
-  charge(now, compute_.sig_verify_cost(rng_), compute,
-         CostKind::kSignature, lane);
-  const bool ok = verify_tag_signature(tag, anchors_.pki);
-  if (!ok) {
-    ++counters_.sig_failures;
-    if (config_.overload.enabled) remember_invalid(tag, now);
-  }
-  return ok;
-}
-
-ValidationEngine::BatchedVerify ValidationEngine::verify_signature_batched(
+ValidationEngine::Verification ValidationEngine::verify_signature(
     const Tag& tag, event::Time now, event::Time& compute) {
-  // Mirror of verify_signature(): same verdict, counters and RNG draw
-  // order — only the signature charge moves to the batch flush.
+  const bool batching = batching_active();
   // Idleness is sampled before this item's own neg-cache probe enters
-  // the validation queue, so the drain trigger sees the server as the
-  // item found it.
+  // the validation queue, so the batch's drain trigger sees the server
+  // as the item found it.
   const bool queue_idle =
-      config_.overload.enabled && lanes_.depth(now) == 0;
-  if (config_.overload.enabled) {
-    charge(now, compute_.neg_lookup_cost(rng_), compute,
-           CostKind::kNegCache, lane_for(tag));
-    if (neg_cache_.contains(util::to_hex(tag.bloom_key()), now)) {
-      ++counters_.neg_cache_hits;
-      return BatchedVerify{false, nullptr};
-    }
+      batching && config_.overload.enabled && lanes_.depth(now) == 0;
+  if (config_.overload.enabled && neg_cache_rejects(tag, now, compute)) {
+    return {};  // known-bad tag: same verdict, none of the signature work
   }
   ++counters_.sig_verifications;
-  const event::Time item_cost = compute_.sig_verify_cost(rng_);
+  // Batching moves only the charge (to the batch flush): the cost draw,
+  // counters and verdict are the same either way.
+  const event::Time cost = compute_.sig_verify_cost(rng_);
+  if (!batching) {
+    charge(now, cost, compute, CostKind::kSignature, lane_for(tag));
+  }
   const bool ok = verify_tag_signature(tag, anchors_.pki);
   if (!ok) {
     ++counters_.sig_failures;
     if (config_.overload.enabled) remember_invalid(tag, now);
   }
-  return BatchedVerify{ok, sig_batch_join(tag, now, item_cost, queue_idle)};
+  if (!batching) return {ok, nullptr};
+  return {ok, sig_batch_join(tag, now, cost, queue_idle)};
 }
 
 std::shared_ptr<ndn::DeferredVerdict> ValidationEngine::sig_batch_join(
@@ -335,10 +308,7 @@ bool ValidationEngine::police_unvouched(ndn::FaceId face, event::Time now) {
   return it->second.try_take(now);
 }
 
-void ValidationEngine::count_request() {
-  ++counters_.tagged_requests;
-  ++counters_.requests_since_reset;
-}
+void ValidationEngine::count_request() { ++counters_.requests_since_reset; }
 
 void ValidationEngine::wipe_volatile() {
   // Crash-lost state: the validated-tag cache.  wipe() leaves Table V's
@@ -375,359 +345,281 @@ void ValidationEngine::wipe_volatile() {
 }
 
 // ---------------------------------------------------------------------------
-// Stages
+// Role validations
 // ---------------------------------------------------------------------------
 
-Verdict PrecheckStage::run(ValidationContext& ctx) {
+namespace {
+
+/// Protocol 1, edge half: provider prefix and expiry against the
+/// Interest.  Returns kOk when the tag passes or the pre-check is
+/// ablated; a failure is counted in precheck_rejections.
+PrecheckResult precheck_interest(ValidationContext& ctx) {
   const TacticConfig& config = ctx.engine.config();
-  if (!config.precheck) return Verdict::next();
+  if (!config.precheck) return PrecheckResult::kOk;
 
-  PrecheckResult pre = PrecheckResult::kOk;
-  if (check_ == Check::kInterest) {
-    // The expiry test reads this node's *local* clock — with the
-    // clock-skew fault model installed that reading can disagree with
-    // true time, and the skew-tolerance / grace windows below decide
-    // what an expired-looking tag is still worth.
-    pre = edge_precheck(ctx.tag, *ctx.interest_name, ctx.local_now);
-    if (pre == PrecheckResult::kExpired &&
-        config.fault_skip_expiry_precheck) {
-      // Fault injection (`--inject-expiry-bug`): the expiry check is
-      // skipped, the regression the runtime invariants must catch.
+  // The expiry test reads this node's *local* clock — with the
+  // clock-skew fault model installed that reading can disagree with
+  // true time, and the skew-tolerance / grace windows below decide
+  // what an expired-looking tag is still worth.
+  PrecheckResult pre =
+      edge_precheck(ctx.tag, *ctx.interest_name, ctx.local_now);
+  if (pre == PrecheckResult::kExpired && config.fault_skip_expiry_precheck) {
+    // Fault injection (`--inject-expiry-bug`): the expiry check is
+    // skipped, the regression the runtime invariants must catch.
+    pre = PrecheckResult::kOk;
+  } else if (pre == PrecheckResult::kExpired) {
+    TacticCounters& counters = ctx.engine.counters();
+    bool grace_granted = false;
+    if (config.skew.enabled &&
+        edge_precheck(ctx.tag, *ctx.interest_name, ctx.local_now,
+                      config.skew.tolerance) == PrecheckResult::kOk) {
+      // Soft window: within `tolerance` past T_e the tag is treated
+      // as live (a skewed-ahead clock cannot false-reject it).
       pre = PrecheckResult::kOk;
-    } else if (pre == PrecheckResult::kExpired) {
-      TacticCounters& counters = ctx.engine.counters();
-      bool grace_granted = false;
-      if (config.skew.enabled &&
-          edge_precheck(ctx.tag, *ctx.interest_name, ctx.local_now,
-                        config.skew.tolerance) == PrecheckResult::kOk) {
-        // Soft window: within `tolerance` past T_e the tag is treated
-        // as live (a skewed-ahead clock cannot false-reject it).
-        pre = PrecheckResult::kOk;
-        ++counters.skew_soft_accepts;
-      } else if (ctx.grace_active &&
-                 ctx.tag.expiry() + config.grace.window >= ctx.local_now) {
-        // Outage grace: the provider is silent and the tag expired
-        // recently enough — keep vouching it for the bounded window.
-        pre = PrecheckResult::kOk;
-        ++counters.grace_accepts;
-        grace_granted = true;
-      }
-      // Ground-truth accounting against the true clock (ctx.now): what
-      // the skew/tolerance combination cost or saved.  Grace grants are
-      // deliberate expired-tag accepts with their own counter.
-      const bool truly_live = ctx.tag.expiry() >= ctx.now;
-      if (pre == PrecheckResult::kExpired && truly_live) {
-        ++counters.skew_false_rejects;
-      } else if (pre == PrecheckResult::kOk && !truly_live &&
-                 !grace_granted) {
-        ++counters.skew_false_accepts;
-      }
-    } else if (pre == PrecheckResult::kOk && ctx.clock_skewed &&
-               ctx.tag.expiry() < ctx.now) {
-      // A clock running behind: the tag looked live locally but was
-      // truly expired — the symmetric false-accept.
-      ++ctx.engine.counters().skew_false_accepts;
+      ++counters.skew_soft_accepts;
+    } else if (ctx.grace_active &&
+               ctx.tag.expiry() + config.grace.window >= ctx.local_now) {
+      // Outage grace: the provider is silent and the tag expired
+      // recently enough — keep vouching it for the bounded window.
+      pre = PrecheckResult::kOk;
+      ++counters.grace_accepts;
+      grace_granted = true;
     }
-  } else {
-    // Public content needs no tag scrutiny ("allows an r_C^c to return
-    // the requested content without tag verification").
-    if (ctx.content->access_level == ndn::kPublicAccessLevel) {
-      return Verdict::next();
+    // Ground-truth accounting against the true clock (ctx.now): what
+    // the skew/tolerance combination cost or saved.  Grace grants are
+    // deliberate expired-tag accepts with their own counter.
+    const bool truly_live = ctx.tag.expiry() >= ctx.now;
+    if (pre == PrecheckResult::kExpired && truly_live) {
+      ++counters.skew_false_rejects;
+    } else if (pre == PrecheckResult::kOk && !truly_live && !grace_granted) {
+      ++counters.skew_false_accepts;
     }
-    pre = content_precheck(ctx.tag, *ctx.content);
+  } else if (pre == PrecheckResult::kOk && ctx.clock_skewed &&
+             ctx.tag.expiry() < ctx.now) {
+    // A clock running behind: the tag looked live locally but was
+    // truly expired — the symmetric false-accept.
+    ++ctx.engine.counters().skew_false_accepts;
   }
-  if (pre == PrecheckResult::kOk) return Verdict::next();
-
-  ++ctx.engine.counters().precheck_rejections;
-  switch (fail_) {
-    case FailAction::kSilentDrop:
-      return Verdict::reject(to_nack_reason(pre), /*silently=*/true);
-    case FailAction::kNackPrecheckReason:
-      return Verdict::reject(to_nack_reason(pre));
-    case FailAction::kNackInvalidSignature:
-      return Verdict::reject(ndn::NackReason::kInvalidSignature);
-  }
-  return Verdict::next();
+  if (pre != PrecheckResult::kOk) ++ctx.engine.counters().precheck_rejections;
+  return pre;
 }
 
-Verdict BlacklistStage::run(ValidationContext& ctx) {
-  const RevocationBlacklist& revocations = ctx.engine.anchors().revocations;
-  if (revocations.empty() || !revocations.contains(ctx.tag)) {
-    return Verdict::next();
+/// Protocol 1, content half: access level and provider key against the
+/// content.  Public content passes unconditionally ("allows an r_C^c to
+/// return the requested content without tag verification").  A failure
+/// is counted; what it does (drop, precise or generic NACK) is the
+/// role's business.
+PrecheckResult precheck_content(ValidationContext& ctx) {
+  if (!ctx.engine.config().precheck ||
+      ctx.content->access_level == ndn::kPublicAccessLevel) {
+    return PrecheckResult::kOk;
   }
-  ++ctx.engine.counters().blacklist_rejections;
-  return Verdict::reject(ndn::NackReason::kExpiredTag);
+  const PrecheckResult pre = content_precheck(ctx.tag, *ctx.content);
+  if (pre != PrecheckResult::kOk) ++ctx.engine.counters().precheck_rejections;
+  return pre;
 }
 
-Verdict AccessPathStage::run(ValidationContext& ctx) {
-  if (!ctx.engine.config().enforce_access_path ||
-      ctx.tag.access_path() == ctx.access_path) {
-    return Verdict::next();
+/// Overload admission for unvouched work: true (counted) when the
+/// validation backlog has reached the shed watermark — the gradient
+/// controller's when adaptive, else the static one.
+bool shed_at_watermark(ValidationContext& ctx) {
+  ValidationEngine& engine = ctx.engine;
+  if (!engine.config().overload.enabled ||
+      engine.queue_depth(ctx.now) < engine.effective_shed_watermark()) {
+    return false;
   }
-  ++ctx.engine.counters().access_path_rejections;
-  if (TraitorTracer* tracer = ctx.engine.tracer()) {
-    // Traitor tracing: the rejected tag names its owner (Pub_u).
-    tracer->report(ctx.tag.client_key_locator(), ctx.tag.access_path(),
-                   ctx.access_path, ctx.now);
-  }
-  return Verdict::reject(ndn::NackReason::kAccessPathMismatch);
+  ++engine.counters().sheds_unvouched;
+  return true;
 }
 
-Verdict NegativeCacheStage::run(ValidationContext& ctx) {
-  if (!ctx.engine.config().overload.enabled) return Verdict::next();
-  if (!ctx.engine.neg_cache_rejects(ctx.tag, ctx.now, ctx.compute)) {
-    return Verdict::next();
-  }
-  return Verdict::reject(ndn::NackReason::kInvalidSignature);
+/// The F a content or intermediate router acts on: the downstream edge's
+/// stamp, or 0 ("not vouched") with flag-F cooperation ablated.
+double trusted_flag(const ValidationContext& ctx) {
+  return ctx.engine.config().flag_cooperation ? ctx.flag_f_in : 0.0;
 }
 
-Verdict AdmissionStage::run(ValidationContext& ctx) {
-  const OverloadConfig& ov = ctx.engine.config().overload;
-  if (!ov.enabled) return Verdict::next();
-  TacticCounters& counters = ctx.engine.counters();
-
-  switch (gate_) {
-    case Gate::kQueueCapacity:
-      // Hard admission limit: at queue capacity, all tagged traffic is
-      // shed with an explicit back-off NACK (clients retry later instead
-      // of piling timeouts onto a saturated router).  With the adaptive
-      // layer on, the capacity is the gradient controller's concurrency
-      // limit instead of the static constant.
-      if (ctx.engine.queue_depth(ctx.now) >=
-          ctx.engine.effective_queue_capacity()) {
-        ++counters.sheds_queue_full;
-        return Verdict::shed(ndn::NackReason::kRouterOverloaded);
-      }
-      return Verdict::next();
-
-    case Gate::kUnvouchedInterest:
-      // Unvouched (F=0) traffic is the suspect class every flood lands
-      // in: police it per incoming face, then shed it past the high
-      // watermark — while BF-vouched traffic above kept flowing.
-      if (ov.policer_rate > 0.0 &&
-          !ctx.engine.police_unvouched(ctx.in_face, ctx.now)) {
-        ++counters.policer_sheds;
-        return Verdict::shed(ndn::NackReason::kRouterOverloaded);
-      }
-      [[fallthrough]];
-
-    case Gate::kWatermark:
-      if (ctx.revalidating && !shed_revalidating_) return Verdict::next();
-      if (ctx.engine.queue_depth(ctx.now) >=
-          ctx.engine.effective_shed_watermark()) {
-        ++counters.sheds_unvouched;
-        return Verdict::shed(ndn::NackReason::kRouterOverloaded);
-      }
-      return Verdict::next();
-  }
-  return Verdict::next();
-}
-
-bool BloomVouchStage::revalidation_coin(ValidationContext& ctx,
-                                        double flag_f) {
-  // Protocol 3, lines 11-16 / Protocol 4, lines 12-13: the downstream
-  // edge vouched with FPP `F`; re-validate with probability F to bound
-  // false-positive leakage.  The one authoritative draw for both paths.
+/// Protocol 3, lines 11-16 / Protocol 4, lines 12-13: the downstream
+/// edge vouched with FPP `flag_f`; re-validate with probability F to
+/// bound false-positive leakage.  The one authoritative draw for both
+/// protocols, so the two paths cannot drift: true when the coin elects
+/// a re-validation, which is counted and marked in the context.
+bool revalidation_coin(ValidationContext& ctx, double flag_f) {
   if (!ctx.engine.rng().bernoulli(flag_f)) return false;
   ++ctx.engine.counters().probabilistic_revalidations;
   ctx.revalidating = true;
   return true;
 }
 
-Verdict BloomVouchStage::run(ValidationContext& ctx) {
-  const TacticConfig& config = ctx.engine.config();
-
-  switch (mode_) {
-    case Mode::kStampInterest: {
-      // Protocol 2, lines 4-9: stamp the cooperation flag F from this
-      // BF.  With cooperation ablated, F stays 0 and upstream routers
-      // always treat the tag as unvouched.
-      BloomVouch vouch;
-      if (config.flag_cooperation) {
-        vouch = ctx.engine.bloom_lookup(ctx.tag, ctx.now, ctx.compute);
-      }
-      if (vouch.hit) return Verdict::vouch(vouch.fpp);
-      ctx.flag_f_out = 0.0;
-      return Verdict::next();
-    }
-
-    case Mode::kLookupOnly: {
-      // Protocol 2, lines 22-23: forward the aggregate if its tag is in
-      // the BF, otherwise fall through to signature verification.
-      const BloomVouch vouch =
-          ctx.engine.bloom_lookup(ctx.tag, ctx.now, ctx.compute);
-      return vouch.hit ? Verdict::vouch(vouch.fpp) : Verdict::next();
-    }
-
-    case Mode::kFlagAware: {
-      const double flag_f =
-          config.flag_cooperation ? ctx.flag_f_in : 0.0;
-      if (flag_f == 0.0) {
-        // Protocol 3, lines 1-10: the edge router could not vouch;
-        // check our own BF, then fall back to signature verification.
-        ctx.flag_f_out = 0.0;
-        // The miss stamp above only reaches the packet on vouch/verify
-        // success paths (kCacheHit applies it), mirroring the original
-        // flow; the hit below is what carries it out directly.
-        if (ctx.engine.bloom_lookup(ctx.tag, ctx.now, ctx.compute).hit) {
-          return Verdict::vouch(0.0);
-        }
-        ctx.flag_f_out.reset();
-        return Verdict::next();
-      }
-      // Echo the received F into the content regardless of the coin's
-      // outcome, then re-validate with probability F.
-      ctx.flag_f_out = ctx.flag_f_in;
-      if (!revalidation_coin(ctx, flag_f)) {
-        return Verdict::vouch(ctx.flag_f_in);
-      }
-      return Verdict::next();
-    }
-
-    case Mode::kCoinOnly: {
-      const double flag_f =
-          config.flag_cooperation ? ctx.flag_f_in : 0.0;
-      if (flag_f == 0.0) return Verdict::next();
-      if (!revalidation_coin(ctx, flag_f)) {
-        // Lines 12-13: trust the edge router's vouching.
-        ctx.flag_f_out = ctx.flag_f_in;
-        return Verdict::vouch(ctx.flag_f_in);
-      }
-      return Verdict::next();
-    }
-  }
-  return Verdict::next();
-}
-
-Verdict SignatureVerifyStage::run(ValidationContext& ctx) {
-  ValidationEngine& engine = ctx.engine;
-
-  if (mode_ == Mode::kChargeOnly) {
-    // Per-request client-signature verification at every router — the
-    // per-hop crypto burden that motivates TACTIC's Bloom-filter reuse.
-    ++engine.counters().sig_verifications;
-    engine.charge(ctx.now, engine.compute_model().sig_verify_cost(engine.rng()),
-                  ctx.compute, CostKind::kSignature);
-    return Verdict::vouch(0.0);
-  }
-
-  bool valid = false;
-  if (engine.batching_active()) {
-    // Batched path: the verdict is known now; the signature charge (and
-    // the packet's departure) waits for the provider batch to flush.
-    auto batched =
-        engine.verify_signature_batched(ctx.tag, ctx.now, ctx.compute);
-    valid = batched.ok;
-    ctx.deferred = std::move(batched.deferred);
-  } else {
-    valid = engine.verify_signature(ctx.tag, ctx.now, ctx.compute);
-  }
-  if (!valid) {
-    if (mode_ == Mode::kEdgeAggregate) {
-      return Verdict::reject(ndn::NackReason::kNone, /*silently=*/true);
-    }
-    return Verdict::reject(ndn::NackReason::kInvalidSignature);
-  }
-
-  if (mode_ == Mode::kCacheHit && ctx.revalidating) {
-    // Re-validation of an edge-vouched tag: the verdict stands on its
-    // own; the tag is already in the downstream BF.
-    return Verdict::vouch(ctx.flag_f_in);
-  }
-  engine.bloom_insert(ctx.tag, ctx.now, ctx.compute);
-  if (mode_ != Mode::kEdgeAggregate) ctx.flag_f_out = 0.0;
-  return Verdict::vouch(0.0);
-}
-
-Verdict AuthorizedSetStage::run(ValidationContext& ctx) {
-  ValidationEngine& engine = ctx.engine;
-  // BF membership of the client's public key (early filtration of [8]).
-  ++engine.counters().bf_lookups;
-  engine.charge(ctx.now, engine.compute_model().bf_lookup_cost(engine.rng()),
-                ctx.compute, CostKind::kBf);
-  const bool member = engine.bloom().contains(
-      util::to_bytes(ctx.tag.client_key_locator()));
-  if (!member) return Verdict::reject(ndn::NackReason::kInvalidSignature);
-  return Verdict::next();
-}
-
-// ---------------------------------------------------------------------------
-// Pipeline assembly
-// ---------------------------------------------------------------------------
-
-Verdict ValidationPipeline::run(ValidationContext& ctx) const {
-  for (const auto& stage : stages_) {
-    const Verdict verdict = stage->run(ctx);
-    if (verdict.terminal()) return verdict;
-  }
-  return Verdict::next();
-}
-
-void ValidationPipeline::on_restart() {
-  for (const auto& stage : stages_) stage->on_restart();
-}
-
-namespace {
-
-template <typename... Stages>
-ValidationPipeline assemble(Stages&&... stages) {
-  std::vector<std::unique_ptr<ValidationStage>> list;
-  (list.push_back(std::forward<Stages>(stages)), ...);
-  return ValidationPipeline(std::move(list));
+/// Full signature verification through the engine's negative-cache-aware,
+/// charge-accounted primitive.  While batching, the verdict is known now
+/// and the packet's departure waits for the provider batch: the deferred
+/// handle goes into the context for the policy to pass on.
+bool verify(ValidationContext& ctx) {
+  ValidationEngine::Verification verification =
+      ctx.engine.verify_signature(ctx.tag, ctx.now, ctx.compute);
+  ctx.deferred = std::move(verification.deferred);
+  return verification.ok;
 }
 
 }  // namespace
 
-ValidationPipeline ValidationPipeline::edge_interest() {
-  return assemble(
-      std::make_unique<PrecheckStage>(PrecheckStage::Check::kInterest,
-                                      PrecheckStage::FailAction::kSilentDrop),
-      std::make_unique<BlacklistStage>(),
-      std::make_unique<AccessPathStage>(),
-      std::make_unique<NegativeCacheStage>(),
-      std::make_unique<AdmissionStage>(AdmissionStage::Gate::kQueueCapacity),
-      std::make_unique<BloomVouchStage>(BloomVouchStage::Mode::kStampInterest),
-      std::make_unique<AdmissionStage>(
-          AdmissionStage::Gate::kUnvouchedInterest));
+Verdict validate_edge_interest(ValidationContext& ctx) {
+  ValidationEngine& engine = ctx.engine;
+  const TacticConfig& config = engine.config();
+  TacticCounters& counters = engine.counters();
+
+  // Protocol 1: the edge "drops the request" on a structural failure.
+  const PrecheckResult pre = precheck_interest(ctx);
+  if (pre != PrecheckResult::kOk) {
+    return Verdict::reject(to_nack_reason(pre), /*silently=*/true);
+  }
+
+  // Eager-revocation extension: explicitly blacklisted tags die at the
+  // edge no matter how much lifetime they have left.
+  const RevocationBlacklist& revocations = engine.anchors().revocations;
+  if (!revocations.empty() && revocations.contains(ctx.tag)) {
+    ++counters.blacklist_rejections;
+    return Verdict::reject(ndn::NackReason::kExpiredTag);
+  }
+
+  // Protocol 2, lines 1-2: access-path authentication ("drop the request
+  // and send NACK to u").
+  if (config.enforce_access_path && ctx.tag.access_path() != ctx.access_path) {
+    ++counters.access_path_rejections;
+    if (TraitorTracer* tracer = engine.tracer()) {
+      // Traitor tracing: the rejected tag names its owner (Pub_u).
+      tracer->report(ctx.tag.client_key_locator(), ctx.tag.access_path(),
+                     ctx.access_path, ctx.now);
+    }
+    return Verdict::reject(ndn::NackReason::kAccessPathMismatch);
+  }
+
+  if (config.overload.enabled) {
+    // A tag already condemned by an upstream verifier dies here for the
+    // cost of a cache probe — what bounds an invalid-tag flood to one
+    // signature verification per TTL window.
+    if (engine.neg_cache_rejects(ctx.tag, ctx.now, ctx.compute)) {
+      return Verdict::reject(ndn::NackReason::kInvalidSignature);
+    }
+    // Hard admission limit: at queue capacity, all tagged traffic is
+    // shed with an explicit back-off NACK (clients retry later instead
+    // of piling timeouts onto a saturated router).  With the adaptive
+    // layer on, the capacity is the gradient controller's concurrency
+    // limit instead of the static constant.
+    if (engine.queue_depth(ctx.now) >= engine.effective_queue_capacity()) {
+      ++counters.sheds_queue_full;
+      return Verdict::shed(ndn::NackReason::kRouterOverloaded);
+    }
+  }
+
+  // Protocol 2, lines 4-9: stamp the cooperation flag F from this BF.
+  // With cooperation ablated, F stays 0 and upstream routers always
+  // treat the tag as unvouched.
+  if (config.flag_cooperation) {
+    const BloomVouch vouch = engine.bloom_lookup(ctx.tag, ctx.now, ctx.compute);
+    if (vouch.hit) return Verdict::vouch(vouch.fpp);
+  }
+  ctx.flag_f_out = 0.0;
+
+  // Unvouched (F=0) traffic is the suspect class every flood lands in:
+  // police it per incoming face, then shed it past the high watermark —
+  // while BF-vouched traffic above kept flowing.
+  if (config.overload.enabled && config.overload.policer_rate > 0.0 &&
+      !engine.police_unvouched(ctx.in_face, ctx.now)) {
+    ++counters.policer_sheds;
+    return Verdict::shed(ndn::NackReason::kRouterOverloaded);
+  }
+  if (shed_at_watermark(ctx)) {
+    return Verdict::shed(ndn::NackReason::kRouterOverloaded);
+  }
+  return Verdict::next();
 }
 
-ValidationPipeline ValidationPipeline::edge_aggregate() {
-  return assemble(
-      std::make_unique<PrecheckStage>(PrecheckStage::Check::kContent,
-                                      PrecheckStage::FailAction::kSilentDrop),
-      std::make_unique<BloomVouchStage>(BloomVouchStage::Mode::kLookupOnly),
-      std::make_unique<AdmissionStage>(AdmissionStage::Gate::kWatermark),
-      std::make_unique<SignatureVerifyStage>(
-          SignatureVerifyStage::Mode::kEdgeAggregate));
+Verdict validate_edge_aggregate(ValidationContext& ctx) {
+  const PrecheckResult pre = precheck_content(ctx);
+  if (pre != PrecheckResult::kOk) {
+    return Verdict::reject(to_nack_reason(pre), /*silently=*/true);
+  }
+  // Protocol 2, lines 22-23: forward the aggregate if its tag is in the
+  // BF, otherwise verify it ("drop otherwise").
+  const BloomVouch vouch =
+      ctx.engine.bloom_lookup(ctx.tag, ctx.now, ctx.compute);
+  if (vouch.hit) return Verdict::vouch(vouch.fpp);
+  if (shed_at_watermark(ctx)) {
+    return Verdict::shed(ndn::NackReason::kRouterOverloaded);
+  }
+  if (!verify(ctx)) {
+    return Verdict::reject(ndn::NackReason::kNone, /*silently=*/true);
+  }
+  ctx.engine.bloom_insert(ctx.tag, ctx.now, ctx.compute);
+  return Verdict::vouch(0.0);
 }
 
-ValidationPipeline ValidationPipeline::content_cache_hit() {
-  return assemble(
-      std::make_unique<PrecheckStage>(
-          PrecheckStage::Check::kContent,
-          PrecheckStage::FailAction::kNackPrecheckReason),
-      std::make_unique<BloomVouchStage>(BloomVouchStage::Mode::kFlagAware),
-      std::make_unique<AdmissionStage>(AdmissionStage::Gate::kWatermark,
-                                       /*shed_revalidating=*/false),
-      std::make_unique<SignatureVerifyStage>(
-          SignatureVerifyStage::Mode::kCacheHit));
+Verdict validate_content_cache_hit(ValidationContext& ctx) {
+  // The content router NACKs with the precise pre-check cause.
+  const PrecheckResult pre = precheck_content(ctx);
+  if (pre != PrecheckResult::kOk) {
+    return Verdict::reject(to_nack_reason(pre));
+  }
+
+  const double flag_f = trusted_flag(ctx);
+  if (flag_f == 0.0) {
+    // Protocol 3, lines 1-10: the edge router could not vouch; check our
+    // own BF, then fall back to signature verification.
+    if (ctx.engine.bloom_lookup(ctx.tag, ctx.now, ctx.compute).hit) {
+      ctx.flag_f_out = 0.0;
+      return Verdict::vouch(0.0);
+    }
+  } else {
+    // Echo the received F into the content regardless of the coin's
+    // outcome, then re-validate with probability F.
+    ctx.flag_f_out = ctx.flag_f_in;
+    if (!revalidation_coin(ctx, flag_f)) {
+      return Verdict::vouch(ctx.flag_f_in);
+    }
+  }
+
+  // Re-validations are vouched-class traffic: Protocol 3 re-validates
+  // regardless of backlog, so only fresh verifications are shed.
+  if (!ctx.revalidating && shed_at_watermark(ctx)) {
+    return Verdict::shed(ndn::NackReason::kRouterOverloaded);
+  }
+  if (!verify(ctx)) {
+    return Verdict::reject(ndn::NackReason::kInvalidSignature);
+  }
+  if (ctx.revalidating) {
+    // Re-validation of an edge-vouched tag: the verdict stands on its
+    // own; the tag is already in the downstream BF.
+    return Verdict::vouch(ctx.flag_f_in);
+  }
+  ctx.engine.bloom_insert(ctx.tag, ctx.now, ctx.compute);
+  ctx.flag_f_out = 0.0;
+  return Verdict::vouch(0.0);
 }
 
-ValidationPipeline ValidationPipeline::core_aggregate() {
-  return assemble(
-      std::make_unique<BloomVouchStage>(BloomVouchStage::Mode::kCoinOnly),
-      std::make_unique<PrecheckStage>(
-          PrecheckStage::Check::kContent,
-          PrecheckStage::FailAction::kNackInvalidSignature),
-      std::make_unique<AdmissionStage>(AdmissionStage::Gate::kWatermark),
-      std::make_unique<SignatureVerifyStage>(
-          SignatureVerifyStage::Mode::kCoreAggregate));
-}
-
-ValidationPipeline ValidationPipeline::prob_bf_interest() {
-  return assemble(std::make_unique<AuthorizedSetStage>(),
-                  std::make_unique<SignatureVerifyStage>(
-                      SignatureVerifyStage::Mode::kChargeOnly));
+Verdict validate_core_aggregate(ValidationContext& ctx) {
+  // Protocol 4, lines 12-13: no local lookup — trust the edge router's
+  // vouching except with probability F.
+  const double flag_f = trusted_flag(ctx);
+  if (flag_f != 0.0 && !revalidation_coin(ctx, flag_f)) {
+    ctx.flag_f_out = ctx.flag_f_in;
+    return Verdict::vouch(ctx.flag_f_in);
+  }
+  // The intermediate router NACKs every failure as a generic invalid tag,
+  // and sheds re-validations like any unvouched verification.
+  if (precheck_content(ctx) != PrecheckResult::kOk) {
+    return Verdict::reject(ndn::NackReason::kInvalidSignature);
+  }
+  if (shed_at_watermark(ctx)) {
+    return Verdict::shed(ndn::NackReason::kRouterOverloaded);
+  }
+  if (!verify(ctx)) {
+    return Verdict::reject(ndn::NackReason::kInvalidSignature);
+  }
+  // Fresh or re-validated, the tag joins this BF and F restarts at 0.
+  ctx.engine.bloom_insert(ctx.tag, ctx.now, ctx.compute);
+  ctx.flag_f_out = 0.0;
+  return Verdict::vouch(0.0);
 }
 
 }  // namespace tactic::core

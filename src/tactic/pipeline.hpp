@@ -1,26 +1,24 @@
 #pragma once
-// The composable per-router tag-validation pipeline.
+// Per-router tag validation: TACTIC's router-side Protocols 1-4.
 //
-// TACTIC's enforcement (Protocols 1-4) is an ordered sequence of per-hop
-// checks: structural pre-check, blacklist, admission control, negative
-// verdict cache, Bloom-filter vouching, signature verification.  This
-// header makes that sequence explicit: each check is a ValidationStage
-// operating on a shared ValidationContext and returning a Verdict; a
-// ValidationPipeline is an ordered stage list that stops at the first
-// non-continue verdict.  Edge, content and intermediate routers (and the
-// Table II baselines) differ only in how they assemble the same stages —
-// see ValidationPipeline's factory functions and docs/ARCHITECTURE.md.
+// TACTIC's enforcement is a fixed sequence of per-hop checks per router
+// role: structural pre-check, blacklist, admission control, negative
+// verdict cache, Bloom-filter vouching, signature verification.  Each of
+// the four role validations at the end of this header runs its
+// protocol's checks as straight-line code over one shared
+// ValidationContext and returns a Verdict; the policies in
+// tactic/tactic_policy.hpp translate that verdict into packet actions.
 //
 // All mutable per-router validation state (Bloom filter, counters, the
 // overload layer's queue/caches, RNG, compute charging) lives in one
 // ValidationEngine.  Every simulated compute cost flows through its
-// single charge() seam, which also keeps the per-stage cost breakdown
+// single charge() seam, which also keeps the per-check cost breakdown
 // (bf / signature / neg-cache; queue wait is tracked separately).
 //
-// Invariant: the pipeline decomposition is behaviour-preserving.  Stage
-// order, counter updates, RNG draws and charge order are exactly those
-// of the pre-pipeline monolith — ci/parity.sh holds the fuzz-corpus
-// fingerprints bit-identical across refactors.
+// Invariant: check order, counter updates, RNG draws and charge order
+// are observable behaviour — ci/parity.sh holds the fuzz-corpus
+// fingerprints, and ci/figures.sh the bench harnesses' output,
+// bit-identical across refactors.
 
 #include <memory>
 #include <optional>
@@ -77,7 +75,7 @@ struct TrustAnchors {
   }
 };
 
-/// Batched-validation layer (docs/ARCHITECTURE.md, "Batched stages").
+/// Batched-validation layer (docs/ARCHITECTURE.md, "Batched validation").
 /// Signature verifications for the same provider join a per-provider
 /// batch charged one amortized batch-RSA cost at flush time; same-instant
 /// Bloom probes coalesce into a SIMD-style multi-probe.  Disabled by
@@ -143,9 +141,6 @@ struct TacticConfig {
   /// ablation: structurally invalid tags fall through to signature
   /// verification.
   bool precheck = true;
-  /// Name component marking registration Interests
-  /// ("/<provider>/register/...").
-  std::string registration_component = "register";
   /// Fault injection for the invariant harness (`fuzz_scenarios
   /// --inject-expiry-bug`): edge routers skip Protocol 1's tag-expiry
   /// check, the regression the runtime invariants must catch.  Never
@@ -165,7 +160,7 @@ struct TacticConfig {
   /// there is no queue to shard.
   std::size_t validation_lanes = 1;
   /// Batched validation (amortized batch-RSA + multi-probe BF).  Disabled
-  /// by default; see docs/ARCHITECTURE.md, "Batched stages".
+  /// by default; see docs/ARCHITECTURE.md, "Batched validation".
   BatchConfig batch;
   /// Adaptive overload control (gradient admission controller + per-face
   /// outlier quarantine) on top of the overload layer.  Disabled by
@@ -182,11 +177,6 @@ struct TacticConfig {
   GraceConfig grace;
 };
 
-/// True when `name` is a registration Interest under the convention
-/// "/<provider>/<registration_component>/...".
-bool is_registration_name(const ndn::Name& name,
-                          const TacticConfig& config);
-
 /// Per-router TACTIC operation counters (Fig. 7 / Fig. 8 / Table V).  The
 /// fields harvested into sim::RouterOps are the ENGINE_* rows of
 /// tactic/router_stats.def; the rest stay per-router.
@@ -201,7 +191,6 @@ struct TacticCounters {
   std::uint64_t no_tag_rejections = 0;
   std::uint64_t blacklist_rejections = 0;  // eager-revocation hits
   std::uint64_t probabilistic_revalidations = 0;
-  std::uint64_t tagged_requests = 0;
   /// Requests handled since the router's last BF reset, and the completed
   /// inter-reset request counts (Fig. 8's "# requests for a reset").
   std::uint64_t requests_since_reset = 0;
@@ -215,15 +204,15 @@ struct BloomVouch {
   double fpp = 0.0;
 };
 
-/// Which stage a compute charge belongs to (the per-stage breakdown
+/// Which check a compute charge belongs to (the per-check breakdown
 /// harvested into sim::RouterOps).
 enum class CostKind { kBf, kSignature, kNegCache };
 
 /// All mutable validation state of one router, plus the primitive
-/// operations stages compose: BF lookup/insert (with staged-reset
-/// draining), signature verification (with the negative verdict cache),
-/// admission probes, and the single charge() seam through which every
-/// ComputeModel cost flows.
+/// operations the role validations compose: BF lookup/insert (with
+/// staged-reset draining), signature verification (with the negative
+/// verdict cache and the batching layer), admission probes, and the
+/// single charge() seam through which every ComputeModel cost flows.
 class ValidationEngine {
  public:
   ValidationEngine(TacticConfig config, const TrustAnchors& anchors,
@@ -250,7 +239,7 @@ class ValidationEngine {
   /// Charges one operation: instantaneous without the overload layer,
   /// through the validation lanes with it (the op waits behind pending
   /// jobs on its lane's crypto server).  `kind` files the cost under the
-  /// per-stage breakdown; `lane` is the job's home lane (lane_for(tag);
+  /// per-check breakdown; `lane` is the job's home lane (lane_for(tag);
   /// the three-argument form charges lane 0, which with the default
   /// single lane is the pre-lane behavior exactly).
   void charge(event::Time now, event::Time cost, event::Time& compute,
@@ -274,16 +263,28 @@ class ValidationEngine {
   /// BF insertion with charging, counting, and saturation-triggered reset
   /// (records the inter-reset request count; staged when configured).
   void bloom_insert(const Tag& tag, event::Time now, event::Time& compute);
+  /// Outcome of verify_signature(): the verdict is known immediately
+  /// (the crypto result does not depend on when the cost is charged).
+  /// `deferred` is set only while batching_active() and the signature
+  /// was actually checked: it fires when the provider's batch flushes
+  /// and carries the amortized completion delay.
+  struct Verification {
+    bool ok = false;
+    std::shared_ptr<ndn::DeferredVerdict> deferred;
+  };
   /// Signature verification with charging & counting.  With the overload
   /// layer on, consults the negative-tag cache first (a known-bad tag
-  /// returns false for the cost of a probe) and records fresh failures.
-  bool verify_signature(const Tag& tag, event::Time now,
-                        event::Time& compute);
+  /// fails for the cost of a probe) and records fresh failures.  With
+  /// batching off the signature cost is charged into `compute` at once;
+  /// with it on, the cost draw joins the tag provider's pending batch and
+  /// `compute` only accumulates the negative-cache probe.
+  Verification verify_signature(const Tag& tag, event::Time now,
+                                event::Time& compute);
   /// True when the negative-tag cache condemns `tag` (charged probe).
   bool neg_cache_rejects(const Tag& tag, event::Time now,
                          event::Time& compute);
 
-  // --- batched validation (docs/ARCHITECTURE.md, "Batched stages") ---
+  // --- batched validation (docs/ARCHITECTURE.md, "Batched validation") ---
   /// Binds the owning node's scheduler, which the batcher needs for
   /// deadline flushes.  Idempotent; the policy hooks call it on every
   /// packet (a pointer store).
@@ -293,21 +294,6 @@ class ValidationEngine {
   bool batching_active() const {
     return config_.batch.enabled && scheduler_ != nullptr;
   }
-  /// Outcome of a batched verify_signature(): the verdict is known
-  /// immediately (the crypto result does not depend on when the cost is
-  /// charged); `deferred` fires when the batch flushes and carries the
-  /// amortized completion delay.  `deferred` is null when the negative
-  /// cache answered (only its probe was charged).
-  struct BatchedVerify {
-    bool ok = false;
-    std::shared_ptr<ndn::DeferredVerdict> deferred;
-  };
-  /// Batched counterpart of verify_signature(): identical verdict,
-  /// counters and RNG draw order, but the signature charge is deferred
-  /// into the tag provider's pending batch (`compute` only accumulates
-  /// the synchronous negative-cache probe).
-  BatchedVerify verify_signature_batched(const Tag& tag, event::Time now,
-                                         event::Time& compute);
   /// Joins the per-provider signature batch with a recorded per-item
   /// cost draw; never returns null while batching_active().  Flushes
   /// synchronously on the size cap, or immediately when `queue_idle` —
@@ -334,7 +320,7 @@ class ValidationEngine {
   // & face quarantine"; inert unless overload AND adaptive are enabled) ---
   /// Whether the adaptive layer is live (both layers configured on).
   bool adaptive_active() const { return adaptive_ != nullptr; }
-  /// Hard admission limit AdmissionStage compares against: the gradient
+  /// Hard admission limit of the queue-capacity check: the gradient
   /// controller's concurrency limit when adaptive, else the static
   /// queue_capacity fallback.
   std::size_t effective_queue_capacity() const {
@@ -432,10 +418,10 @@ class ValidationEngine {
   bool bf_probe_seen_ = false;
 };
 
-/// What one stage decided about the request under validation.
+/// What a role validation decided about the request.
 struct Verdict {
   enum class Kind : std::uint8_t {
-    kContinue,  // check passed or not applicable; run the next stage
+    kContinue,  // every check passed without vouching (edge F = 0)
     kVouch,     // accepted (BF hit, trusted F, or verified); stop
     kReject,    // invalid; drop or NACK per `reason`/`silent`
     kShed,      // overloaded; refuse with a back-off NACK
@@ -459,7 +445,6 @@ struct Verdict {
   static Verdict shed(ndn::NackReason why) {
     return {Kind::kShed, 0.0, why, false};
   }
-  bool terminal() const { return kind != Kind::kContinue; }
 };
 
 /// Everything one validation run sees: the engine (state + primitives),
@@ -485,7 +470,7 @@ struct ValidationContext {
   /// mode input; see GraceConfig).
   bool grace_active = false;
 
-  // --- request views (set by the adapter that assembled the run) ---
+  // --- request views (set by the policy that runs the validation) ---
   ndn::FaceId in_face = ndn::kInvalidFace;  // edge Interest admission
   const ndn::Name* interest_name = nullptr;  // edge pre-check
   const ndn::Data* content = nullptr;        // content pre-check
@@ -493,211 +478,51 @@ struct ValidationContext {
   double flag_f_in = 0.0;         // F stamped by the downstream edge
 
   // --- run state / outputs ---
-  /// Set by BloomVouchStage when the F-probability coin elected a
-  /// re-validation: the request is vouched-class (not shed as suspect
-  /// on cache hits) but must pass SignatureVerifyStage.
+  /// Set when the F-probability coin elected a re-validation: the request
+  /// is vouched-class (not shed as suspect on cache hits) but must pass
+  /// signature verification.
   bool revalidating = false;
   /// The F value to write back (Interest stamp / content echo).  Unset
   /// means the original code path left the packet's F untouched.
   std::optional<double> flag_f_out;
   /// Compute consumed by this run (the decision's latency charge).
   event::Time compute = 0;
-  /// Set by SignatureVerifyStage when the verification joined a batch:
-  /// the adapter must hand this to the forwarder (through its decision)
-  /// so the verdict packet leaves at batch-flush time instead of after
-  /// `compute`.  Null on the synchronous path.
+  /// Set when the signature verification joined a batch: the policy must
+  /// hand this to the forwarder (through its decision) so the verdict
+  /// packet leaves at batch-flush time instead of after `compute`.  Null
+  /// on the synchronous path.
   std::shared_ptr<ndn::DeferredVerdict> deferred;
 };
 
-/// One composable check.  Stages are stateless where possible; a stage
-/// holding per-router state (e.g. the baselines' authorized-set loader)
-/// resets it in on_restart().
-class ValidationStage {
- public:
-  virtual ~ValidationStage() = default;
-  virtual const char* name() const = 0;
-  virtual Verdict run(ValidationContext& ctx) = 0;
-  /// Crash recovery for per-stage state (engine state is wiped by
-  /// ValidationEngine::wipe_volatile).
-  virtual void on_restart() {}
-};
+// ---------------------------------------------------------------------------
+// Role validations (paper Protocols 1-4)
+//
+// Each function runs one router role's checks in protocol order over the
+// engine's primitives and returns the first terminal verdict, or
+// Verdict::next() when every check passed without vouching.  The order
+// of checks, RNG draws and charges is part of the observable behaviour
+// (docs/ARCHITECTURE.md, "Role validations").
+// ---------------------------------------------------------------------------
 
-/// Protocol 1: the low-cost structural pre-check before any BF or
-/// signature work.  `kInterest` runs the edge half (provider prefix,
-/// expiry); `kContent` runs the content half (access level, provider
-/// key) and passes public content unconditionally.  What a failure does
-/// differs by role, so the NACK policy is part of the assembly.
-class PrecheckStage : public ValidationStage {
- public:
-  enum class Check { kInterest, kContent };
-  enum class FailAction {
-    kSilentDrop,          // edge: "drops the request"
-    kNackPrecheckReason,  // content router: NACK with the precise cause
-    kNackInvalidSignature,  // intermediate router: generic invalid NACK
-  };
-  PrecheckStage(Check check, FailAction fail) : check_(check), fail_(fail) {}
-
-  const char* name() const override { return "precheck"; }
-  Verdict run(ValidationContext& ctx) override;
-
- private:
-  Check check_;
-  FailAction fail_;
-};
-
-/// Eager-revocation extension: explicitly blacklisted tags die at the
-/// edge no matter how much lifetime they have left.  Free when no
-/// revocation was ever pushed.
-class BlacklistStage : public ValidationStage {
- public:
-  const char* name() const override { return "blacklist"; }
-  Verdict run(ValidationContext& ctx) override;
-};
-
-/// Protocol 2, lines 1-2: access-path authentication ("drop the request
-/// and send NACK to u").  Rejections are reported to the traitor tracer
-/// (the rejected tag names its owner, Pub_u).
-class AccessPathStage : public ValidationStage {
- public:
-  const char* name() const override { return "access-path"; }
-  Verdict run(ValidationContext& ctx) override;
-};
-
-/// Overload layer: a tag already condemned by an upstream verifier dies
-/// here for the cost of a cache probe — the mechanism that bounds an
-/// invalid-tag flood to one signature verification per TTL window.
-class NegativeCacheStage : public ValidationStage {
- public:
-  const char* name() const override { return "negative-cache"; }
-  Verdict run(ValidationContext& ctx) override;
-};
-
-/// Overload-layer admission control, in its three placements: the hard
-/// queue-capacity limit (all tagged traffic), the per-face policer plus
-/// high watermark for unvouched edge Interests, and the bare watermark
-/// guarding upstream verifications.
-class AdmissionStage : public ValidationStage {
- public:
-  enum class Gate {
-    kQueueCapacity,      // shed ALL tagged traffic at hard capacity
-    kUnvouchedInterest,  // edge: policer, then watermark, on BF misses
-    kWatermark,          // shed unvouched work past the high watermark
-  };
-  /// `shed_revalidating`: whether the watermark also sheds F-coin
-  /// re-validations.  Content routers treat them as vouched traffic
-  /// (Protocol 3 re-validates regardless of backlog); intermediate
-  /// routers shed them like any unvouched verification (Protocol 4).
-  explicit AdmissionStage(Gate gate, bool shed_revalidating = true)
-      : gate_(gate), shed_revalidating_(shed_revalidating) {}
-
-  const char* name() const override { return "admission"; }
-  Verdict run(ValidationContext& ctx) override;
-
- private:
-  Gate gate_;
-  bool shed_revalidating_;
-};
-
-/// Bloom-filter vouching (Protocols 2-4), including the staged-reset
-/// drain window (via the engine's lookup) and the single authoritative
-/// implementation of the F-probability re-validation coin flip.
-class BloomVouchStage : public ValidationStage {
- public:
-  enum class Mode {
-    /// Edge Interest (Protocol 2 lines 4-9): stamp F from this BF — a
-    /// hit vouches with the filter's FPP, a miss stamps F=0.
-    kStampInterest,
-    /// Edge aggregate (Protocol 2 lines 22-23): plain membership test;
-    /// a hit forwards, a miss falls through to verification.
-    kLookupOnly,
-    /// Content router (Protocol 3): with F=0 consult the local BF; with
-    /// F>0 echo F and re-validate with probability F.
-    kFlagAware,
-    /// Intermediate router (Protocol 4 lines 12-13): no local lookup —
-    /// trust the edge's F except with probability F.
-    kCoinOnly,
-  };
-  explicit BloomVouchStage(Mode mode) : mode_(mode) {}
-
-  const char* name() const override { return "bloom-vouch"; }
-  Verdict run(ValidationContext& ctx) override;
-
- private:
-  /// The F-probability re-validation draw (Protocols 3 and 4 share it so
-  /// the two paths cannot drift): true when the coin elects a
-  /// re-validation, which is counted and marked in the context.
-  bool revalidation_coin(ValidationContext& ctx, double flag_f);
-
-  Mode mode_;
-};
-
-/// Full signature verification (through the engine's negative-cache-
-/// aware, charge-accounted primitive), with the per-role success and
-/// failure behaviour of Protocols 2-4.
-class SignatureVerifyStage : public ValidationStage {
- public:
-  enum class Mode {
-    /// Edge aggregate: success inserts and forwards; failure drops the
-    /// aggregate silently ("drop otherwise").
-    kEdgeAggregate,
-    /// Content router: a fresh (F=0) success inserts and vouches F=0; a
-    /// re-validation success vouches the echoed F without inserting;
-    /// failure NACKs kInvalidSignature.
-    kCacheHit,
-    /// Intermediate router: success (fresh or re-validation) inserts
-    /// and vouches F=0; failure NACKs kInvalidSignature.
-    kCoreAggregate,
-    /// Baseline (ProbBf): charge and count a verification that always
-    /// succeeds — the authorized-set stage already filtered.
-    kChargeOnly,
-  };
-  explicit SignatureVerifyStage(Mode mode) : mode_(mode) {}
-
-  const char* name() const override { return "signature-verify"; }
-  Verdict run(ValidationContext& ctx) override;
-
- private:
-  Mode mode_;
-};
-
-/// Baseline (ProbBf, Chen et al. [8]): BF membership of the requesting
-/// client's public key locator against the publisher-distributed
-/// authorized set.  The set is lazily loaded into the engine's BF by the
-/// owning policy (load timing is part of its observable behaviour).
-class AuthorizedSetStage : public ValidationStage {
- public:
-  const char* name() const override { return "authorized-set"; }
-  Verdict run(ValidationContext& ctx) override;
-};
-
-/// An ordered stage list; run() stops at the first terminal verdict.
-class ValidationPipeline {
- public:
-  ValidationPipeline() = default;
-  explicit ValidationPipeline(
-      std::vector<std::unique_ptr<ValidationStage>> stages)
-      : stages_(std::move(stages)) {}
-
-  Verdict run(ValidationContext& ctx) const;
-  void on_restart();
-  std::size_t size() const { return stages_.size(); }
-  const ValidationStage& stage(std::size_t i) const { return *stages_[i]; }
-
-  // --- role assemblies (see docs/ARCHITECTURE.md) ---
-  /// Edge Interest path (Protocol 2 "On Request" + Protocol 1 edge half).
-  static ValidationPipeline edge_interest();
-  /// Edge aggregated-Data path (Protocol 2 lines 22-23).
-  static ValidationPipeline edge_aggregate();
-  /// Content-router cache-hit path (Protocol 3 + Protocol 1 content half).
-  static ValidationPipeline content_cache_hit();
-  /// Intermediate-router aggregated-Data path (Protocol 4 lines 11-26).
-  static ValidationPipeline core_aggregate();
-  /// ProbBf baseline Interest path (authorized-set filter + per-hop
-  /// signature charge).
-  static ValidationPipeline prob_bf_interest();
-
- private:
-  std::vector<std::unique_ptr<ValidationStage>> stages_;
-};
+/// Edge Interest path (Protocol 2 "On Request" + Protocol 1 edge half):
+/// pre-check (silent drop) -> blacklist -> access path -> negative cache
+/// -> queue capacity -> BF stamp -> policer -> watermark.  Needs
+/// `interest_name`, `access_path` and `in_face`.
+Verdict validate_edge_interest(ValidationContext& ctx);
+/// Edge aggregated-Data path (Protocol 2 lines 22-23): content pre-check
+/// (silent drop) -> BF lookup -> watermark -> verify (a forgery drops
+/// silently) -> insert.  Needs `content`.
+Verdict validate_edge_aggregate(ValidationContext& ctx);
+/// Content-router cache-hit path (Protocol 3 + Protocol 1 content half):
+/// content pre-check (precise NACK) -> F coin when F > 0, else local BF
+/// -> watermark (skipped for re-validations) -> verify -> insert and
+/// stamp F = 0 (not after a re-validation).  Needs `content` and
+/// `flag_f_in`.
+Verdict validate_content_cache_hit(ValidationContext& ctx);
+/// Intermediate-router aggregated-Data path (Protocol 4 lines 11-26): F
+/// coin (only when F > 0) -> content pre-check (generic NACK) ->
+/// watermark -> verify -> insert and stamp F = 0.  Needs `content` and
+/// `flag_f_in`.
+Verdict validate_core_aggregate(ValidationContext& ctx);
 
 }  // namespace tactic::core

@@ -11,14 +11,27 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "crypto/rsa.hpp"
 #include "event/time.hpp"
+#include "ndn/name.hpp"
 #include "tactic/tag.hpp"
 
 namespace tactic::core {
+
+/// Name component marking registration (tag-request) Interests:
+/// "/<provider>/register/<client>/<nonce>".
+inline constexpr std::string_view kRegistrationComponent = "register";
+
+/// True when `name` is a registration Interest under that convention.
+/// Providers answer such Interests with a tag; routers let them through
+/// unvalidated, since they carry no tag by definition.
+inline bool is_registration_name(const ndn::Name& name) {
+  return name.size() >= 2 && name.at(1) == kRegistrationComponent;
+}
 
 class TagIssuer {
  public:

@@ -1,6 +1,7 @@
 #include "tactic/tactic_policy.hpp"
 
 #include "tactic/access_path.hpp"
+#include "tactic/registration.hpp"
 
 namespace tactic::core {
 
@@ -94,7 +95,7 @@ ndn::AccessControlPolicy::InterestDecision EdgeTacticPolicy::on_interest(
 
   // Registration Interests carry no tag by definition; let them through to
   // the provider.
-  if (is_registration_name(interest->name, config())) {
+  if (is_registration_name(interest->name)) {
     if (config().grace.enabled && !pending_registration_since_) {
       pending_registration_since_ = node.scheduler().now();
     }
@@ -134,7 +135,7 @@ ndn::AccessControlPolicy::InterestDecision EdgeTacticPolicy::on_interest(
   ctx.in_face = in_face;
   ctx.interest_name = &interest->name;
   ctx.access_path = interest->access_path;
-  const Verdict verdict = interest_pipeline_.run(ctx);
+  const Verdict verdict = validate_edge_interest(ctx);
 
   decision.compute = ctx.compute;
   if (ctx.flag_f_out) interest.edit().flag_f = *ctx.flag_f_out;
@@ -256,7 +257,7 @@ EdgeTacticPolicy::on_data_to_downstream(ndn::Forwarder& node,
   ctx.local_now = node.local_now();
   ctx.clock_skewed = !node.clock().identity();
   ctx.content = &incoming;
-  const Verdict verdict = aggregate_pipeline_.run(ctx);
+  const Verdict verdict = validate_edge_aggregate(ctx);
   if (verdict.kind == Verdict::Kind::kReject) {
     engine_.observe_face_verdict(record.face, /*good=*/false, now);
   } else if (verdict.kind == Verdict::Kind::kVouch) {
@@ -294,7 +295,7 @@ ndn::AccessControlPolicy::CacheHitDecision CoreTacticPolicy::on_cache_hit(
   ctx.clock_skewed = !node.clock().identity();
   ctx.content = &*response;
   ctx.flag_f_in = interest.flag_f;
-  const Verdict verdict = cache_hit_pipeline_.run(ctx);
+  const Verdict verdict = validate_content_cache_hit(ctx);
 
   decision.compute = ctx.compute;
   decision.deferred = ctx.deferred;  // batched verdicts leave at flush time
@@ -343,8 +344,7 @@ CoreTacticPolicy::on_data_to_downstream(ndn::Forwarder& node,
   ctx.clock_skewed = !node.clock().identity();
   ctx.content = &incoming;
   ctx.flag_f_in = record.flag_f;
-  return apply_aggregate_verdict(aggregate_pipeline_.run(ctx), ctx,
-                                 outgoing);
+  return apply_aggregate_verdict(validate_core_aggregate(ctx), ctx, outgoing);
 }
 
 }  // namespace tactic::core

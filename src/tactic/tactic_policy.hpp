@@ -10,7 +10,7 @@
 //
 // The policies here are thin adapters: they translate Forwarder hooks
 // (packet fields, PIT records, NACK plumbing) into ValidationContext runs
-// over the stage pipelines of tactic/pipeline.hpp, where the actual
+// of the role validations in tactic/pipeline.hpp, where the actual
 // validation logic lives.  Each router owns one ValidationEngine (its
 // Bloom filter, counters and overload state); validated state is never
 // shared between nodes except through the flag-F cooperation the paper
@@ -28,8 +28,7 @@ namespace tactic::core {
 
 /// Common base for TACTIC routers: owns the ValidationEngine and exposes
 /// its observable state (counters, BF, overload structures) under the
-/// pre-pipeline accessor names that tests, benches and the invariant
-/// checker consume.
+/// accessor names that tests, benches and the invariant checker consume.
 class TacticRouterPolicy : public ndn::AccessControlPolicy {
  public:
   TacticRouterPolicy(TacticConfig config, const TrustAnchors& anchors,
@@ -112,9 +111,6 @@ class EdgeTacticPolicy : public TacticRouterPolicy {
   /// Counts the off→on transitions (`grace_engagements`).
   bool grace_active(event::Time now);
 
-  ValidationPipeline interest_pipeline_ = ValidationPipeline::edge_interest();
-  ValidationPipeline aggregate_pipeline_ =
-      ValidationPipeline::edge_aggregate();
   /// When the oldest still-unanswered registration Interest passed by.
   std::optional<event::Time> pending_registration_since_;
   bool grace_engaged_ = false;
@@ -133,12 +129,6 @@ class CoreTacticPolicy : public TacticRouterPolicy {
                                            const ndn::PitInRecord& record,
                                            const ndn::Data& incoming,
                                            ndn::CowData& outgoing) override;
-
- private:
-  ValidationPipeline cache_hit_pipeline_ =
-      ValidationPipeline::content_cache_hit();
-  ValidationPipeline aggregate_pipeline_ =
-      ValidationPipeline::core_aggregate();
 };
 
 }  // namespace tactic::core

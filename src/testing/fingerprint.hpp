@@ -29,7 +29,7 @@ std::string fingerprint_digest(const sim::Metrics& metrics);
 /// and timing signals, not access-control verdicts.  Batched and
 /// unbatched runs of the same closed-loop scenario must produce
 /// identical multisets (tests/batching_test.cpp; docs/ARCHITECTURE.md,
-/// "Batched stages").
+/// "Batched validation").
 std::string verdict_multiset(sim::Scenario& scenario);
 
 /// SHA-256 hex of verdict_multiset() — the form tests/golden/verdicts.txt

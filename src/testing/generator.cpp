@@ -105,7 +105,7 @@ void sample_overload(util::Rng& rng, sim::ScenarioConfig& config) {
 }
 
 // Samples the batched-validation layer (docs/ARCHITECTURE.md, "Batched
-// stages").  ~85% of seeds enable it, spanning degenerate (n = 1-ish)
+// validation").  ~85% of seeds enable it, spanning degenerate (n = 1-ish)
 // through deep batches and zero through multi-millisecond hold times.
 void sample_batch(util::Rng& rng, sim::ScenarioConfig& config) {
   if (!rng.bernoulli(0.85)) return;  // layer-off control group

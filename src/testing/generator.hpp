@@ -38,7 +38,7 @@ struct GeneratorOptions {
   bool with_overload = false;
   /// Sample the batched-validation layer (per-provider signature batches
   /// + same-instant BF multi-probe; docs/ARCHITECTURE.md, "Batched
-  /// stages") on most seeds.  The batch draws come strictly after the
+  /// validation") on most seeds.  The batch draws come strictly after the
   /// overload draws, so base, fault and overload configurations stay
   /// identical with or without this option.
   bool with_batch = false;

@@ -1,6 +1,7 @@
 #include "workload/provider_app.hpp"
 
 #include "tactic/precheck.hpp"
+#include "tactic/registration.hpp"
 
 namespace tactic::workload {
 
@@ -30,7 +31,7 @@ ProviderApp::ProviderApp(ndn::Forwarder& node, const std::string& prefix_uri,
 ndn::Name ProviderApp::registration_name(const std::string& client_label,
                                          std::uint64_t nonce) const {
   return catalog_.prefix()
-      .append("register")
+      .append(core::kRegistrationComponent)
       .append(client_label)
       .append_number(nonce);
 }
@@ -41,7 +42,7 @@ std::string ProviderApp::client_key_locator(const std::string& client_label) {
 
 void ProviderApp::on_interest(ndn::FaceId face,
                               const ndn::Interest& interest) {
-  if (interest.name.size() >= 2 && interest.name.at(1) == "register") {
+  if (core::is_registration_name(interest.name)) {
     handle_registration(face, interest);
   } else {
     handle_content(face, interest);

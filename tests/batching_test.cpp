@@ -1,4 +1,4 @@
-// Batched validation (docs/ARCHITECTURE.md, "Batched stages"): the
+// Batched validation (docs/ARCHITECTURE.md, "Batched validation"): the
 // engine-level batcher's flush triggers (size cap, deadline, queue
 // drain), crash semantics, DeferredVerdict delivery contract,
 // sig_verify_batch_cost properties, and the differential equivalence
@@ -110,8 +110,7 @@ TEST_F(BatchingTest, SizeCapFlushFiresAllVerdictsWithAmortizedCharge) {
   std::vector<event::Time> extras;
   for (int i = 0; i < 3; ++i) {
     event::Time compute = 0;
-    auto batched =
-        engine.verify_signature_batched(*tag_, scheduler_.now(), compute);
+    auto batched = engine.verify_signature(*tag_, scheduler_.now(), compute);
     ASSERT_TRUE(batched.ok);
     ASSERT_NE(batched.deferred, nullptr);
     batched.deferred->bind(
@@ -149,7 +148,7 @@ TEST_F(BatchingTest, MaxHoldZeroFlushesAtEndOfInstant) {
   std::vector<event::Time> extras;
   for (int i = 0; i < 2; ++i) {
     event::Time compute = 0;
-    auto batched = engine.verify_signature_batched(*tag_, 0, compute);
+    auto batched = engine.verify_signature(*tag_, 0, compute);
     ASSERT_TRUE(batched.ok);
     batched.deferred->bind(
         [&extras](event::Time extra) { extras.push_back(extra); });
@@ -169,7 +168,7 @@ TEST_F(BatchingTest, DeadlineFlushChargesAtTheDeadline) {
   config_.batch.max_hold = 5 * kMillisecond;
   ValidationEngine engine = make_engine();
   event::Time compute = 0;
-  auto batched = engine.verify_signature_batched(*tag_, 0, compute);
+  auto batched = engine.verify_signature(*tag_, 0, compute);
   event::Time fired_at = 0;
   batched.deferred->bind([&](event::Time) { fired_at = scheduler_.now(); });
   scheduler_.run_until(kSecond);
@@ -184,7 +183,7 @@ TEST_F(BatchingTest, QueueDrainFlushesImmediatelyWhenIdle) {
   config_.overload.enabled = true;
   ValidationEngine engine = make_engine();
   event::Time compute = 0;
-  auto batched = engine.verify_signature_batched(*tag_, 0, compute);
+  auto batched = engine.verify_signature(*tag_, 0, compute);
   bool fired = false;
   batched.deferred->bind([&](event::Time) { fired = true; });
   // The validation queue was idle at join time: holding the item would
@@ -201,7 +200,7 @@ TEST_F(BatchingTest, QueueBacklogHoldsTheBatchForCompany) {
   event::Time backlog = 0;
   engine.charge(0, kSecond, backlog, CostKind::kSignature);  // busy server
   event::Time compute = 0;
-  auto batched = engine.verify_signature_batched(*tag_, 0, compute);
+  auto batched = engine.verify_signature(*tag_, 0, compute);
   bool fired = false;
   batched.deferred->bind([&](event::Time) { fired = true; });
   EXPECT_FALSE(fired);  // backlog => accumulate until cap or deadline
@@ -221,8 +220,8 @@ TEST_F(BatchingTest, ProvidersBatchIndependently) {
       issue_tag(basic_fields("/provider1"), other.private_key);
   ValidationEngine engine = make_engine();
   event::Time compute = 0;
-  engine.verify_signature_batched(*tag_, 0, compute);
-  engine.verify_signature_batched(*tag1, 0, compute);
+  engine.verify_signature(*tag_, 0, compute);
+  engine.verify_signature(*tag1, 0, compute);
   // Two one-item batches, not one two-item batch: a batch-RSA pass only
   // amortizes over signatures under the same public key.
   EXPECT_EQ(engine.counters().sig_batches_flushed, 0u);
@@ -237,8 +236,8 @@ TEST_F(BatchingTest, CrashDropsPendingBatchWithoutChargeOrDelivery) {
   config_.batch.max_hold = 5 * kMillisecond;
   ValidationEngine engine = make_engine();
   event::Time compute = 0;
-  auto a = engine.verify_signature_batched(*tag_, 0, compute);
-  auto b = engine.verify_signature_batched(*tag_, 0, compute);
+  auto a = engine.verify_signature(*tag_, 0, compute);
+  auto b = engine.verify_signature(*tag_, 0, compute);
   bool fired = false;
   a.deferred->bind([&](event::Time) { fired = true; });
 
@@ -265,17 +264,17 @@ TEST_F(BatchingTest, InvalidSignatureRejectsSynchronously) {
       forge_tag(basic_fields(), test_keypair(2).private_key);
   ValidationEngine engine = make_engine();
   event::Time compute = 0;
-  auto batched = engine.verify_signature_batched(*forged, 0, compute);
+  auto batched = engine.verify_signature(*forged, 0, compute);
   EXPECT_FALSE(batched.ok);  // the verdict itself never waits
   EXPECT_EQ(engine.counters().sig_failures, 1u);
 }
 
-TEST_F(BatchingTest, NegativeCacheShortCircuitsBatchedVerify) {
+TEST_F(BatchingTest, NegativeCacheShortCircuitsTheBatch) {
   config_.overload.enabled = true;
   ValidationEngine engine = make_engine();
   engine.remember_invalid(*tag_, 0);
   event::Time compute = 0;
-  auto batched = engine.verify_signature_batched(*tag_, 0, compute);
+  auto batched = engine.verify_signature(*tag_, 0, compute);
   EXPECT_FALSE(batched.ok);
   EXPECT_EQ(batched.deferred, nullptr);  // no batch slot, no deferred
   EXPECT_EQ(engine.counters().neg_cache_hits, 1u);
@@ -283,13 +282,16 @@ TEST_F(BatchingTest, NegativeCacheShortCircuitsBatchedVerify) {
   EXPECT_GT(compute, 0);  // the neg-cache probe is still charged
 }
 
-TEST_F(BatchingTest, SignatureVerifyStageDefersVerdictWhileBatching) {
+TEST_F(BatchingTest, EdgeAggregateDefersVerdictWhileBatching) {
   config_.batch.max_batch = 8;
   config_.batch.max_hold = 0;
   ValidationEngine engine = make_engine();
+  ndn::Data content;
+  content.access_level = 2;
+  content.provider_key_locator = "/provider0/KEY/1";
   ValidationContext ctx(engine, *tag_, 0);
-  SignatureVerifyStage stage(SignatureVerifyStage::Mode::kEdgeAggregate);
-  const Verdict verdict = stage.run(ctx);
+  ctx.content = &content;
+  const Verdict verdict = validate_edge_aggregate(ctx);
   EXPECT_EQ(verdict.kind, Verdict::Kind::kVouch);  // verdict known now
   ASSERT_NE(ctx.deferred, nullptr);                // departure deferred
   EXPECT_TRUE(ctx.deferred->pending());
@@ -317,7 +319,7 @@ TEST(DeferredVerdictTest, BindThenFireDeliversExactlyOnce) {
 
 TEST(DeferredVerdictTest, FireBeforeBindBuffersTheDelay) {
   // The flush can run before the forwarder binds its continuation (the
-  // queue-drain trigger fires inside the stage); delivery must not be
+  // queue-drain trigger fires inside the validation); delivery must not be
   // lost, and the buffered extra delay must be the one from the flush.
   ndn::DeferredVerdict verdict;
   verdict.fire(42);

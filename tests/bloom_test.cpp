@@ -1,6 +1,5 @@
 // Tests for the Bloom-filter substrate: the no-false-negative guarantee,
-// analytic FPP accuracy, saturation-triggered reset, and the counting
-// variant.
+// analytic FPP accuracy and saturation-triggered reset.
 
 #include <gtest/gtest.h>
 
@@ -164,29 +163,6 @@ TEST(BloomFilter, LargerDesignFppMeansFewerBits) {
   BloomFilter tight({500, 5, 1e-4, 1e-4});
   BloomFilter roomy({500, 5, 1e-2, 1e-2});
   EXPECT_GT(tight.bit_count(), roomy.bit_count());
-}
-
-TEST(CountingBloom, InsertRemoveRoundTrip) {
-  CountingBloomFilter cbf({500, 5, 1e-4});
-  for (int i = 0; i < 100; ++i) cbf.insert(element(i));
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(cbf.contains(element(i)));
-  for (int i = 0; i < 50; ++i) cbf.remove(element(i));
-  // Removed elements are (almost surely) gone; kept ones must remain.
-  int still_there = 0;
-  for (int i = 0; i < 50; ++i) still_there += cbf.contains(element(i));
-  EXPECT_LT(still_there, 5);
-  for (int i = 50; i < 100; ++i) EXPECT_TRUE(cbf.contains(element(i)));
-  EXPECT_EQ(cbf.item_count(), 50u);
-}
-
-TEST(CountingBloom, DoubleInsertSurvivesOneRemove) {
-  CountingBloomFilter cbf({500, 5, 1e-4});
-  cbf.insert(element(1));
-  cbf.insert(element(1));
-  cbf.remove(element(1));
-  EXPECT_TRUE(cbf.contains(element(1)));
-  cbf.remove(element(1));
-  EXPECT_FALSE(cbf.contains(element(1)));
 }
 
 }  // namespace

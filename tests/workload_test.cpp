@@ -8,6 +8,7 @@
 
 #include "sim/scenario.hpp"
 #include "tactic/access_path.hpp"
+#include "tactic/registration.hpp"
 #include "topology/network.hpp"
 #include "workload/attacker_app.hpp"
 #include "crypto/sha256.hpp"
@@ -133,6 +134,17 @@ TEST(ProviderApp, FullyPublicCatalogIsNotProtected) {
   config.provider.catalog.public_fraction = 1.0;
   sim::Scenario scenario(config);
   EXPECT_TRUE(scenario.anchors().protected_prefixes.empty());
+}
+
+TEST(ProviderApp, RegistrationNamesFollowTheSharedConvention) {
+  sim::Scenario scenario(tiny_config());
+  const ProviderApp& provider = *scenario.providers()[0];
+  const ndn::Name registration = provider.registration_name("client0", 7);
+  EXPECT_EQ(registration.to_uri(), "/provider0/register/client0/7");
+  EXPECT_TRUE(core::is_registration_name(registration));
+  EXPECT_FALSE(
+      core::is_registration_name(provider.catalog().chunk_name(0, 0)));
+  EXPECT_FALSE(core::is_registration_name(provider.prefix()));
 }
 
 TEST(ProviderApp, IssuesTagsToEnrolledClients) {
