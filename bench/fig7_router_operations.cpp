@@ -5,7 +5,8 @@
 // Paper shape: at the edge, L >> I >> V (lookups per request, insertions
 // per fresh/vouched tag, verifications only for unvouched aggregates and
 // after resets); core routers do orders of magnitude less than edge
-// routers thanks to request aggregation and flag-F cooperation.
+// routers thanks to request aggregation and flag-F cooperation.  Exits 1
+// unless, at every topology, edge L >= 10 x edge I and core L <= edge L / 10.
 
 #include "harness.hpp"
 
@@ -33,6 +34,7 @@ int main(int argc, char** argv) {
       });
   csv.row(header);
 
+  bench::ShapeCheck shape;
   util::Table table({"Topology", "Class", "L (lookups)", "I (insertions)",
                      "V (verifications)"});
   // Zero-copy packet path (docs/ARCHITECTURE.md, "Packet memory model"):
@@ -49,6 +51,7 @@ int main(int argc, char** argv) {
           config.tactic.bloom.capacity =
               static_cast<std::size_t>(bf_capacity);
         });
+    const std::string label = "Topo. " + std::to_string(topo);
     const double reuses = acc.routers.pool_reuses.mean();
     const double clones = acc.routers.packet_cow_clones.mean();
     const double inplace = acc.routers.packet_inplace_edits.mean();
@@ -57,12 +60,16 @@ int main(int argc, char** argv) {
     const double slab = acc.routers.pool_acquires.mean() + clones;
     const double edits = clones + inplace;
     pool_table.add_row(
-        {"Topo. " + std::to_string(topo), util::Table::fmt(slab, 10),
+        {label, util::Table::fmt(slab, 10),
          util::Table::fmt(slab == 0 ? 0.0 : 100.0 * reuses / slab, 4),
          util::Table::fmt(clones, 10), util::Table::fmt(inplace, 10),
          util::Table::fmt(edits == 0 ? 0.0 : 100.0 * inplace / edits, 4)});
-    table.add_row({"Topo. " + std::to_string(topo), "edge",
-                   util::Table::fmt(acc.edge.bf_lookups.mean(), 10),
+    const double edge_l = acc.edge.bf_lookups.mean();
+    shape.check(edge_l >= 10 * acc.edge.bf_insertions.mean(),
+                label + ": edge L >= 10 x edge I");
+    shape.check(acc.core.bf_lookups.mean() <= edge_l / 10,
+                label + ": core L <= edge L / 10");
+    table.add_row({label, "edge", util::Table::fmt(edge_l, 10),
                    util::Table::fmt(acc.edge.bf_insertions.mean(), 10),
                    util::Table::fmt(acc.edge.sig_verifications.mean(), 10)});
     table.add_row({"", "core",
@@ -84,5 +91,5 @@ int main(int argc, char** argv) {
       "1-2 orders of magnitude below edge\n");
   std::printf("\npacket memory (routers, edge + core):\n");
   pool_table.print(std::cout);
-  return 0;
+  return shape.exit_code();
 }

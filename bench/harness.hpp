@@ -11,6 +11,9 @@
 //   --topologies 1,2,3,4     Table III presets to include
 //   --seed <base>            base seed
 //   --csv <path>             also write a CSV with the full-resolution data
+//
+// Harnesses whose claim has a checkable shape (Tables IV and V, Fig. 7)
+// exit 1 when the measured numbers miss it; see ShapeCheck.
 
 #include <cstdio>
 #include <fstream>
@@ -184,6 +187,22 @@ class MaybeCsv {
 
  private:
   std::unique_ptr<util::CsvWriter> writer_;
+};
+
+/// The paper-shape gate of a harness.  A failed check() names its claim on
+/// stderr, so stdout (which the figure goldens pin) is untouched, and
+/// exit_code() becomes 1.
+class ShapeCheck {
+ public:
+  void check(bool holds, const std::string& claim) {
+    if (holds) return;
+    std::fprintf(stderr, "paper shape violated: %s\n", claim.c_str());
+    failed_ = true;
+  }
+  int exit_code() const { return failed_ ? 1 : 0; }
+
+ private:
+  bool failed_ = false;
 };
 
 }  // namespace tactic::bench

@@ -3,18 +3,19 @@
 // Three sweeps back the numbers in EXPERIMENTS.md ("Scalability: name
 // tables"):
 //
-//   1. FIB longest-prefix match, LC-trie (`ndn::Fib`, the default) vs the
-//      retained linear reference (`Impl::kLinear`), at 10^2 / 10^4 / 10^6
-//      prefixes.  The trie walk is O(#components) in interned-component
-//      comparisons; the linear reference hashes every prefix length of the
-//      query name against an unordered_map.  The acceptance bar for the
-//      trie is a >=10x lookup speedup at 10^6 prefixes.
+//   1. FIB longest-prefix match, prefix-hash index (`ndn::Fib`, the
+//      default) vs the retained linear reference (`Impl::kLinear`), at
+//      10^2 / 10^4 / 10^6 prefixes.  The index folds the query's prefix
+//      hashes in one pass and probes only the prefix lengths that hold
+//      entries; the linear reference builds and hashes a copy of every
+//      prefix of the query name against an unordered_map.  The acceptance
+//      bar for the index is a >=10x lookup speedup at 10^6 prefixes.
 //   2. PIT churn at 10^5 concurrent entries: get_or_create / find / erase
 //      plus the lazy min-expiry poll, exercising the slab arena and the
 //      interned-name index.
 //   3. End-to-end delivery with `prepopulate_fib_prefixes` junk routes
-//      installed on every router (trie vs linear), showing the mechanism's
-//      cost where it matters: wall clock per simulated second.
+//      installed on every router (prefix hash vs linear), showing the
+//      mechanism's cost where it matters: wall clock per simulated second.
 //
 // Defaults finish in about a minute; --full raises the end-to-end sweep to
 // 10^5 prefixes per router and longer runs.  The usual knobs
@@ -56,8 +57,8 @@ ndn::Name prefix_for(std::size_t i) {
 /// Query names four components deeper than any stored prefix
 /// (object / version / "seg" / segment — the usual shape of a versioned,
 /// segmented content name), so LPM has to walk past the match point and
-/// back off.  The linear reference pays one full-prefix hash probe per
-/// component here; the trie walk stops at the deepest edge regardless.
+/// back off.  The linear reference pays one prefix copy and hash probe per
+/// component here; the prefix-hash index probes only length 2.
 std::vector<ndn::Name> make_queries(std::size_t table_size,
                                     std::size_t count, util::Rng& rng) {
   std::vector<ndn::Name> queries;
@@ -172,31 +173,31 @@ int main(int argc, char** argv) {
   bench::MaybeCsv csv(options.csv_path);
   csv.row({"section", "size", "a", "b", "c", "d"});
 
-  // --- 1. FIB lookup: LC-trie vs linear reference --------------------------
-  std::printf("FIB longest-prefix match, LC-trie vs linear reference\n");
-  util::Table fib_table({"Prefixes", "Build trie ms", "Build linear ms",
-                         "Lookup trie ns", "Lookup linear ns", "Speedup"});
+  // --- 1. FIB lookup: prefix hash vs linear reference ----------------------
+  std::printf("FIB longest-prefix match, prefix hash vs linear reference\n");
+  util::Table fib_table({"Prefixes", "Build hash ms", "Build linear ms",
+                         "Lookup hash ns", "Lookup linear ns", "Speedup"});
   util::Rng rng(options.seed);
   const std::size_t lookups = 1u << 18;
   for (const std::size_t prefixes :
        {std::size_t{100}, std::size_t{10'000}, std::size_t{1'000'000}}) {
     std::vector<ndn::Name> queries =
         make_queries(prefixes, std::min<std::size_t>(lookups, 1u << 14), rng);
-    const FibRow trie =
-        bench_fib(ndn::Fib::Impl::kLcTrie, prefixes, queries, lookups);
+    const FibRow hash =
+        bench_fib(ndn::Fib::Impl::kPrefixHash, prefixes, queries, lookups);
     const FibRow linear =
         bench_fib(ndn::Fib::Impl::kLinear, prefixes, queries, lookups);
-    const double speedup = linear.lookup_ns / trie.lookup_ns;
+    const double speedup = linear.lookup_ns / hash.lookup_ns;
     fib_table.add_row({util::Table::fmt(static_cast<double>(prefixes), 8),
-                       util::Table::fmt(trie.build_ms, 6),
+                       util::Table::fmt(hash.build_ms, 6),
                        util::Table::fmt(linear.build_ms, 6),
-                       util::Table::fmt(trie.lookup_ns, 6),
+                       util::Table::fmt(hash.lookup_ns, 6),
                        util::Table::fmt(linear.lookup_ns, 6),
                        util::Table::fmt(speedup, 4) + "x"});
     csv.row({"fib", std::to_string(prefixes),
-             util::CsvWriter::num(trie.lookup_ns),
+             util::CsvWriter::num(hash.lookup_ns),
              util::CsvWriter::num(linear.lookup_ns),
-             util::CsvWriter::num(trie.build_ms),
+             util::CsvWriter::num(hash.build_ms),
              util::CsvWriter::num(linear.build_ms)});
   }
   fib_table.print(std::cout);
@@ -213,16 +214,16 @@ int main(int argc, char** argv) {
   // --- 3. End-to-end: junk routes on every router --------------------------
   std::printf(
       "\nEnd-to-end delivery with prepopulated FIBs (Topo. %lld, "
-      "trie vs linear)\n",
+      "prefix hash vs linear)\n",
       static_cast<long long>(options.topologies.front()));
   util::Table e2e_table({"FIB prefixes/router", "Impl", "Delivery %",
-                         "FIB lookups", "Nodes/lookup", "Wall s per sim s",
+                         "FIB lookups", "Probes/lookup", "Wall s per sim s",
                          "Allocs/chunk"});
   std::vector<std::size_t> scales{0, 100, 10'000};
   scales.push_back(options.full ? 100'000 : 30'000);
   for (const std::size_t prefixes : scales) {
     for (const ndn::Fib::Impl impl :
-         {ndn::Fib::Impl::kLcTrie, ndn::Fib::Impl::kLinear}) {
+         {ndn::Fib::Impl::kPrefixHash, ndn::Fib::Impl::kLinear}) {
       const auto start = std::chrono::steady_clock::now();
       sim::MetricsAccumulator acc;
       double ratio = 0;
@@ -254,22 +255,23 @@ int main(int argc, char** argv) {
       const double wall = seconds_since(start);
       const double sim_seconds =
           options.duration_s * static_cast<double>(options.runs);
-      const bool trie = impl == ndn::Fib::Impl::kLcTrie;
+      const bool hashed = impl == ndn::Fib::Impl::kPrefixHash;
       e2e_table.add_row(
           {util::Table::fmt(static_cast<double>(prefixes), 8),
-           trie ? "lc-trie" : "linear",
+           hashed ? "prefix-hash" : "linear",
            util::Table::fmt(100.0 * ratio / static_cast<double>(options.runs),
                             4),
            util::Table::fmt(static_cast<double>(fib_lookups), 8),
-           trie ? util::Table::fmt(static_cast<double>(fib_nodes) /
-                                       static_cast<double>(
-                                           std::max<std::uint64_t>(
-                                               fib_lookups, 1)),
-                                   4)
-                : std::string("-"),
+           hashed ? util::Table::fmt(static_cast<double>(fib_nodes) /
+                                         static_cast<double>(
+                                             std::max<std::uint64_t>(
+                                                 fib_lookups, 1)),
+                                     4)
+                  : std::string("-"),
            util::Table::fmt(wall / sim_seconds, 4),
            util::Table::fmt(allocs_per_chunk, 5)});
-      csv.row({"e2e", std::to_string(prefixes), trie ? "lc-trie" : "linear",
+      csv.row({"e2e", std::to_string(prefixes),
+               hashed ? "prefix-hash" : "linear",
                util::CsvWriter::num(ratio /
                                     static_cast<double>(options.runs)),
                util::CsvWriter::num(wall / sim_seconds),

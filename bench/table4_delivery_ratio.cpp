@@ -3,7 +3,8 @@
 //
 // Paper values (2000 s, 5 seeds): clients 0.9997-0.9999, attackers
 // 0.0000-0.0078 (the handful of attacker successes come from edge-BF
-// false positives on forged tags).
+// false positives on forged tags).  Exits 1 unless every topology's
+// client rate is >= 0.999 and its attacker rate <= 0.0078.
 
 #include "harness.hpp"
 
@@ -14,6 +15,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Table IV: clients vs attackers successful delivery ratio", options);
 
+  bench::ShapeCheck shape;
   util::Table table({"Topology", "Client Req.", "Client Recv.",
                      "Client Rate", "Attacker Req.", "Attacker Recv.",
                      "Attacker Rate"});
@@ -31,7 +33,12 @@ int main(int argc, char** argv) {
             config.attacker.think_time_mean = 2 * event::kSecond;
           }
         });
-    table.add_row({"Topo. " + std::to_string(topo),
+    const std::string label = "Topo. " + std::to_string(topo);
+    shape.check(acc.client_delivery.mean() >= 0.999,
+                label + ": client rate >= 0.999");
+    shape.check(acc.attacker_delivery.mean() <= 0.0078,
+                label + ": attacker rate <= 0.0078");
+    table.add_row({label,
                    util::Table::fmt(acc.client_requested.mean(), 10),
                    util::Table::fmt(acc.client_received.mean(), 10),
                    util::Table::fmt_ratio(acc.client_delivery.mean()),
@@ -49,5 +56,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf(
       "\npaper: client rate 0.9997-0.9999, attacker rate 0.0000-0.0078\n");
-  return 0;
+  return shape.exit_code();
 }

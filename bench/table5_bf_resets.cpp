@@ -7,7 +7,8 @@
 // protocol-faithful insertion volume is lower (see EXPERIMENTS.md), so
 // the default sizes are scaled to keep resets observable; the directional
 // claim — a larger BF eliminates nearly all resets — is what this harness
-// regenerates.
+// regenerates.  Exits 1 unless every edge row whose smaller filter reset
+// at least once shows >= 90% fewer resets with the larger filter.
 
 #include "harness.hpp"
 
@@ -61,11 +62,18 @@ int main(int argc, char** argv) {
     if (small <= 0) return std::string("n/a");
     return util::Table::fmt_percent(100.0 * (small - large) / small);
   };
+  bench::ShapeCheck shape;
   for (std::size_t f = 0; f < fpps.size(); ++f) {
+    const double small = grid.front()[f].edge;
+    const double large = grid.back()[f].edge;
+    if (small >= 1) {
+      shape.check(large <= 0.1 * small,
+                  "edge @ " + util::Table::fmt(fpps[f], 2) +
+                      ": the larger BF removes >= 90% of resets");
+    }
     table.add_row({"Edge @ " + util::Table::fmt(fpps[f], 2),
-                   util::Table::fmt(grid.front()[f].edge, 6),
-                   util::Table::fmt(grid.back()[f].edge, 6),
-                   improvement(grid.front()[f].edge, grid.back()[f].edge)});
+                   util::Table::fmt(small, 6), util::Table::fmt(large, 6),
+                   improvement(small, large)});
   }
   for (std::size_t f = 0; f < fpps.size(); ++f) {
     table.add_row({"Core @ " + util::Table::fmt(fpps[f], 2),
@@ -77,5 +85,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper: growing the BF 10x removes ~93-94%% of edge resets and "
       "~99%% of core resets\n");
-  return 0;
+  return shape.exit_code();
 }

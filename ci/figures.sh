@@ -4,6 +4,8 @@
 # it and diffs its stdout against tests/golden/figures/<harness>.txt.
 # The harnesses are seed-deterministic, so any difference is a behaviour
 # change: an extra RNG draw, a reordered charge, a counter that moved.
+# A harness that exits non-zero (Tables IV and V and Fig. 7 do when the
+# paper's shape fails) counts as failed as well.
 #
 #   paper harnesses (Tables II/IV/V, Figs. 5-8, the four ablations) run
 #   at --topologies 1; the layer harnesses (batching, tag lifecycle, the
@@ -45,17 +47,21 @@ check() {
   local name="$1"
   shift
   echo "figures: $name${*:+ $*}"
-  "../bench/$name" "$@" > "$name.txt"
-  if ! diff -u "$GOLDEN_DIR/$name.txt" "$name.txt"; then
-    FAILED+=("$name")
-  fi
+  local ok=1
+  "../bench/$name" "$@" > "$name.txt" || {
+    echo "figures: $name exited with status $?" >&2
+    ok=0
+  }
+  diff -u "$GOLDEN_DIR/$name.txt" "$name.txt" || ok=0
+  [ "$ok" = 1 ] || FAILED+=("$name")
 }
 
 for NAME in "${PAPER[@]}"; do check "$NAME" --topologies 1; done
 for NAME in "${LAYERS[@]}"; do check "$NAME"; done
 
 if [ ${#FAILED[@]} -gt 0 ]; then
-  echo "figures: STDOUT MISMATCH against $GOLDEN_DIR: ${FAILED[*]}" >&2
+  echo "figures: FAILED (non-zero exit or stdout mismatch against" \
+       "$GOLDEN_DIR): ${FAILED[*]}" >&2
   exit 1
 fi
 echo "figures: OK ($((${#PAPER[@]} + ${#LAYERS[@]})) harnesses byte-identical)"

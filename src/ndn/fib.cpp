@@ -5,44 +5,59 @@
 
 namespace tactic::ndn {
 
-// ---------------------------------------------------------------------------
-// LinearFib — the retained reference implementation (unchanged semantics).
-// ---------------------------------------------------------------------------
+namespace {
 
-void LinearFib::sort_hops(std::vector<NextHop>& hops) {
+/// Orders hops by (cost, face): the order the forwarder fails over in.
+void sort_hops(std::vector<FibNextHop>& hops) {
   std::sort(hops.begin(), hops.end(),
-            [](const NextHop& a, const NextHop& b) {
+            [](const FibNextHop& a, const FibNextHop& b) {
               if (a.cost != b.cost) return a.cost < b.cost;
               return a.face < b.face;
             });
 }
+
+/// Adds `face` at `cost` (re-costing it when already present), keeping the
+/// hop list sorted.
+void add_hop(std::vector<FibNextHop>& hops, FaceId face, std::uint32_t cost) {
+  const auto existing =
+      std::find_if(hops.begin(), hops.end(),
+                   [face](const FibNextHop& hop) { return hop.face == face; });
+  if (existing != hops.end()) {
+    existing->cost = cost;
+  } else {
+    hops.push_back(FibNextHop{face, cost});
+  }
+  sort_hops(hops);
+}
+
+/// Drops `face` from the hop list.
+void remove_hop(std::vector<FibNextHop>& hops, FaceId face) {
+  hops.erase(std::remove_if(hops.begin(), hops.end(),
+                            [face](const FibNextHop& hop) {
+                              return hop.face == face;
+                            }),
+             hops.end());
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// LinearFib — the retained reference implementation (unchanged semantics).
+// ---------------------------------------------------------------------------
 
 void LinearFib::add_route(const Name& prefix, FaceId next_hop,
                           std::uint32_t cost) {
   auto [it, inserted] = entries_.try_emplace(prefix);
   Entry& entry = it->second;
   if (inserted) entry.prefix = prefix;
-  const auto existing = std::find_if(
-      entry.next_hops.begin(), entry.next_hops.end(),
-      [next_hop](const NextHop& hop) { return hop.face == next_hop; });
-  if (existing != entry.next_hops.end()) {
-    existing->cost = cost;
-  } else {
-    entry.next_hops.push_back(NextHop{next_hop, cost});
-  }
-  sort_hops(entry.next_hops);
+  add_hop(entry.next_hops, next_hop, cost);
 }
 
 void LinearFib::remove_next_hop(const Name& prefix, FaceId next_hop) {
   const auto it = entries_.find(prefix);
   if (it == entries_.end()) return;
-  auto& hops = it->second.next_hops;
-  hops.erase(std::remove_if(hops.begin(), hops.end(),
-                            [next_hop](const NextHop& hop) {
-                              return hop.face == next_hop;
-                            }),
-             hops.end());
-  if (hops.empty()) entries_.erase(it);
+  remove_hop(it->second.next_hops, next_hop);
+  if (it->second.next_hops.empty()) entries_.erase(it);
 }
 
 void LinearFib::remove_route(const Name& prefix) { entries_.erase(prefix); }
@@ -73,120 +88,8 @@ const LinearFib::Entry* LinearFib::find_exact(const Name& prefix) const {
 }
 
 // ---------------------------------------------------------------------------
-// Fib::ChildMap — sorted-vector / open-addressing hybrid child table.
+// Fib — prefix-hash index with the linear fallback behind set_impl().
 // ---------------------------------------------------------------------------
-
-std::size_t Fib::ChildMap::probe_start(ComponentId c, std::size_t mask) {
-  // Fibonacci hashing spreads the dense, sequentially-assigned IDs.
-  return static_cast<std::size_t>(
-             (static_cast<std::uint64_t>(c) * 0x9E3779B97F4A7C15ULL) >> 32) &
-         mask;
-}
-
-std::uint32_t Fib::ChildMap::find(ComponentId c) const {
-  if (!hashed_) {
-    const auto it = std::lower_bound(
-        slots_.begin(), slots_.end(), c,
-        [](const auto& slot, ComponentId key) { return slot.first < key; });
-    if (it != slots_.end() && it->first == c) return it->second;
-    return kNoNode;
-  }
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = probe_start(c, mask);; i = (i + 1) & mask) {
-    if (slots_[i].first == c) return slots_[i].second;
-    if (slots_[i].first == kInvalidComponent) return kNoNode;
-  }
-}
-
-void Fib::ChildMap::rehash(std::size_t capacity) {
-  std::vector<std::pair<ComponentId, std::uint32_t>> old = std::move(slots_);
-  slots_.assign(capacity, {kInvalidComponent, kNoNode});
-  const std::size_t mask = capacity - 1;
-  const bool was_hashed = hashed_;
-  hashed_ = true;
-  for (const auto& [c, node] : old) {
-    if (was_hashed && c == kInvalidComponent) continue;
-    std::size_t i = probe_start(c, mask);
-    while (slots_[i].first != kInvalidComponent) i = (i + 1) & mask;
-    slots_[i] = {c, node};
-  }
-}
-
-void Fib::ChildMap::upsert(ComponentId c, std::uint32_t node) {
-  if (!hashed_) {
-    const auto it = std::lower_bound(
-        slots_.begin(), slots_.end(), c,
-        [](const auto& slot, ComponentId key) { return slot.first < key; });
-    if (it != slots_.end() && it->first == c) {
-      it->second = node;
-      return;
-    }
-    if (slots_.size() < kPromote) {
-      slots_.insert(it, {c, node});
-      return;
-    }
-    count_ = slots_.size();
-    rehash(64);  // 16 -> 64 slots keeps the post-promotion load under 0.3
-  }
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = probe_start(c, mask);
-  while (slots_[i].first != kInvalidComponent) {
-    if (slots_[i].first == c) {
-      slots_[i].second = node;
-      return;
-    }
-    i = (i + 1) & mask;
-  }
-  slots_[i] = {c, node};
-  ++count_;
-  if (count_ * 10 > slots_.size() * 7) rehash(slots_.size() * 2);
-}
-
-void Fib::ChildMap::erase(ComponentId c) {
-  if (!hashed_) {
-    const auto it = std::lower_bound(
-        slots_.begin(), slots_.end(), c,
-        [](const auto& slot, ComponentId key) { return slot.first < key; });
-    if (it != slots_.end() && it->first == c) slots_.erase(it);
-    return;
-  }
-  // Removal is rare (route churn, never the lookup path): rebuild without
-  // the victim rather than manage tombstones, demoting to the sorted
-  // vector when the survivors fit it again.
-  std::vector<std::pair<ComponentId, std::uint32_t>> live;
-  live.reserve(count_);
-  for (const auto& slot : slots_) {
-    if (slot.first != kInvalidComponent && slot.first != c) {
-      live.push_back(slot);
-    }
-  }
-  if (live.size() <= kPromote / 2) {
-    std::sort(live.begin(), live.end());
-    slots_ = std::move(live);
-    count_ = 0;
-    hashed_ = false;
-    return;
-  }
-  std::size_t capacity = slots_.size();
-  while (capacity > 64 && live.size() * 10 < capacity * 2) capacity /= 2;
-  slots_ = std::move(live);
-  count_ = slots_.size();
-  rehash(capacity);
-}
-
-std::pair<ComponentId, std::uint32_t> Fib::ChildMap::only() const {
-  if (!hashed_) return slots_.front();
-  for (const auto& slot : slots_) {
-    if (slot.first != kInvalidComponent) return slot;
-  }
-  return {kInvalidComponent, kNoNode};
-}
-
-// ---------------------------------------------------------------------------
-// Fib — path-compressed trie with the linear fallback behind set_impl().
-// ---------------------------------------------------------------------------
-
-Fib::Fib() { nodes_.emplace_back(); }  // root: empty label, entry for "/"
 
 void Fib::set_impl(Impl impl) {
   if (size() != 0) {
@@ -196,161 +99,44 @@ void Fib::set_impl(Impl impl) {
 }
 
 std::size_t Fib::size() const {
-  return impl_ == Impl::kLinear ? linear_.size() : entry_count_;
+  return impl_ == Impl::kLinear ? linear_.size() : index_.size();
 }
 
-std::uint32_t Fib::alloc_node() {
-  if (!free_nodes_.empty()) {
-    const std::uint32_t n = free_nodes_.back();
-    free_nodes_.pop_back();
-    return n;
+std::uint32_t Fib::find_slot(const Name& prefix) const {
+  return index_.find(prefix.id_hash(), [&](std::uint32_t s) {
+    return entries_[s].prefix == prefix;
+  });
+}
+
+Fib::Entry& Fib::entry_for(const Name& prefix) {
+  std::uint32_t s = find_slot(prefix);
+  if (s != util::HashIndex::kNpos) return entries_[s];
+  if (free_slots_.empty()) {
+    s = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back();
+  } else {
+    s = free_slots_.back();
+    free_slots_.pop_back();
   }
-  nodes_.emplace_back();
-  return static_cast<std::uint32_t>(nodes_.size() - 1);
-}
-
-void Fib::free_node(std::uint32_t n) {
-  nodes_[n] = Node{};
-  free_nodes_.push_back(n);
-}
-
-std::int32_t Fib::alloc_entry() {
-  if (!free_entries_.empty()) {
-    const std::int32_t e = free_entries_.back();
-    free_entries_.pop_back();
-    return e;
+  entries_[s].prefix = prefix;
+  index_.insert(prefix.id_hash(), s);
+  if (length_counts_.size() <= prefix.size()) {
+    length_counts_.resize(prefix.size() + 1, 0);
   }
-  entries_.emplace_back();
-  return static_cast<std::int32_t>(entries_.size() - 1);
+  ++length_counts_[prefix.size()];
+  return entries_[s];
 }
 
-void Fib::free_entry(std::int32_t e) {
-  // Keep the slot's vector capacity for reuse; clear the contents.
-  entries_[static_cast<std::size_t>(e)].prefix = Name();
-  entries_[static_cast<std::size_t>(e)].next_hops.clear();
-  free_entries_.push_back(e);
-}
-
-std::uint32_t Fib::ensure_node(const std::vector<ComponentId>& ids,
-                               std::vector<std::uint32_t>& path) {
-  std::uint32_t node = 0;
-  path.push_back(node);
-  std::size_t pos = 0;
-  while (pos < ids.size()) {
-    const std::uint32_t child = nodes_[node].children.find(ids[pos]);
-    if (child == kNoNode) {
-      const std::uint32_t fresh = alloc_node();
-      nodes_[fresh].label.assign(ids.begin() + static_cast<std::ptrdiff_t>(pos),
-                                 ids.end());
-      nodes_[node].children.upsert(ids[pos], fresh);
-      path.push_back(fresh);
-      return fresh;
-    }
-    const std::size_t remaining = ids.size() - pos;
-    std::size_t common = 0;
-    {
-      const auto& label = nodes_[child].label;
-      const std::size_t limit = std::min(label.size(), remaining);
-      while (common < limit && label[common] == ids[pos + common]) ++common;
-    }
-    if (common == nodes_[child].label.size()) {
-      // Edge fully matched: descend.
-      pos += common;
-      node = child;
-      path.push_back(node);
-      continue;
-    }
-    // Partial match (common >= 1: the first component keyed the edge).
-    // Split the edge: parent -> mid -> child, with mid taking the shared
-    // label run and child keeping the tail.
-    const std::uint32_t mid = alloc_node();  // may move nodes_: re-index below
-    auto& child_label = nodes_[child].label;
-    nodes_[mid].label.assign(
-        child_label.begin(),
-        child_label.begin() + static_cast<std::ptrdiff_t>(common));
-    child_label.erase(
-        child_label.begin(),
-        child_label.begin() + static_cast<std::ptrdiff_t>(common));
-    nodes_[mid].children.upsert(child_label[0], child);
-    nodes_[node].children.upsert(ids[pos], mid);
-    pos += common;
-    path.push_back(mid);
-    if (pos == ids.size()) return mid;
-    const std::uint32_t fresh = alloc_node();
-    nodes_[fresh].label.assign(ids.begin() + static_cast<std::ptrdiff_t>(pos),
-                               ids.end());
-    nodes_[mid].children.upsert(ids[pos], fresh);
-    path.push_back(fresh);
-    return fresh;
+void Fib::free_slot(std::uint32_t s) {
+  Entry& entry = entries_[s];
+  index_.erase(entry.prefix.id_hash(), [s](std::uint32_t v) { return v == s; });
+  --length_counts_[entry.prefix.size()];
+  while (!length_counts_.empty() && length_counts_.back() == 0) {
+    length_counts_.pop_back();
   }
-  return node;
-}
-
-std::uint32_t Fib::walk_exact(const std::vector<ComponentId>& ids,
-                              std::vector<std::uint32_t>* path) const {
-  std::uint32_t node = 0;
-  if (path) path->push_back(node);
-  std::size_t pos = 0;
-  while (pos < ids.size()) {
-    const std::uint32_t child = nodes_[node].children.find(ids[pos]);
-    if (child == kNoNode) return kNoNode;
-    const auto& label = nodes_[child].label;
-    if (label.size() > ids.size() - pos) return kNoNode;
-    if (!std::equal(label.begin(), label.end(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(pos))) {
-      return kNoNode;
-    }
-    pos += label.size();
-    node = child;
-    if (path) path->push_back(node);
-  }
-  return node;
-}
-
-Fib::Entry& Fib::entry_for(std::uint32_t node, const Name& prefix) {
-  if (nodes_[node].entry == kNoEntry) {
-    const std::int32_t e = alloc_entry();
-    nodes_[node].entry = e;
-    entries_[static_cast<std::size_t>(e)].prefix = prefix;
-    ++entry_count_;
-  }
-  return entries_[static_cast<std::size_t>(nodes_[node].entry)];
-}
-
-void Fib::drop_entry(std::uint32_t node,
-                     const std::vector<std::uint32_t>& path) {
-  if (nodes_[node].entry == kNoEntry) return;
-  free_entry(nodes_[node].entry);
-  nodes_[node].entry = kNoEntry;
-  --entry_count_;
-  prune(path);
-}
-
-void Fib::prune(const std::vector<std::uint32_t>& path) {
-  // Walk from the cleared node toward the root, restoring the invariant
-  // that every non-root node carries an entry or branches (≥2 children).
-  for (std::size_t i = path.size(); i-- > 1;) {
-    const std::uint32_t n = path[i];
-    Node& nd = nodes_[n];
-    if (nd.entry != kNoEntry) break;
-    if (nd.children.size() == 0) {
-      nodes_[path[i - 1]].children.erase(nd.label[0]);
-      free_node(n);
-      continue;  // the parent may itself be a pass-through now
-    }
-    if (nd.children.size() == 1) {
-      // Pass-through: absorb the only child (labels concatenate).  The
-      // parent's edge key (nd.label[0]) is unchanged.
-      const auto [comp, c] = nd.children.only();
-      (void)comp;
-      Node& cn = nodes_[c];
-      nd.label.insert(nd.label.end(), cn.label.begin(), cn.label.end());
-      nd.entry = cn.entry;
-      nd.children = std::move(cn.children);
-      free_node(c);
-    }
-    break;  // branching or merged node is structural: stop
-  }
+  entry.prefix.clear();
+  entry.next_hops.clear();  // keeps capacity for the slot's next tenant
+  free_slots_.push_back(s);
 }
 
 void Fib::add_route(const Name& prefix, FaceId next_hop, std::uint32_t cost) {
@@ -358,22 +144,7 @@ void Fib::add_route(const Name& prefix, FaceId next_hop, std::uint32_t cost) {
     linear_.add_route(prefix, next_hop, cost);
     return;
   }
-  std::vector<std::uint32_t> path;
-  const std::uint32_t node = ensure_node(prefix.component_ids(), path);
-  Entry& entry = entry_for(node, prefix);
-  const auto existing = std::find_if(
-      entry.next_hops.begin(), entry.next_hops.end(),
-      [next_hop](const NextHop& hop) { return hop.face == next_hop; });
-  if (existing != entry.next_hops.end()) {
-    existing->cost = cost;
-  } else {
-    entry.next_hops.push_back(NextHop{next_hop, cost});
-  }
-  std::sort(entry.next_hops.begin(), entry.next_hops.end(),
-            [](const NextHop& a, const NextHop& b) {
-              if (a.cost != b.cost) return a.cost < b.cost;
-              return a.face < b.face;
-            });
+  add_hop(entry_for(prefix).next_hops, next_hop, cost);
 }
 
 void Fib::remove_next_hop(const Name& prefix, FaceId next_hop) {
@@ -381,16 +152,10 @@ void Fib::remove_next_hop(const Name& prefix, FaceId next_hop) {
     linear_.remove_next_hop(prefix, next_hop);
     return;
   }
-  std::vector<std::uint32_t> path;
-  const std::uint32_t node = walk_exact(prefix.component_ids(), &path);
-  if (node == kNoNode || nodes_[node].entry == kNoEntry) return;
-  auto& hops = entries_[static_cast<std::size_t>(nodes_[node].entry)].next_hops;
-  hops.erase(std::remove_if(hops.begin(), hops.end(),
-                            [next_hop](const NextHop& hop) {
-                              return hop.face == next_hop;
-                            }),
-             hops.end());
-  if (hops.empty()) drop_entry(node, path);
+  const std::uint32_t s = find_slot(prefix);
+  if (s == util::HashIndex::kNpos) return;
+  remove_hop(entries_[s].next_hops, next_hop);
+  if (entries_[s].next_hops.empty()) free_slot(s);
 }
 
 void Fib::remove_route(const Name& prefix) {
@@ -398,10 +163,8 @@ void Fib::remove_route(const Name& prefix) {
     linear_.remove_route(prefix);
     return;
   }
-  std::vector<std::uint32_t> path;
-  const std::uint32_t node = walk_exact(prefix.component_ids(), &path);
-  if (node == kNoNode) return;
-  drop_entry(node, path);
+  const std::uint32_t s = find_slot(prefix);
+  if (s != util::HashIndex::kNpos) free_slot(s);
 }
 
 void Fib::set_routes(const Name& prefix, std::vector<NextHop> next_hops) {
@@ -413,54 +176,37 @@ void Fib::set_routes(const Name& prefix, std::vector<NextHop> next_hops) {
     remove_route(prefix);
     return;
   }
-  std::sort(next_hops.begin(), next_hops.end(),
-            [](const NextHop& a, const NextHop& b) {
-              if (a.cost != b.cost) return a.cost < b.cost;
-              return a.face < b.face;
-            });
-  std::vector<std::uint32_t> path;
-  const std::uint32_t node = ensure_node(prefix.component_ids(), path);
-  Entry& entry = entry_for(node, prefix);
-  entry.next_hops = std::move(next_hops);
+  sort_hops(next_hops);
+  entry_for(prefix).next_hops = std::move(next_hops);
 }
 
 const Fib::Entry* Fib::lookup(const Name& name) const {
   ++counters_.lookups;
   if (impl_ == Impl::kLinear) return linear_.lookup(name);
   const std::vector<ComponentId>& ids = name.component_ids();
-  ++counters_.nodes_visited;  // root
-  const Entry* best =
-      nodes_[0].entry == kNoEntry
-          ? nullptr
-          : &entries_[static_cast<std::size_t>(nodes_[0].entry)];
-  std::uint32_t node = 0;
-  std::size_t pos = 0;
-  while (pos < ids.size()) {
-    const std::uint32_t child = nodes_[node].children.find(ids[pos]);
-    if (child == kNoNode) break;
-    const Node& cn = nodes_[child];
+  // Fold the prefix hashes shortest-first, probing only the lengths that
+  // hold entries; the last hit is the longest match.
+  const std::size_t longest = std::min(ids.size() + 1, length_counts_.size());
+  const Entry* best = nullptr;
+  std::uint64_t h = Name::kIdHashSeed;
+  for (std::size_t len = 0; len < longest; ++len) {
+    if (len > 0) h = Name::extend_id_hash(h, ids[len - 1]);
+    if (length_counts_[len] == 0) continue;
     ++counters_.nodes_visited;
-    // An edge longer than the remaining components cannot lie on any
-    // prefix of `name`; neither can a mismatching one.
-    if (cn.label.size() > ids.size() - pos) break;
-    if (!std::equal(cn.label.begin(), cn.label.end(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(pos))) {
-      break;
-    }
-    pos += cn.label.size();
-    node = child;
-    if (cn.entry != kNoEntry) {
-      best = &entries_[static_cast<std::size_t>(cn.entry)];
-    }
+    const std::uint32_t s = index_.find(h, [&](std::uint32_t v) {
+      const auto& prefix = entries_[v].prefix.component_ids();
+      return prefix.size() == len &&
+             std::equal(prefix.begin(), prefix.end(), ids.begin());
+    });
+    if (s != util::HashIndex::kNpos) best = &entries_[s];
   }
   return best;
 }
 
 const Fib::Entry* Fib::find_exact(const Name& prefix) const {
   if (impl_ == Impl::kLinear) return linear_.find_exact(prefix);
-  const std::uint32_t node = walk_exact(prefix.component_ids(), nullptr);
-  if (node == kNoNode || nodes_[node].entry == kNoEntry) return nullptr;
-  return &entries_[static_cast<std::size_t>(nodes_[node].entry)];
+  const std::uint32_t s = find_slot(prefix);
+  return s == util::HashIndex::kNpos ? nullptr : &entries_[s];
 }
 
 }  // namespace tactic::ndn

@@ -4,15 +4,18 @@
 //
 // Two interchangeable lookup structures live here:
 //
-//  - `Fib` (the default, Impl::kLcTrie): a path-compressed radix trie over
-//    interned name components with level compression at high-fanout nodes
-//    (sorted-vector children promote to an open-addressing table).  Lookup
-//    cost is O(#components) independent of table size — the structure that
-//    carries million-prefix tables (docs/ARCHITECTURE.md, "Name interning
-//    and table structures").
+//  - `Fib` (the default, Impl::kPrefixHash): a flat prefix-hash index.
+//    Entries live in a vector slab with a free list; one util::HashIndex
+//    (the index the PIT and CS use) maps each prefix's Name::id_hash() to
+//    its slot, and a count of entries per prefix length tells lookup()
+//    which lengths to probe.  A lookup folds the query's component IDs
+//    into prefix hashes in one pass (Name::extend_id_hash), probes only
+//    the lengths that hold entries, keeps the longest hit, and allocates
+//    nothing (docs/ARCHITECTURE.md, "Name interning and table
+//    structures").
 //  - `LinearFib`: the original hash-map implementation that probes every
-//    prefix length, retained verbatim as the differential reference.  The
-//    property suite in tests/table_diff_test.cpp asserts trie LPM ≡ linear
+//    prefix length, retained as the differential reference.  The
+//    property suite in tests/table_diff_test.cpp asserts Fib LPM ≡ linear
 //    LPM over randomized and adversarial prefix sets, and `Fib` can be
 //    switched wholesale to it (Impl::kLinear) for end-to-end equivalence
 //    runs (`fuzz_scenarios --bigtables`).
@@ -21,11 +24,11 @@
 // is unobservable in fingerprints, verdicts, and traces.
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
 #include "ndn/name.hpp"
+#include "util/hash_index.hpp"
 
 namespace tactic::ndn {
 
@@ -51,10 +54,10 @@ struct FibEntry {
   }
 };
 
-/// The pre-trie FIB: unordered_map keyed by prefix Name, longest-prefix
+/// The original FIB: unordered_map keyed by prefix Name, longest-prefix
 /// match by probing every prefix length longest-first.  O(#components)
-/// hash lookups per match, each hashing the full prefix bytes.  Kept as
-/// the executable specification the trie is differentially tested against.
+/// hash lookups per match, each building and hashing a prefix copy.  Kept
+/// as the executable specification Fib is differentially tested against.
 class LinearFib {
  public:
   using NextHop = FibNextHop;
@@ -69,8 +72,6 @@ class LinearFib {
   std::size_t size() const { return entries_.size(); }
 
  private:
-  static void sort_hops(std::vector<NextHop>& hops);
-
   std::unordered_map<Name, Entry> entries_;
 };
 
@@ -81,9 +82,7 @@ class Fib {
 
   /// Which lookup structure backs this FIB.  Semantics are identical; the
   /// linear reference exists for differential testing and benchmarking.
-  enum class Impl { kLcTrie, kLinear };
-
-  Fib();
+  enum class Impl { kPrefixHash, kLinear };
 
   /// Selects the backing structure.  Only legal while the table is empty
   /// (the switch does not migrate entries); throws std::logic_error
@@ -104,8 +103,13 @@ class Fib {
   /// Replaces the entry's hop set wholesale (route recomputation).
   void set_routes(const Name& prefix, std::vector<NextHop> next_hops);
 
-  /// Longest-prefix match; nullptr when no entry covers `name`.
-  /// Trie: one walk over the components.  Linear: O(#components) map probes.
+  /// Longest-prefix match; nullptr when no entry covers `name`.  One hash
+  /// probe per prefix length that holds an entry (Linear: one map probe
+  /// per prefix length).
+  ///
+  /// The returned pointer (like find_exact()'s) stays valid only until the
+  /// next route change — add_route, set_routes, remove_route or
+  /// remove_next_hop may move or recycle the slab slot it points into.
   const Entry* lookup(const Name& name) const;
 
   /// Exact-prefix find (no LPM).
@@ -116,79 +120,34 @@ class Fib {
   /// Hot-path work counters, for regression tests pinning lookup cost and
   /// for sim::RouterOps aggregation.  Never fingerprinted.
   struct Counters {
-    std::uint64_t lookups = 0;        // lookup() calls
-    std::uint64_t nodes_visited = 0;  // trie nodes touched during lookups
+    std::uint64_t lookups = 0;  // lookup() calls
+    /// Hash probes made by lookups: one per prefix length that holds an
+    /// entry, up to the query's length.  (The name predates the prefix
+    /// index, when it counted trie nodes; perfbench reads it as
+    /// `ndn.fib_nodes_per_lookup`.)
+    std::uint64_t nodes_visited = 0;
   };
   const Counters& counters() const { return counters_; }
 
  private:
-  static constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
-  static constexpr std::int32_t kNoEntry = -1;
+  /// Slab slot holding exactly `prefix`, or HashIndex::kNpos.
+  std::uint32_t find_slot(const Name& prefix) const;
+  /// The entry for `prefix`, created (hop list empty) if absent.
+  Entry& entry_for(const Name& prefix);
+  /// Unindexes slot `s` and returns it to the free list.
+  void free_slot(std::uint32_t s);
 
-  /// Child table of one trie node, keyed by the first component of each
-  /// outgoing edge.  Starts as a vector sorted by ComponentId (binary
-  /// search); promotes to an open-addressing hash table once fanout
-  /// exceeds kPromote — the "level compression" that keeps huge root
-  /// fanouts (10^6 distinct first components) O(1) per probe.
-  class ChildMap {
-   public:
-    std::uint32_t find(ComponentId c) const;
-    /// Insert-or-replace the node mapped from `c`.
-    void upsert(ComponentId c, std::uint32_t node);
-    void erase(ComponentId c);
-    std::size_t size() const { return hashed_ ? count_ : slots_.size(); }
-    /// The single element; requires size() == 1 (edge-merge on prune).
-    std::pair<ComponentId, std::uint32_t> only() const;
-
-   private:
-    static constexpr std::size_t kPromote = 16;
-    static std::size_t probe_start(ComponentId c, std::size_t mask);
-    void rehash(std::size_t capacity);
-
-    /// Sorted (id, node) pairs in vector mode; open-addressing slots with
-    /// first == kInvalidComponent marking empties in hash mode.
-    std::vector<std::pair<ComponentId, std::uint32_t>> slots_;
-    std::size_t count_ = 0;  // live entries (hash mode only)
-    bool hashed_ = false;
-  };
-
-  /// One trie node.  `label` is the path-compressed component run on the
-  /// edge from the parent into this node (empty only for the root);
-  /// invariant: every non-root node holds an entry or has ≥2 children.
-  struct Node {
-    std::vector<ComponentId> label;
-    std::int32_t entry = kNoEntry;  // index into entries_, kNoEntry if none
-    ChildMap children;
-  };
-
-  std::uint32_t alloc_node();
-  void free_node(std::uint32_t n);
-  std::int32_t alloc_entry();
-  void free_entry(std::int32_t e);
-  /// Finds-or-creates the node whose full path equals `ids`, splitting
-  /// edges as needed; appends the root-to-node index path to `path`.
-  std::uint32_t ensure_node(const std::vector<ComponentId>& ids,
-                            std::vector<std::uint32_t>& path);
-  /// Read-only exact walk; kNoNode when `ids` does not end on a node.
-  std::uint32_t walk_exact(const std::vector<ComponentId>& ids,
-                           std::vector<std::uint32_t>* path) const;
-  /// Restores the trie invariant along `path` (root..target) after the
-  /// target's entry was cleared: drops empty leaves, merges single-child
-  /// pass-through nodes into their child.
-  void prune(const std::vector<std::uint32_t>& path);
-  Entry& entry_for(std::uint32_t node, const Name& prefix);
-  void drop_entry(std::uint32_t node, const std::vector<std::uint32_t>& path);
-
-  Impl impl_ = Impl::kLcTrie;
+  Impl impl_ = Impl::kPrefixHash;
   LinearFib linear_;  // backing store in Impl::kLinear mode
 
-  std::vector<Node> nodes_;  // [0] is the root
-  std::vector<std::uint32_t> free_nodes_;
-  /// Entry slab: deque for pointer stability (lookup() returns raw
-  /// pointers), free list for slot reuse.
-  std::deque<Entry> entries_;
-  std::vector<std::int32_t> free_entries_;
-  std::size_t entry_count_ = 0;
+  /// Entry slab; freed slots keep their hop-vector capacity for reuse.
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> free_slots_;
+  /// prefix id_hash -> slot; collisions resolve against the slot's prefix.
+  util::HashIndex index_;
+  /// Entries per prefix length; no trailing zero, so size() - 1 is the
+  /// longest prefix held.
+  std::vector<std::uint32_t> length_counts_;
 
   mutable Counters counters_;
 };

@@ -170,13 +170,12 @@ class Forwarder {
   /// deliver closure by the wiring helper) or from local apps.
   void receive(FaceId in_face, PacketVariant&& packet);
 
-  /// Optional packet tracer, invoked for every packet this node receives
+  /// Optional packet tracers, invoked for every packet this node receives
   /// (direction=rx) and transmits (direction=tx).  Costs one branch per
-  /// packet when unset.  See sim::PacketTrace for a CSV sink.
+  /// packet when none is installed.  See sim::PacketTrace for a CSV sink.
   using TraceFn =
       std::function<void(const Forwarder&, const PacketVariant&, FaceId,
                          bool /*is_rx*/)>;
-  void set_tracer(TraceFn tracer) { tracer_ = std::move(tracer); }
 
   /// Adds a tracer without displacing one already installed; all added
   /// tracers run, in installation order.  Lets an invariant checker

@@ -109,35 +109,4 @@ int Name::compare(const Name& other) const {
   return ids_.size() < other.ids_.size() ? -1 : 1;
 }
 
-std::uint64_t Name::hash() const {
-  if (hash_cached_) return hash_;
-  // FNV-1a over components with a separator byte, so /ab/c and /a/bc
-  // hash differently.  Must stay byte-identical to the pre-interning
-  // definition: this value is the std::hash<Name> seed everywhere.
-  const NameTable& table = NameTable::instance();
-  std::uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](unsigned char byte) {
-    h ^= byte;
-    h *= 1099511628211ULL;
-  };
-  for (const ComponentId id : ids_) {
-    mix('/');
-    for (unsigned char byte : table.text(id)) mix(byte);
-  }
-  hash_ = h;
-  hash_cached_ = true;
-  return h;
-}
-
-std::uint64_t Name::id_hash() const {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const ComponentId id : ids_) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      h ^= (id >> shift) & 0xFFu;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
-
 }  // namespace tactic::ndn

@@ -9,11 +9,17 @@
 // Representation: every component string is interned once in the global
 // NameTable and a Name holds a small vector of dense 32-bit ComponentIds.
 // Component equality is an integer compare, prefix slicing copies a few
-// words, and the container hash is a handful of integer multiplies — the
-// foundation for million-entry FIB/PIT/CS tables.  All *semantics* stay
-// string-defined: equality, ordering (compare/<), and hash() are functions
-// of the component strings alone, so interning order is unobservable and
-// fingerprints are unaffected by the representation.
+// words, and the one hash, id_hash(), is FNV-1a over the ID words, cached
+// after its first computation — the key of every name table (FIB, PIT,
+// CS) and of std::hash<Name>.  Equality and ordering (compare/<) stay
+// functions of the component strings alone.
+//
+// Contract: id_hash() values depend on interning order, which depends on
+// everything the process interned before.  Nothing may iterate a
+// Name-keyed unordered container in an order that reaches output
+// (fingerprints, traces, stats).  Today nothing does; the four such maps
+// are LinearFib's entry map, the client and attacker `outstanding_` maps,
+// and the provider's `signature_cache_`, and all four are only probed.
 
 #include <cstddef>
 #include <cstdint>
@@ -85,31 +91,39 @@ class Name {
     return a.compare(b) < 0;
   }
 
-  /// Stable 64-bit hash of the canonical URI (FNV-1a over the bytes), for
-  /// hash maps and any fingerprint-visible use.  Cached after the first
-  /// computation; identical to the pre-interning definition.
-  std::uint64_t hash() const;
+  /// id_hash() of the empty (root) name: the FNV-1a offset basis.
+  static constexpr std::uint64_t kIdHashSeed = 14695981039346656037ULL;
 
-  /// Cheap container hash over the interned IDs (FNV-1a over the 32-bit
-  /// words).  Values are interning-order-dependent — use only for
-  /// in-process hash tables (PIT/CS keys), never for anything a
-  /// fingerprint or wire format observes.
-  std::uint64_t id_hash() const;
+  /// Folds one more component into a prefix's hash: for any name n and
+  /// component id c, extend_id_hash(n.id_hash(), c) is the id_hash() of n
+  /// with c appended.  The FIB folds a query's prefixes with it.
+  static constexpr std::uint64_t extend_id_hash(std::uint64_t h,
+                                                ComponentId id) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      h ^= (id >> shift) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
+
+  /// FNV-1a over the interned ID words: extend_id_hash() folded over the
+  /// components from kIdHashSeed.  Cached after the first call.  Values
+  /// depend on interning order — see the contract at the top of the file.
+  std::uint64_t id_hash() const {
+    if (!hash_cached_) {
+      std::uint64_t h = kIdHashSeed;
+      for (const ComponentId id : ids_) h = extend_id_hash(h, id);
+      hash_ = h;
+      hash_cached_ = true;
+    }
+    return hash_;
+  }
 
  private:
   std::vector<ComponentId> ids_;
-  /// Lazily cached hash() value (byte FNV-1a; 0 == not yet computed is
-  /// disambiguated by the flag, not the value).
+  /// Lazily cached id_hash() (the flag, not the value, marks "computed").
   mutable std::uint64_t hash_ = 0;
   mutable bool hash_cached_ = false;
-};
-
-/// Hasher keying on Name::id_hash() — the interned-name key the PIT and
-/// Content Store tables use.  Equality stays Name::operator== (ID vectors).
-struct InternedNameHash {
-  std::size_t operator()(const Name& name) const noexcept {
-    return static_cast<std::size_t>(name.id_hash());
-  }
 };
 
 }  // namespace tactic::ndn
@@ -117,6 +131,6 @@ struct InternedNameHash {
 template <>
 struct std::hash<tactic::ndn::Name> {
   std::size_t operator()(const tactic::ndn::Name& name) const noexcept {
-    return static_cast<std::size_t>(name.hash());
+    return static_cast<std::size_t>(name.id_hash());
   }
 };

@@ -4,9 +4,9 @@
 // Every name component string is registered here exactly once and mapped
 // to a dense 32-bit ComponentId; Names then hold small ID vectors instead
 // of string vectors, making component comparison O(1) and name hashing a
-// few integer multiplies.  This is the substrate the LC-trie FIB and the
-// interned-hash PIT/CS keys are built on (docs/ARCHITECTURE.md, "Name
-// interning and table structures").
+// few integer multiplies.  Every name table — the prefix-hash FIB, the
+// PIT and the CS — keys on Name::id_hash() over these IDs
+// (docs/ARCHITECTURE.md, "Name interning and table structures").
 //
 // The table is process-global and append-only: IDs are never recycled and
 // interned strings are never moved, so `text(id)` references stay valid
@@ -14,12 +14,12 @@
 // crash/restart cycles that wipe all volatile forwarding state (FIB, PIT,
 // CS, Bloom filters) — it models the *vocabulary* of names, not any
 // router's state.  ID values depend on interning order and carry no
-// meaning: Name equality, ordering, and the byte-level hash used for
-// fingerprints are all defined over the component *strings*, so two runs
-// that intern in different orders still behave identically.  Because the
-// table is process-global, ID values depend on everything the process
-// interned earlier (for example an earlier Scenario in the same test
-// binary), and nothing behaviour-visible may key off them.
+// meaning: Name equality and ordering are defined over the component
+// *strings*, so two runs that intern in different orders still behave
+// identically.  Because the table is process-global, ID values — and so
+// Name::id_hash() — depend on everything the process interned earlier
+// (for example an earlier Scenario in the same test binary), and nothing
+// behaviour-visible may key off them or iterate in an order they set.
 
 #include <cstdint>
 #include <deque>

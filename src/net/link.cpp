@@ -89,26 +89,4 @@ bool Link::send(std::size_t size_bytes, Frame frame) {
   return true;
 }
 
-bool Link::send(std::size_t size_bytes, DeliverFn on_delivered) {
-  event::Time arrival = 0;
-  FrameFate fate;
-  bool arrives = false;
-  if (!admit(size_bytes, arrival, fate, arrives)) return false;
-  scheduler_.schedule_at(
-      arrival,
-      [this, arrives, fate, deliver = std::move(on_delivered)]() mutable {
-        --in_flight_;
-        if (arrives) deliver(fate);
-      });
-  return true;
-}
-
-bool Link::send(std::size_t size_bytes, std::function<void()> on_delivered) {
-  return send(size_bytes,
-              DeliverFn([deliver = std::move(on_delivered)](
-                            const FrameFate& fate) mutable {
-                if (!fate.corrupted) deliver();
-              }));
-}
-
 }  // namespace tactic::net

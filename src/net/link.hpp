@@ -16,12 +16,10 @@
 // Corrupted frames still arrive; the receiver learns the fate and a
 // deterministic corruption seed so upper layers can flip real wire bytes.
 //
-// The layer is payload-agnostic two ways.  The hot path carries a Frame:
-// a byte count plus a refcounted opaque cookie (the shared packet) and a
-// kind byte the receiver uses to reconstruct the payload type — no
-// per-frame closure, no allocation.  A legacy closure-based send remains
-// for tests and probes.  Either way `net` has no dependency on the NDN
-// packet types.
+// The layer is payload-agnostic: a frame is a byte count plus a
+// refcounted opaque cookie (the shared packet) and a kind tag the receiver
+// uses to reconstruct the payload type — no per-frame closure, no
+// allocation — so `net` has no dependency on the NDN packet types.
 
 #include <cstddef>
 #include <cstdint>
@@ -95,8 +93,6 @@ struct Frame {
 /// One direction of a point-to-point channel.
 class Link {
  public:
-  /// Delivery callback; receives the frame's fault-model fate.
-  using DeliverFn = std::function<void(const FrameFate&)>;
   /// Receiver installed once at wiring time; runs for every arriving
   /// Frame (including corrupted ones — the fate says so).
   using ReceiveFn = std::function<void(const FrameFate&, Frame&&)>;
@@ -106,9 +102,9 @@ class Link {
   const LinkParams& params() const { return params_; }
   const LinkCounters& counters() const { return counters_; }
 
-  /// Installs (or replaces) the frame receiver for the cookie-based
-  /// send().  One per link direction, registered at wiring time — frames
-  /// then carry only the refcounted payload, never a closure.
+  /// Installs (or replaces) the frame receiver.  One per link direction,
+  /// registered at wiring time — frames then carry only the refcounted
+  /// payload, never a closure.
   void set_receiver(ReceiveFn receiver) { receiver_ = std::move(receiver); }
 
   /// Enqueues a frame of `size_bytes` carrying `frame`; arrival runs the
@@ -117,15 +113,6 @@ class Link {
   /// frame the fault model loses still returns true: wireless loss is
   /// silent at the sender.
   bool send(std::size_t size_bytes, Frame frame);
-
-  /// Legacy per-frame-closure send (tests, probes); same admission and
-  /// fate rules.
-  bool send(std::size_t size_bytes, DeliverFn on_delivered);
-
-  /// Convenience overload for fate-oblivious callers: the closure only
-  /// runs for intact frames (corrupted frames are dropped at this shim,
-  /// as if L2 CRC rejected them before the payload handler).
-  bool send(std::size_t size_bytes, std::function<void()> on_delivered);
 
   /// Installs (or replaces) the fault model.  `rng` should be a dedicated
   /// fork so fault draws never perturb other subsystems' streams.
@@ -150,7 +137,7 @@ class Link {
   /// the frame is lost on the wire.
   bool draw_fate(FrameFate& fate);
 
-  /// Shared admission: queue/up checks, airtime accounting, fate draw.
+  /// send()'s admission: queue/up checks, airtime accounting, fate draw.
   /// Returns false when refused; otherwise fills the arrival time.
   bool admit(std::size_t size_bytes, event::Time& arrival, FrameFate& fate,
              bool& arrives);

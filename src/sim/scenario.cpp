@@ -23,7 +23,7 @@ Scenario::Scenario(ScenarioConfig config)
                                                  config_.topology, rng_);
   // Select the FIB structure while every table is still empty (set_impl
   // refuses otherwise); routes are installed below.
-  if (config_.fib_impl != ndn::Fib::Impl::kLcTrie) {
+  if (config_.fib_impl != ndn::Fib::Impl::kPrefixHash) {
     for (std::size_t i = 0; i < network_->node_count(); ++i) {
       network_->node(static_cast<net::NodeId>(i))
           .fib()

@@ -67,7 +67,7 @@ struct ScenarioConfig {
   /// retained reference implementation — metrics, verdicts, and traces
   /// must not change (the differential gate `fuzz_scenarios --bigtables`
   /// runs both and compares fingerprints).
-  ndn::Fib::Impl fib_impl = ndn::Fib::Impl::kLcTrie;
+  ndn::Fib::Impl fib_impl = ndn::Fib::Impl::kPrefixHash;
 
   /// Installs this many random junk prefixes (first component "xfib…",
   /// never matching workload names) into every edge/core router FIB

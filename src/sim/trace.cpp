@@ -8,7 +8,7 @@ PacketTrace::PacketTrace(const std::string& path) : csv_(path) {
 }
 
 void PacketTrace::attach(ndn::Forwarder& node) {
-  node.set_tracer([this](const ndn::Forwarder& fwd,
+  node.add_tracer([this](const ndn::Forwarder& fwd,
                          const ndn::PacketVariant& packet, ndn::FaceId face,
                          bool is_rx) { record(fwd, packet, face, is_rx); });
 }

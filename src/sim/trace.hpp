@@ -30,8 +30,9 @@ class PacketTrace {
   /// Restricts tracing to names under `prefix`.
   void set_name_filter(ndn::Name prefix) { filter_ = std::move(prefix); }
 
-  /// Attaches the trace to one node / every node of a network.  The trace
-  /// object must outlive the simulation run.
+  /// Attaches the trace to one node / every node of a network, beside any
+  /// tracer already installed there (an armed invariant checker keeps
+  /// observing).  The trace object must outlive the simulation run.
   void attach(ndn::Forwarder& node);
   void attach(topology::Network& network);
 

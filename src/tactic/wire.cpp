@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <limits>
 
 #include "ndn/tlv.hpp"
 
@@ -17,6 +18,36 @@ using ndn::TlvReader;
 /// matters because content routers re-validate with probability F).
 std::uint64_t pack_double(double v) { return std::bit_cast<std::uint64_t>(v); }
 double unpack_double(std::uint64_t bits) { return std::bit_cast<double>(bits); }
+
+/// The readers below treat a value its packet field cannot hold as
+/// malformed, like broken framing: they throw TlvError, which the decoders
+/// turn into nullopt.
+
+/// Reads an unsigned integer that must fit `T`.
+template <typename T>
+T read_uint(const TlvReader::Element& element) {
+  const std::uint64_t value = TlvReader::to_uint(element);
+  if (value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    throw ndn::TlvError("integer field out of range");
+  }
+  return static_cast<T>(value);
+}
+
+/// Reads a NACK reason: one of the enumerators, up to kRouterOverloaded.
+ndn::NackReason read_nack_reason(const TlvReader::Element& element) {
+  const std::uint64_t value = TlvReader::to_uint(element);
+  if (value >= ndn::kNackReasonCount) {
+    throw ndn::TlvError("unknown NACK reason");
+  }
+  return static_cast<ndn::NackReason>(value);
+}
+
+/// Reads flag F, a probability: NaN or a value outside [0, 1] is malformed.
+double read_flag_f(const TlvReader::Element& element) {
+  const double f = unpack_double(TlvReader::to_uint(element));
+  if (!(f >= 0.0 && f <= 1.0)) throw ndn::TlvError("flag F outside [0, 1]");
+  return f;
+}
 
 void append_tag(util::Bytes& out, const core::TagPtr& tag) {
   if (tag) append_tlv(out, kTlvTag, tag->serialize());
@@ -122,21 +153,20 @@ std::optional<ndn::Interest> decode_interest(util::BytesView wire) {
     ndn::Interest interest;
     interest.name = read_name(reader);
     interest.nonce = TlvReader::to_uint(reader.expect_element(kTlvNonce));
-    interest.lifetime = static_cast<event::Time>(
-        TlvReader::to_uint(reader.expect_element(kTlvLifetime)));
+    interest.lifetime =
+        read_uint<event::Time>(reader.expect_element(kTlvLifetime));
     bool ok = true;
     interest.tag = read_tag(reader, ok);
     if (!ok) return std::nullopt;
     interest.tag_wire_size = interest.tag ? interest.tag->wire_size() : 0;
     if (const auto f = reader.read_optional(kTlvFlagF)) {
-      interest.flag_f = unpack_double(TlvReader::to_uint(*f));
+      interest.flag_f = read_flag_f(*f);
     }
     if (const auto ap = reader.read_optional(kTlvAccessPath)) {
       interest.access_path = TlvReader::to_uint(*ap);
     }
     if (const auto payload = reader.read_optional(kTlvPayloadSize)) {
-      interest.payload_size =
-          static_cast<std::size_t>(TlvReader::to_uint(*payload));
+      interest.payload_size = read_uint<std::size_t>(*payload);
     }
     if (!reader.at_end()) return std::nullopt;  // unknown trailing TLVs
     return interest;
@@ -185,17 +215,17 @@ std::optional<ndn::Data> decode_data(util::BytesView wire) {
 
     ndn::Data data;
     data.name = read_name(reader);
-    data.content_size = static_cast<std::size_t>(
-        TlvReader::to_uint(reader.expect_element(kTlvContentSize)));
-    data.access_level = static_cast<std::uint32_t>(
-        TlvReader::to_uint(reader.expect_element(kTlvAccessLevel)));
+    data.content_size =
+        read_uint<std::size_t>(reader.expect_element(kTlvContentSize));
+    data.access_level =
+        read_uint<std::uint32_t>(reader.expect_element(kTlvAccessLevel));
     {
       const auto locator = reader.expect_element(kTlvProviderKeyLocator);
       data.provider_key_locator.assign(locator.value.begin(),
                                        locator.value.end());
     }
-    data.signature_size = static_cast<std::size_t>(
-        TlvReader::to_uint(reader.expect_element(kTlvSignatureSize)));
+    data.signature_size =
+        read_uint<std::size_t>(reader.expect_element(kTlvSignatureSize));
     if (const auto reg = reader.read_optional(kTlvRegistrationResponse)) {
       data.is_registration_response = TlvReader::to_uint(*reg) != 0;
     }
@@ -205,11 +235,10 @@ std::optional<ndn::Data> decode_data(util::BytesView wire) {
     data.tag_wire_size = data.tag ? data.tag->wire_size() : 0;
     if (const auto nack = reader.read_optional(kTlvNackReason)) {
       data.nack_attached = true;
-      data.nack_reason =
-          static_cast<ndn::NackReason>(TlvReader::to_uint(*nack));
+      data.nack_reason = read_nack_reason(*nack);
     }
     if (const auto f = reader.read_optional(kTlvFlagF)) {
-      data.flag_f = unpack_double(TlvReader::to_uint(*f));
+      data.flag_f = read_flag_f(*f);
     }
     if (const auto cached = reader.read_optional(kTlvFromCache)) {
       data.from_cache = TlvReader::to_uint(*cached) != 0;
@@ -245,8 +274,7 @@ std::optional<ndn::Nack> decode_nack(util::BytesView wire) {
     TlvReader reader(packet.value);
     ndn::Nack nack;
     nack.name = read_name(reader);
-    nack.reason = static_cast<ndn::NackReason>(
-        TlvReader::to_uint(reader.expect_element(kTlvNackReason)));
+    nack.reason = read_nack_reason(reader.expect_element(kTlvNackReason));
     if (!reader.at_end()) return std::nullopt;
     return nack;
   } catch (const ndn::TlvError&) {

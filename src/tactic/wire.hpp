@@ -65,7 +65,10 @@ void encode_into(util::Bytes& out, const ndn::Data& data);
 void encode_into(util::Bytes& out, const ndn::Nack& nack);
 void encode_into(util::Bytes& out, const ndn::PacketVariant& packet);
 
-/// Packet decoders; nullopt on malformed input (never throws).
+/// Packet decoders; nullopt on malformed input (never throws).  Malformed
+/// includes a field value its packet field cannot hold: a lifetime above
+/// the event::Time range, an access level above 32 bits, a NACK reason
+/// above kRouterOverloaded, or a flag F that is NaN or outside [0, 1].
 std::optional<ndn::Interest> decode_interest(util::BytesView wire);
 std::optional<ndn::Data> decode_data(util::BytesView wire);
 std::optional<ndn::Nack> decode_nack(util::BytesView wire);

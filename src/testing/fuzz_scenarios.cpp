@@ -49,7 +49,7 @@ constexpr const char* kUsage =
     "  --bigtables          pre-populate every router FIB with 10^4-10^5\n"
     "                       random prefixes, and re-run each scenario on\n"
     "                       the linear reference FIB asserting bit-equal\n"
-    "                       fingerprints and traces (trie ≡ linear)\n"
+    "                       fingerprints and traces (hash ≡ linear)\n"
     "  --adaptive           sample the adaptive overload-control layer\n"
     "                       (gradient admission controller + per-face\n"
     "                       quarantine) on most seeds where --overload\n"
@@ -213,8 +213,8 @@ int main(int argc, char** argv) {
       }
 
       // Table-structure differential: the same scenario on the linear
-      // reference FIB must be bit-identical — the trie is a pure lookup
-      // structure, never a semantics change.
+      // reference FIB must be bit-identical — the prefix-hash index is a
+      // pure lookup structure, never a semantics change.
       if (generator.with_bigtables) {
         sim::ScenarioConfig linear = config;
         linear.fib_impl = ndn::Fib::Impl::kLinear;
@@ -224,13 +224,13 @@ int main(int argc, char** argv) {
           ++impl_mismatches;
           failed = true;
           std::printf(
-              "  FIB IMPL MISMATCH (trie vs linear):\n"
-              "    trie:   metrics=%s trace=%s\n"
+              "  FIB IMPL MISMATCH (prefix hash vs linear):\n"
+              "    hash:   metrics=%s trace=%s\n"
               "    linear: metrics=%s trace=%s\n",
               first.metrics_fingerprint.c_str(), first.trace_digest.c_str(),
               ref.metrics_fingerprint.c_str(), ref.trace_digest.c_str());
         } else if (verbose) {
-          std::printf("  fib impls agree (trie == linear)\n");
+          std::printf("  fib impls agree (prefix hash == linear)\n");
         }
       }
 

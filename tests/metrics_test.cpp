@@ -14,6 +14,7 @@
 #include "sim/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "sim/trace.hpp"
+#include "testing/invariants.hpp"
 #include "util/timeseries.hpp"
 
 namespace tactic::sim {
@@ -244,6 +245,25 @@ TEST(PacketTrace, SingleNodeAttachment) {
   while (std::getline(in, row)) {
     EXPECT_NE(row.find("edge"), std::string::npos) << row;
   }
+  std::remove(path.c_str());
+}
+
+TEST(PacketTrace, RunsBesideAnArmedInvariantChecker) {
+  // Attaching a trace adds its tracer next to the checker's rather than
+  // replacing it: both observe the packet stream.
+  const std::string path = ::testing::TempDir() + "/tactic_trace_checked.csv";
+  ScenarioConfig config = small_config(87);
+  config.duration = 5 * event::kSecond;
+  Scenario scenario(config);
+  testing::InvariantChecker checker(scenario);
+  PacketTrace trace(path);
+  checker.arm();
+  trace.attach(scenario.network());
+  scenario.run();
+  checker.finalize();
+  EXPECT_TRUE(checker.ok()) << checker.report();
+  EXPECT_GT(checker.packets_observed(), 100u);
+  EXPECT_GT(trace.rows_written(), 100u);
   std::remove(path.c_str());
 }
 

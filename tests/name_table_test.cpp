@@ -1,8 +1,9 @@
 // Tests for the global name-component interning table: ID stability
-// across re-registration, stable text references, uri_size/hash parity
-// with the string definitions, TLV round-trips preserving interned IDs,
-// and survival across router crashes that wipe all volatile forwarding
-// state (FIB/PIT/CS and the TACTIC validation engine's wipe_volatile).
+// across re-registration, stable text references, uri_size parity with
+// the string definition, the id_hash() fold, TLV round-trips preserving
+// interned IDs, and survival across router crashes that wipe all volatile
+// forwarding state (FIB/PIT/CS and the TACTIC validation engine's
+// wipe_volatile).
 
 #include <gtest/gtest.h>
 
@@ -80,21 +81,35 @@ TEST(NameTable, UriSizeMatchesToUri) {
   }
 }
 
-TEST(NameTable, HashMatchesTheByteDefinition) {
-  // hash() must stay FNV-1a over '/'+component bytes — it seeds
-  // std::hash<Name> and anything fingerprint-visible.
+TEST(NameTable, IdHashIsTheFoldOfExtendIdHash) {
+  // id_hash() is FNV-1a over the ID words, folded one component at a time
+  // with extend_id_hash() from kIdHashSeed — the one definition the FIB's
+  // prefix walk and the PIT/CS keys share — and std::hash<Name> returns it.
   const Name name("/provider0/obj3/c7");
   std::uint64_t expected = 14695981039346656037ULL;
-  for (unsigned char byte : std::string("/provider0/obj3/c7")) {
-    expected ^= byte;
-    expected *= 1099511628211ULL;
+  EXPECT_EQ(Name().id_hash(), expected);
+  EXPECT_EQ(Name::kIdHashSeed, expected);
+  for (const ComponentId id : name.component_ids()) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      expected ^= (id >> shift) & 0xFFu;
+      expected *= 1099511628211ULL;
+    }
   }
-  EXPECT_EQ(name.hash(), expected);
+  EXPECT_EQ(name.id_hash(), expected);
   EXPECT_EQ(std::hash<Name>{}(name), expected);
+  std::uint64_t folded = Name::kIdHashSeed;
+  for (std::size_t len = 1; len <= name.size(); ++len) {
+    folded = Name::extend_id_hash(folded, name.component_ids()[len - 1]);
+    EXPECT_EQ(folded, name.prefix(len).id_hash()) << len;
+  }
   // Identical across construction paths (and the lazy cache).
-  EXPECT_EQ(Name::from_components({"provider0", "obj3", "c7"}).hash(),
+  EXPECT_EQ(Name::from_components({"provider0", "obj3", "c7"}).id_hash(),
             expected);
-  EXPECT_EQ(name.hash(), expected);  // cached second read
+  EXPECT_EQ(name.id_hash(), expected);  // cached second read
+  // clear() drops the cached value with the components.
+  Name cleared = name;
+  cleared.clear();
+  EXPECT_EQ(cleared.id_hash(), Name::kIdHashSeed);
 }
 
 TEST(NameTable, TlvRoundTripPreservesInternedIds) {

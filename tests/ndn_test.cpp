@@ -75,8 +75,8 @@ TEST(Name, CompareOrdering) {
 }
 
 TEST(Name, HashDistinguishesComponentBoundaries) {
-  EXPECT_NE(Name("/ab/c").hash(), Name("/a/bc").hash());
-  EXPECT_EQ(Name("/x/y").hash(), Name("/x/y").hash());
+  EXPECT_NE(Name("/ab/c").id_hash(), Name("/a/bc").id_hash());
+  EXPECT_EQ(Name("/x/y").id_hash(), Name("/x/y").id_hash());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,19 @@
-// Differential table-equivalence suite: the LC-trie Fib against the
+// Differential table-equivalence suite: the prefix-hash Fib against the
 // retained LinearFib reference.
 //
-// The trie is a pure lookup-structure swap — for every operation
-// sequence, lookup() and find_exact() must return entries with identical
-// prefixes and next-hop lists, and size() must agree.  The property
-// sweeps randomize prefix sets over a small component alphabet (so
-// shared prefixes, splits, and merges actually happen) and interleave
-// add/remove/set_routes with lookups; fixed adversarial cases cover the
-// edges a randomized sweep can miss.  Seeds scale through
+// The prefix-hash index is a pure lookup-structure swap — for every
+// operation sequence, lookup() and find_exact() must return entries with
+// identical prefixes and next-hop lists, and size() must agree.  The
+// property sweeps randomize prefix sets over a small component alphabet
+// (so shared prefixes, nested prefixes and slot reuse actually happen)
+// and interleave add/remove/set_routes with lookups; fixed adversarial
+// cases cover the edges a randomized sweep can miss.  Seeds scale through
 // TACTIC_PROPERTY_ITERS like tests/property_test.cpp.
 //
-// The suite also pins the new table-cost counters: FIB lookups bounded
-// by the name's component count (not the table size), PIT expiry
+// The suite also pins the table-cost counters: FIB hash probes bounded by
+// the prefix lengths that hold entries (not the table size), PIT expiry
 // bookkeeping amortized O(1), CS eviction O(1) — the regression tests
-// for the latent O(n) scans this refactor removed.
+// for latent O(n) scans.
 
 #include <gtest/gtest.h>
 
@@ -48,7 +48,7 @@ class TableDiffProperty : public ::testing::TestWithParam<std::uint64_t> {
   util::Rng rng_{GetParam()};
 
   /// Random name over a deliberately small alphabet: components "c0".."c6"
-  /// and depth 0..4, so prefix sharing, edge splits, and last-component
+  /// and depth 0..4, so prefix sharing, nested prefixes, and last-component
   /// collisions are common rather than vanishing-probability events.
   Name random_name(std::uint64_t max_depth = 4) {
     const std::uint64_t depth = rng_.uniform(max_depth + 1);
@@ -75,28 +75,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TableDiffProperty,
                                            99, 110, 121, 132, 143, 154,
                                            165, 176));
 
-void expect_same_entry(const FibEntry* trie, const FibEntry* linear,
+void expect_same_entry(const FibEntry* fib, const FibEntry* linear,
                        const Name& query) {
   if (linear == nullptr) {
-    ASSERT_EQ(trie, nullptr) << "trie matched " << trie->prefix.to_uri()
+    ASSERT_EQ(fib, nullptr) << "fib matched " << fib->prefix.to_uri()
                              << " for " << query.to_uri()
                              << " but linear matched nothing";
     return;
   }
-  ASSERT_NE(trie, nullptr) << "linear matched " << linear->prefix.to_uri()
+  ASSERT_NE(fib, nullptr) << "linear matched " << linear->prefix.to_uri()
                            << " for " << query.to_uri()
-                           << " but trie matched nothing";
-  EXPECT_EQ(trie->prefix, linear->prefix) << "for " << query.to_uri();
-  ASSERT_EQ(trie->next_hops.size(), linear->next_hops.size());
-  for (std::size_t i = 0; i < trie->next_hops.size(); ++i) {
-    EXPECT_EQ(trie->next_hops[i].face, linear->next_hops[i].face);
-    EXPECT_EQ(trie->next_hops[i].cost, linear->next_hops[i].cost);
+                           << " but fib matched nothing";
+  EXPECT_EQ(fib->prefix, linear->prefix) << "for " << query.to_uri();
+  ASSERT_EQ(fib->next_hops.size(), linear->next_hops.size());
+  for (std::size_t i = 0; i < fib->next_hops.size(); ++i) {
+    EXPECT_EQ(fib->next_hops[i].face, linear->next_hops[i].face);
+    EXPECT_EQ(fib->next_hops[i].cost, linear->next_hops[i].cost);
   }
 }
 
 TEST_P(TableDiffProperty, TrieLpmEquivalentToLinearLpm) {
   for (int round = 0; round < property_iters(20); ++round) {
-    Fib trie;
+    Fib fib;
     LinearFib linear;
     const std::uint64_t inserts = 1 + rng_.uniform(60);
     std::vector<Name> inserted;
@@ -104,27 +104,27 @@ TEST_P(TableDiffProperty, TrieLpmEquivalentToLinearLpm) {
       const Name prefix = random_name();
       const FaceId face = static_cast<FaceId>(rng_.uniform(5));
       const auto cost = static_cast<std::uint32_t>(rng_.uniform(4));
-      trie.add_route(prefix, face, cost);
+      fib.add_route(prefix, face, cost);
       linear.add_route(prefix, face, cost);
       inserted.push_back(prefix);
     }
-    ASSERT_EQ(trie.size(), linear.size());
+    ASSERT_EQ(fib.size(), linear.size());
     for (int q = 0; q < 50; ++q) {
       const Name query = random_name(6);
-      expect_same_entry(trie.lookup(query), linear.lookup(query), query);
-      expect_same_entry(trie.find_exact(query), linear.find_exact(query),
+      expect_same_entry(fib.lookup(query), linear.lookup(query), query);
+      expect_same_entry(fib.find_exact(query), linear.find_exact(query),
                         query);
     }
     // Every inserted prefix must be exactly findable in both.
     for (const Name& prefix : inserted) {
-      expect_same_entry(trie.find_exact(prefix), linear.find_exact(prefix),
+      expect_same_entry(fib.find_exact(prefix), linear.find_exact(prefix),
                         prefix);
     }
   }
 }
 
 TEST_P(TableDiffProperty, InterleavedMutationsStayEquivalent) {
-  Fib trie;
+  Fib fib;
   LinearFib linear;
   std::vector<Name> pool;
   const int steps = property_iters(400);
@@ -134,70 +134,72 @@ TEST_P(TableDiffProperty, InterleavedMutationsStayEquivalent) {
       const Name prefix = random_name();
       const FaceId face = static_cast<FaceId>(rng_.uniform(5));
       const auto cost = static_cast<std::uint32_t>(rng_.uniform(4));
-      trie.add_route(prefix, face, cost);
+      fib.add_route(prefix, face, cost);
       linear.add_route(prefix, face, cost);
       pool.push_back(prefix);
     } else if (op < 6) {  // set_routes (possibly empty => removal)
       const Name& prefix = pool[rng_.uniform(pool.size())];
       std::vector<FibNextHop> hops;
       if (!rng_.bernoulli(0.25)) hops = random_hops();
-      trie.set_routes(prefix, hops);
+      fib.set_routes(prefix, hops);
       linear.set_routes(prefix, hops);
     } else if (op < 8) {  // remove_next_hop (drops entry when last)
       const Name& prefix = pool[rng_.uniform(pool.size())];
       const FaceId face = static_cast<FaceId>(rng_.uniform(5));
-      trie.remove_next_hop(prefix, face);
+      fib.remove_next_hop(prefix, face);
       linear.remove_next_hop(prefix, face);
     } else {  // remove_route
       const std::size_t pick = rng_.uniform(pool.size());
-      trie.remove_route(pool[pick]);
+      fib.remove_route(pool[pick]);
       linear.remove_route(pool[pick]);
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick));
     }
-    ASSERT_EQ(trie.size(), linear.size()) << "after step " << step;
+    ASSERT_EQ(fib.size(), linear.size()) << "after step " << step;
     const Name query = random_name(6);
-    expect_same_entry(trie.lookup(query), linear.lookup(query), query);
-    expect_same_entry(trie.find_exact(query), linear.find_exact(query),
+    expect_same_entry(fib.lookup(query), linear.lookup(query), query);
+    expect_same_entry(fib.find_exact(query), linear.find_exact(query),
                       query);
   }
-  // Drain everything: the trie must prune back to just its root.
+  // Drain everything: both tables must end empty.
   for (const Name& prefix : pool) {
-    trie.remove_route(prefix);
+    fib.remove_route(prefix);
     linear.remove_route(prefix);
   }
-  EXPECT_EQ(trie.size(), 0u);
+  EXPECT_EQ(fib.size(), 0u);
   EXPECT_EQ(linear.size(), 0u);
-  EXPECT_EQ(trie.lookup(random_name(6)), nullptr);
+  EXPECT_EQ(fib.lookup(random_name(6)), nullptr);
 }
 
 TEST_P(TableDiffProperty, HighFanoutRootPromotesAndStaysEquivalent) {
-  // Hundreds of distinct first components force the root's child table
-  // through the sorted-vector -> open-addressing promotion.
-  Fib trie;
+  // Hundreds of distinct one-component prefixes grow the hash index
+  // through several rehashes; erasing most of them leaves tombstones
+  // that lookups must probe past.  (The name is from the trie FIB's
+  // child-table promotion; it stays so the 16 seeded test IDs do.)
+  Fib fib;
   LinearFib linear;
   std::vector<Name> prefixes;
   for (int i = 0; i < 400; ++i) {
     const Name prefix =
         Name().append("fan" + std::to_string(GetParam()) + "-" +
                       std::to_string(i));
-    trie.add_route(prefix, static_cast<FaceId>(i % 5), 1);
+    fib.add_route(prefix, static_cast<FaceId>(i % 5), 1);
     linear.add_route(prefix, static_cast<FaceId>(i % 5), 1);
     prefixes.push_back(prefix);
   }
   for (const Name& prefix : prefixes) {
-    expect_same_entry(trie.lookup(prefix.append("tail")),
+    expect_same_entry(fib.lookup(prefix.append("tail")),
                       linear.lookup(prefix.append("tail")), prefix);
   }
-  // Erase most of them (drives the hash table back toward demotion).
+  // Erase most of them: the survivors sit among tombstones.
   for (std::size_t i = 0; i < prefixes.size(); ++i) {
     if (i % 50 != 0) {
-      trie.remove_route(prefixes[i]);
+      fib.remove_route(prefixes[i]);
       linear.remove_route(prefixes[i]);
     }
   }
-  ASSERT_EQ(trie.size(), linear.size());
+  ASSERT_EQ(fib.size(), linear.size());
   for (const Name& prefix : prefixes) {
-    expect_same_entry(trie.lookup(prefix), linear.lookup(prefix), prefix);
+    expect_same_entry(fib.lookup(prefix), linear.lookup(prefix), prefix);
   }
 }
 
@@ -206,88 +208,87 @@ TEST_P(TableDiffProperty, HighFanoutRootPromotesAndStaysEquivalent) {
 // ---------------------------------------------------------------------------
 
 TEST(TableDiff, SharedPrefixesDifferingInLastComponent) {
-  Fib trie;
+  Fib fib;
   LinearFib linear;
   const std::vector<std::string> uris = {
       "/a/b/c/d1", "/a/b/c/d2", "/a/b/c", "/a/b/x", "/a"};
   FaceId face = 0;
   for (const auto& uri : uris) {
-    trie.add_route(Name(uri), face);
+    fib.add_route(Name(uri), face);
     linear.add_route(Name(uri), face);
     ++face;
   }
   for (const auto& query :
        {"/a/b/c/d1", "/a/b/c/d2", "/a/b/c/d3", "/a/b/c/d1/e", "/a/b/c",
         "/a/b/x/y", "/a/b", "/a", "/z", "/"}) {
-    expect_same_entry(trie.lookup(Name(query)), linear.lookup(Name(query)),
+    expect_same_entry(fib.lookup(Name(query)), linear.lookup(Name(query)),
                       Name(query));
   }
 }
 
 TEST(TableDiff, EmptyNameAndRootEntry) {
-  Fib trie;
+  Fib fib;
   LinearFib linear;
   // Lookup of the empty name with no routes at all.
-  expect_same_entry(trie.lookup(Name()), linear.lookup(Name()), Name());
+  expect_same_entry(fib.lookup(Name()), linear.lookup(Name()), Name());
   // The root entry ("/") matches everything, including the empty name.
-  trie.add_route(Name("/"), 3);
+  fib.add_route(Name("/"), 3);
   linear.add_route(Name("/"), 3);
   for (const auto& query : {"/", "/a", "/a/b/c"}) {
-    expect_same_entry(trie.lookup(Name(query)), linear.lookup(Name(query)),
+    expect_same_entry(fib.lookup(Name(query)), linear.lookup(Name(query)),
                       Name(query));
   }
-  expect_same_entry(trie.find_exact(Name()), linear.find_exact(Name()),
+  expect_same_entry(fib.find_exact(Name()), linear.find_exact(Name()),
                     Name());
   // Removing the root entry empties both.
-  trie.remove_route(Name("/"));
+  fib.remove_route(Name("/"));
   linear.remove_route(Name("/"));
-  EXPECT_EQ(trie.size(), 0u);
-  EXPECT_EQ(trie.lookup(Name("/a")), nullptr);
+  EXPECT_EQ(fib.size(), 0u);
+  EXPECT_EQ(fib.lookup(Name("/a")), nullptr);
   EXPECT_EQ(linear.lookup(Name("/a")), nullptr);
 }
 
 TEST(TableDiff, SingleComponentNames) {
-  Fib trie;
+  Fib fib;
   LinearFib linear;
-  trie.add_route(Name("/a"), 1);
+  fib.add_route(Name("/a"), 1);
   linear.add_route(Name("/a"), 1);
-  trie.add_route(Name("/ab"), 2);  // "ab" is NOT an extension of "a":
+  fib.add_route(Name("/ab"), 2);  // "ab" is NOT an extension of "a":
   linear.add_route(Name("/ab"), 2);  // components are atoms, not bytes
-  expect_same_entry(trie.lookup(Name("/a")), linear.lookup(Name("/a")),
+  expect_same_entry(fib.lookup(Name("/a")), linear.lookup(Name("/a")),
                     Name("/a"));
-  expect_same_entry(trie.lookup(Name("/ab")), linear.lookup(Name("/ab")),
+  expect_same_entry(fib.lookup(Name("/ab")), linear.lookup(Name("/ab")),
                     Name("/ab"));
-  expect_same_entry(trie.lookup(Name("/ab/x")), linear.lookup(Name("/ab/x")),
+  expect_same_entry(fib.lookup(Name("/ab/x")), linear.lookup(Name("/ab/x")),
                     Name("/ab/x"));
-  EXPECT_EQ(trie.lookup(Name("/b")), nullptr);
+  EXPECT_EQ(fib.lookup(Name("/b")), nullptr);
 }
 
-TEST(TableDiff, EdgeSplitKeepsDeepEntryReachable) {
-  // Insert a deep prefix first (one compressed edge), then a shallower
-  // one that splits that edge in the middle.
-  Fib trie;
+TEST(TableDiff, ShallowPrefixAddedAndRemovedKeepsDeepEntryReachable) {
+  // Insert a deep prefix first, then a shallower one on the same path.
+  Fib fib;
   LinearFib linear;
-  trie.add_route(Name("/p/q/r/s/t"), 1);
+  fib.add_route(Name("/p/q/r/s/t"), 1);
   linear.add_route(Name("/p/q/r/s/t"), 1);
-  trie.add_route(Name("/p/q"), 2);
+  fib.add_route(Name("/p/q"), 2);
   linear.add_route(Name("/p/q"), 2);
   for (const auto& query :
        {"/p/q/r/s/t", "/p/q/r/s/t/u", "/p/q/r", "/p/q", "/p"}) {
-    expect_same_entry(trie.lookup(Name(query)), linear.lookup(Name(query)),
+    expect_same_entry(fib.lookup(Name(query)), linear.lookup(Name(query)),
                       Name(query));
   }
-  // Removing the shallow entry must re-merge the pass-through node.
-  trie.remove_route(Name("/p/q"));
+  // Removing the shallow entry must leave the deep one reachable.
+  fib.remove_route(Name("/p/q"));
   linear.remove_route(Name("/p/q"));
-  expect_same_entry(trie.lookup(Name("/p/q/r/s/t")),
+  expect_same_entry(fib.lookup(Name("/p/q/r/s/t")),
                     linear.lookup(Name("/p/q/r/s/t")), Name("/p/q/r/s/t"));
-  EXPECT_EQ(trie.lookup(Name("/p/q/r")), nullptr);
+  EXPECT_EQ(fib.lookup(Name("/p/q/r")), nullptr);
 }
 
 TEST(TableDiff, SetImplRefusesNonEmptyTable) {
   Fib fib;
-  fib.set_impl(Fib::Impl::kLinear);   // empty: fine
-  fib.set_impl(Fib::Impl::kLcTrie);   // back again: fine
+  fib.set_impl(Fib::Impl::kLinear);      // empty: fine
+  fib.set_impl(Fib::Impl::kPrefixHash);  // back again: fine
   fib.add_route(Name("/a"), 1);
   EXPECT_THROW(fib.set_impl(Fib::Impl::kLinear), std::logic_error);
 }
@@ -321,10 +322,29 @@ TEST(TableCost, FibLookupWorkIsBoundedByNameDepthNotTableSize) {
   for (int i = 0; i < 100; ++i) fib.lookup(query);
   const auto after = fib.counters();
   EXPECT_EQ(after.lookups - before.lookups, 100u);
-  // Each lookup touches at most components+1 nodes (root + one per
-  // matched edge) regardless of the 10^4 entries resident.
+  // Each lookup probes at most components+1 prefix lengths regardless of
+  // the 10^4 entries resident.
   EXPECT_LE(after.nodes_visited - before.nodes_visited,
             100u * (query.size() + 1));
+}
+
+TEST(TableCost, FibProbesOnlyPrefixLengthsThatHoldEntries) {
+  // One probe per prefix length holding an entry, up to the query's
+  // length: with only 2-component routes, a 6-component lookup probes
+  // once; with none left, it probes nothing.
+  Fib fib;
+  fib.add_route(Name("/a/b"), 1);
+  fib.add_route(Name("/c/d"), 2);
+  fib.add_route(Name("/e/f/g/h/i/j/k"), 3);  // longer than the query
+  const Name query("/a/b/c/d/e/f");
+  auto before = fib.counters().nodes_visited;
+  ASSERT_NE(fib.lookup(query), nullptr);
+  EXPECT_EQ(fib.counters().nodes_visited - before, 1u);
+  fib.remove_route(Name("/a/b"));
+  fib.remove_next_hop(Name("/c/d"), 2);  // last hop: drops the entry
+  before = fib.counters().nodes_visited;
+  EXPECT_EQ(fib.lookup(query), nullptr);
+  EXPECT_EQ(fib.counters().nodes_visited - before, 0u);
 }
 
 TEST(TableCost, PitLookupAndInsertCountsArePinned) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "crypto/rsa.hpp"
 #include "ndn/tlv.hpp"
 #include "tactic/tag.hpp"
@@ -291,6 +295,88 @@ TEST(PacketWire, CorruptedTagRejected) {
   }
 }
 
+// A well-framed field whose value its packet field cannot hold is
+// malformed too: the decoders return nullopt instead of a wrapped or
+// out-of-enum value the forwarder or an app would then index or schedule
+// with.
+
+TEST(PacketWire, NackReasonAboveRouterOverloadedRejected) {
+  const auto reason = [](std::uint64_t value) {
+    return static_cast<ndn::NackReason>(value);
+  };
+  const std::uint64_t last =
+      static_cast<std::uint64_t>(ndn::NackReason::kRouterOverloaded);
+  ndn::Nack nack{ndn::Name("/p/x"), reason(last)};
+  EXPECT_TRUE(decode_nack(encode(nack)).has_value());
+  for (const std::uint64_t bad : {last + 1, std::uint64_t{200}}) {
+    nack.reason = reason(bad);
+    EXPECT_FALSE(decode_nack(encode(nack)).has_value()) << bad;
+    EXPECT_FALSE(decode(encode(nack)).has_value()) << bad;
+  }
+  // The same rule for a NACK attached to Data.
+  ndn::Data data;
+  data.name = ndn::Name("/p/x");
+  data.nack_attached = true;
+  data.nack_reason = reason(last);
+  EXPECT_TRUE(decode_data(encode(data)).has_value());
+  data.nack_reason = reason(200);
+  EXPECT_FALSE(decode_data(encode(data)).has_value());
+}
+
+TEST(PacketWire, LifetimeBeyondTimeRangeRejected) {
+  ndn::Interest interest;
+  interest.name = ndn::Name("/p/a");
+  interest.lifetime = std::numeric_limits<event::Time>::max();
+  const auto longest = decode_interest(encode(interest));
+  ASSERT_TRUE(longest.has_value());
+  EXPECT_EQ(longest->lifetime, interest.lifetime);
+  // The encoder writes the lifetime as u64, so this one goes out as
+  // 2^63 + 5, one the old decoder wrapped to a negative lifetime.
+  interest.lifetime = std::numeric_limits<event::Time>::min() + 5;
+  EXPECT_FALSE(decode_interest(encode(interest)).has_value());
+  EXPECT_FALSE(decode(encode(interest)).has_value());
+}
+
+TEST(PacketWire, AccessLevelBeyondThirtyTwoBitsRejected) {
+  // ndn::Data holds a u32 level, so the wire is built by hand.
+  const auto data_wire = [](std::uint64_t access_level) {
+    Bytes inner = encode_name(ndn::Name("/p/a"));
+    ndn::append_tlv_uint(inner, kTlvContentSize, 10);
+    ndn::append_tlv_uint(inner, kTlvAccessLevel, access_level);
+    ndn::append_tlv(inner, kTlvProviderKeyLocator,
+                    util::to_bytes("/p/KEY/1"));
+    ndn::append_tlv_uint(inner, kTlvSignatureSize, 128);
+    Bytes out;
+    ndn::append_tlv(out, kTlvData, inner);
+    return out;
+  };
+  const std::uint64_t top = std::numeric_limits<std::uint32_t>::max();
+  const auto highest = decode_data(data_wire(top));
+  ASSERT_TRUE(highest.has_value());
+  EXPECT_EQ(highest->access_level, top);
+  EXPECT_FALSE(decode_data(data_wire(top + 1)).has_value());
+}
+
+TEST(PacketWire, FlagFOutsideUnitIntervalRejected) {
+  ndn::Interest interest;
+  interest.name = ndn::Name("/p/a");
+  ndn::Data data;
+  data.name = ndn::Name("/p/a");
+  for (const double f : {0.0, 0.5, 1.0}) {
+    interest.flag_f = f;
+    data.flag_f = f;
+    EXPECT_TRUE(decode_interest(encode(interest)).has_value()) << f;
+    EXPECT_TRUE(decode_data(encode(data)).has_value()) << f;
+  }
+  for (const double f : {std::nan(""), -0.25, 1.5,
+                         std::numeric_limits<double>::infinity()}) {
+    interest.flag_f = f;
+    data.flag_f = f;
+    EXPECT_FALSE(decode_interest(encode(interest)).has_value()) << f;
+    EXPECT_FALSE(decode_data(encode(data)).has_value()) << f;
+  }
+}
+
 /// Randomized property sweep: random structurally-valid packets must
 /// round-trip bit-exactly.
 class PacketFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -400,11 +486,21 @@ TEST_P(WireFuzz, BitFlippedPacketsNeverCrashDecoders) {
         mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       }
       // Decoders must reject or produce a re-encodable packet — never
-      // throw or crash.
+      // throw or crash — whose fields hold in-range values.
       if (const auto packet = decode(mutated)) (void)encode(*packet);
-      (void)decode_interest(mutated);
-      (void)decode_data(mutated);
-      (void)decode_nack(mutated);
+      if (const auto interest = decode_interest(mutated)) {
+        EXPECT_GE(interest->lifetime, 0);
+        EXPECT_TRUE(interest->flag_f >= 0.0 && interest->flag_f <= 1.0);
+      }
+      if (const auto data = decode_data(mutated)) {
+        EXPECT_LT(static_cast<std::size_t>(data->nack_reason),
+                  ndn::kNackReasonCount);
+        EXPECT_TRUE(data->flag_f >= 0.0 && data->flag_f <= 1.0);
+      }
+      if (const auto nack = decode_nack(mutated)) {
+        EXPECT_LT(static_cast<std::size_t>(nack->reason),
+                  ndn::kNackReasonCount);
+      }
     }
   }
 }
