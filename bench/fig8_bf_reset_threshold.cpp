@@ -9,6 +9,10 @@
 // Deviation note (EXPERIMENTS.md): in our protocol-faithful
 // implementation insertions are driven by tag churn, so very long expiry
 // periods can starve the filter of insertions entirely (no resets).
+// Exits 1 unless, at tag expiry 10 s and 100 s, the largest listed FPP
+// gives at least 2x the edge requests per reset of the smallest.
+
+#include <algorithm>
 
 #include "harness.hpp"
 
@@ -34,6 +38,8 @@ int main(int argc, char** argv) {
 
   util::Table table({"max FPP", "tag expiry", "edge req/reset",
                      "edge resets", "core req/reset", "core resets"});
+  // edge_reqs[f * expiries.size() + e] for fpps[f] and expiries[e].
+  std::vector<double> edge_reqs;
   for (const double fpp : fpps) {
     for (const std::int64_t expiry : expiries) {
       const auto acc = bench::run_seeds(
@@ -45,6 +51,7 @@ int main(int argc, char** argv) {
             config.tactic.bloom.design_fpp = 1e-4;  // fixed bit sizing
             config.provider.tag_validity = expiry * event::kSecond;
           });
+      edge_reqs.push_back(acc.edge_reqs_per_reset.mean());
       table.add_row({util::Table::fmt(fpp, 2),
                      std::to_string(expiry) + " s",
                      util::Table::fmt(acc.edge_reqs_per_reset.mean(), 6),
@@ -59,8 +66,23 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
+
+  bench::ShapeCheck shape;
+  const auto low = static_cast<std::size_t>(
+      std::min_element(fpps.begin(), fpps.end()) - fpps.begin());
+  const auto high = static_cast<std::size_t>(
+      std::max_element(fpps.begin(), fpps.end()) - fpps.begin());
+  for (std::size_t e = 0; e < expiries.size() && low != high; ++e) {
+    if (expiries[e] != 10 && expiries[e] != 100) continue;
+    const std::size_t n = expiries.size();
+    shape.check(edge_reqs[high * n + e] >= 2 * edge_reqs[low * n + e],
+                "tag expiry " + std::to_string(expiries[e]) + " s: FPP " +
+                    util::Table::fmt(fpps[high], 2) +
+                    " gives >= 2x the edge requests per reset of FPP " +
+                    util::Table::fmt(fpps[low], 2));
+  }
   std::printf(
       "\npaper shape: FPP 1e-2 needs severalfold more requests per reset "
       "than 1e-4 at fixed size\n");
-  return 0;
+  return shape.exit_code();
 }

@@ -155,14 +155,34 @@ void fib_longest_prefix_match() {
 
 void content_store_hit() {
   ndn::ContentStore cs(10000);
+  ndn::Data data;
   for (int i = 0; i < 10000; ++i) {
-    auto data = std::make_shared<ndn::Data>();
-    data->name = ndn::Name("/p/obj" + std::to_string(i) + "/c0");
-    cs.insert(std::move(data));
+    data.name = ndn::Name("/p/obj" + std::to_string(i) + "/c0");
+    cs.insert(data);
   }
   int i = 0;
   run_case("ContentStoreHit", [&] {
     keep(cs.find(ndn::Name("/p/obj" + std::to_string(i++ % 10000) + "/c0")));
+  });
+}
+
+/// Every insert is a new name into a full store: copy the content into
+/// the recycled slot, then evict the LRU tail.
+void content_store_insert_evict() {
+  constexpr std::size_t kCapacity = 1000;
+  constexpr std::size_t kNames = 8 * kCapacity;
+  std::vector<ndn::Data> packets(kNames);
+  for (std::size_t i = 0; i < kNames; ++i) {
+    packets[i].name = ndn::Name("/p/obj" + std::to_string(i) + "/c0");
+    packets[i].access_level = 1;
+    packets[i].provider_key_locator = "/p/KEY/1";
+  }
+  ndn::ContentStore cs(kCapacity);
+  std::size_t i = 0;
+  for (; i < kCapacity; ++i) cs.insert(packets[i]);
+  run_case("ContentStoreInsertEvict", [&] {
+    cs.insert(packets[i++ % kNames]);
+    keep(cs.evictions());
   });
 }
 
@@ -180,5 +200,6 @@ int main() {
   name_parse();
   fib_longest_prefix_match();
   content_store_hit();
+  content_store_insert_evict();
   return 0;
 }

@@ -10,6 +10,10 @@
 //   - revocation: what revoking one client costs (one refused tag
 //     refresh for TACTIC vs re-encrypt/re-key/re-distribution elsewhere,
 //     reported analytically).
+//
+// Exits 1 unless TACTIC lets no attacker chunk through, keeps a nonzero
+// cache hit, and needs at most 1/10 of the provider + router signature
+// verifications of every other mechanism that also blocks attackers.
 
 #include "harness.hpp"
 
@@ -33,6 +37,13 @@ int main(int argc, char** argv) {
   util::Table table({"Mechanism", "Client rate", "Attacker chunks",
                      "Provider verifies", "Router verifies", "Router BF ops",
                      "Cache hit", "Bytes/chunk"});
+  struct Outcome {
+    sim::PolicyKind policy;
+    std::uint64_t attacker_chunks;
+    std::uint64_t verifications;  // provider + router
+    double cache_hit;
+  };
+  std::vector<Outcome> outcomes;
   for (const sim::PolicyKind policy : mechanisms) {
     sim::ScenarioConfig config = bench::paper_scenario(
         static_cast<int>(options.topologies.front()), options);
@@ -51,6 +62,9 @@ int main(int argc, char** argv) {
         metrics.core_ops.sig_verifications;
     const std::uint64_t router_bf =
         metrics.edge_ops.bf_lookups + metrics.core_ops.bf_lookups;
+    outcomes.push_back({policy, metrics.attackers.received,
+                        metrics.provider_sig_verifications + router_verifies,
+                        metrics.cache_hit_ratio()});
 
     table.add_row(
         {to_string(policy),
@@ -71,6 +85,18 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
+  bench::ShapeCheck shape;
+  const Outcome& tactic = outcomes.front();
+  shape.check(tactic.attacker_chunks == 0,
+              "TACTIC lets 0 attacker chunks through");
+  shape.check(tactic.cache_hit > 0, "TACTIC keeps a nonzero cache hit");
+  for (const Outcome& other : outcomes) {
+    if (other.policy == tactic.policy || other.attacker_chunks != 0) continue;
+    shape.check(10 * tactic.verifications <= other.verifications,
+                std::string("TACTIC verifications <= 1/10 of ") +
+                    to_string(other.policy) + "'s");
+  }
+
   std::printf(
       "\nRevocation cost (analytic, per revoked client):\n"
       "  TACTIC           : 1 refused tag refresh; access ends at tag "
@@ -85,5 +111,5 @@ int main(int argc, char** argv) {
       "\npaper Table II: TACTIC = low communication, low network compute, "
       "no extra infrastructure, tunable time-based revocation, "
       "network-enforced\n");
-  return 0;
+  return shape.exit_code();
 }

@@ -4,8 +4,8 @@
 # it and diffs its stdout against tests/golden/figures/<harness>.txt.
 # The harnesses are seed-deterministic, so any difference is a behaviour
 # change: an extra RNG draw, a reordered charge, a counter that moved.
-# A harness that exits non-zero (Tables IV and V and Fig. 7 do when the
-# paper's shape fails) counts as failed as well.
+# A harness that exits non-zero (Tables II, IV and V and Figs. 7 and 8 do
+# when the paper's shape fails) counts as failed as well.
 #
 #   paper harnesses (Tables II/IV/V, Figs. 5-8, the four ablations) run
 #   at --topologies 1; the layer harnesses (batching, tag lifecycle, the

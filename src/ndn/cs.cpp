@@ -2,6 +2,21 @@
 
 namespace tactic::ndn {
 
+void ContentStore::Entry::respond(const Interest& request, Data& out) const {
+  // Content: what the provider published.
+  out.name = name;
+  out.content_size = content_size;
+  out.access_level = access_level;
+  out.provider_key_locator = NameTable::instance().text(key_locator);
+  out.signature_size = signature_size;
+  out.signature = signature;
+  // Envelope: this request's.  The attached NACK stays at its default.
+  out.tag = request.tag;
+  out.tag_wire_size = request.tag_wire_size;
+  out.flag_f = request.flag_f;
+  out.from_cache = true;
+}
+
 ContentStore::ContentStore(std::size_t capacity) : capacity_(capacity) {}
 
 void ContentStore::lru_unlink(std::uint32_t s) {
@@ -43,15 +58,13 @@ std::uint32_t ContentStore::alloc_slot() {
 
 void ContentStore::free_slot(std::uint32_t s) {
   Slot& slot = slots_[s];
-  slot.data.reset();  // releases the shared packet (pool slot recycles)
+  slot.entry.signature.reset();  // releases the shared signature bytes
   slot.live = false;
   free_slots_.push_back(s);
 }
 
-const DataPtr* ContentStore::find(const Name& name) {
-  const std::uint32_t s = index_.find(name.id_hash(), [&](std::uint32_t v) {
-    return slots_[v].data->name == name;
-  });
+const ContentStore::Entry* ContentStore::find(const Name& name) {
+  const std::uint32_t s = find_slot(name);
   if (s == util::HashIndex::kNpos) {
     ++misses_;
     return nullptr;
@@ -59,16 +72,12 @@ const DataPtr* ContentStore::find(const Name& name) {
   ++hits_;
   lru_unlink(s);
   lru_push_front(s);
-  return &slots_[s].data;
+  return &slots_[s].entry;
 }
 
-void ContentStore::insert(DataPtr data) {
-  if (capacity_ == 0 || !data) return;
-  const Name& name = data->name;
-  const std::uint32_t existing =
-      index_.find(name.id_hash(), [&](std::uint32_t v) {
-        return slots_[v].data->name == name;
-      });
+void ContentStore::insert(const Data& data) {
+  if (capacity_ == 0) return;
+  const std::uint32_t existing = find_slot(data.name);
   if (existing != util::HashIndex::kNpos) {
     lru_unlink(existing);
     lru_push_front(existing);
@@ -76,16 +85,20 @@ void ContentStore::insert(DataPtr data) {
   }
   const std::uint32_t s = alloc_slot();
   Slot& slot = slots_[s];
-  slot.data = std::move(data);
+  Entry& entry = slot.entry;
+  entry.name = data.name;  // reuses the recycled slot's capacity
+  entry.content_size = data.content_size;
+  entry.access_level = data.access_level;
+  entry.key_locator = NameTable::instance().intern(data.provider_key_locator);
+  entry.signature_size = data.signature_size;
+  entry.signature = data.signature;
   slot.live = true;
-  index_.insert(slot.data->name.id_hash(), s);
+  index_.insert(entry.name.id_hash(), s);
   lru_push_front(s);
   if (index_.size() > capacity_) {
     const std::uint32_t victim = lru_tail_;
-    const Name& victim_name = slots_[victim].data->name;
-    index_.erase(victim_name.id_hash(), [&](std::uint32_t v) {
-      return slots_[v].data->name == victim_name;
-    });
+    index_.erase(slots_[victim].entry.name.id_hash(),
+                 [victim](std::uint32_t v) { return v == victim; });
     lru_unlink(victim);
     free_slot(victim);
     ++evictions_;

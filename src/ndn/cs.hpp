@@ -2,45 +2,72 @@
 // Content Store: the per-router LRU cache that makes a core router a
 // "content router" (R_C^c) for the objects it holds.
 //
-// Entries are shared immutable Data handles (DataPtr) — caching a packet
-// is a refcount bump, not a copy, and a cache hit clones only to stamp
-// the response envelope.  Storage is a slab of reusable slots with an
-// intrusive LRU list and an externalized-key hash index (PR-6 PIT
-// style), so steady-state insert/evict allocates nothing.
+// A slot holds content, by value: the six fields of a Data packet that
+// the provider published and a cache hit must reproduce (name, content
+// size, access level, provider key locator, signature size and the
+// shared signature handle).  The response envelope — tag echo, flag F,
+// attached NACK, from_cache — belongs to one request, so it is never
+// stored: insert() copies the content fields out of whatever packet
+// arrives, and a hit builds its response in a fresh pool slot where
+// Entry::respond() stamps the requester's envelope.  Which Data fields
+// are content and which are envelope is decided here and nowhere else.
+// Registration responses are never cached (AccessControlPolicy::may_cache
+// refuses them), so a served packet is never one.
+//
+// The key locator is kept as its NameTable ID (one table entry per
+// provider, not a string per entry); the ID is only a handle to the
+// text, never hashed or compared.  Storage is a slab of reusable slots
+// with an intrusive LRU list and an externalized-key hash index, the
+// PIT's layout; a recycled slot keeps its Name capacity, so steady-state
+// insert/evict allocates nothing.
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "ndn/name.hpp"
 #include "ndn/packet.hpp"
+#include "util/bytes.hpp"
 #include "util/hash_index.hpp"
 
 namespace tactic::ndn {
 
 class ContentStore {
  public:
+  /// One cached content object.
+  struct Entry {
+    Name name;
+    std::size_t content_size = 0;
+    std::uint32_t access_level = 0;
+    /// NameTable ID of Data::provider_key_locator (a text handle only).
+    ComponentId key_locator = kInvalidComponent;
+    std::size_t signature_size = 0;
+    std::shared_ptr<const util::Bytes> signature;
+
+    /// Writes this content and `request`'s envelope into `out`, a
+    /// default-state packet (a fresh pool slot): the request's tag echo
+    /// and F, from_cache set, no NACK.
+    void respond(const Interest& request, Data& out) const;
+  };
+
   /// `capacity` in packets; 0 disables caching entirely.
   explicit ContentStore(std::size_t capacity = 1000);
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return index_.size(); }
 
-  /// Exact-name lookup.  A hit refreshes LRU order and returns a pointer
-  /// to the shared handle, valid until the next insert.  Counters are
-  /// updated.
-  const DataPtr* find(const Name& name);
+  /// Exact-name lookup.  A hit refreshes LRU order and returns the
+  /// entry, valid until the next insert.  Counters are updated (a store
+  /// of capacity 0 counts every lookup as a miss).
+  const Entry* find(const Name& name);
 
-  /// Inserts (or LRU-refreshes) a cacheable data packet, sharing the
-  /// handle.  The caller (Forwarder) strips the response envelope first
-  /// when needed — the cache stores content, not the envelope it arrived
-  /// in.
-  void insert(DataPtr data);
+  /// Copies the content fields of `data` into a slot, or LRU-refreshes
+  /// the entry already cached under its name.  The envelope is ignored.
+  void insert(const Data& data);
 
   bool contains(const Name& name) const {
-    return index_.find(name.id_hash(), [&](std::uint32_t s) {
-      return slots_[s].data->name == name;
-    }) != util::HashIndex::kNpos;
+    return find_slot(name) != util::HashIndex::kNpos;
   }
 
   /// Drops every cached object (crash semantics).  Hit/miss counters are
@@ -57,12 +84,17 @@ class ContentStore {
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
   struct Slot {
-    DataPtr data;
+    Entry entry;
     bool live = false;
     std::uint32_t lru_prev = kNil;
     std::uint32_t lru_next = kNil;
   };
 
+  std::uint32_t find_slot(const Name& name) const {
+    return index_.find(name.id_hash(), [&](std::uint32_t s) {
+      return slots_[s].entry.name == name;
+    });
+  }
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t s);
   void lru_unlink(std::uint32_t s);
@@ -71,7 +103,7 @@ class ContentStore {
   std::size_t capacity_;
   std::deque<Slot> slots_;  // stable addresses
   std::vector<std::uint32_t> free_slots_;
-  /// id_hash -> slot; keys (names) live in the cached packets.
+  /// id_hash -> slot; keys (names) live in the slots.
   util::HashIndex index_;
   std::uint32_t lru_head_ = kNil;  // most recently used
   std::uint32_t lru_tail_ = kNil;  // least recently used

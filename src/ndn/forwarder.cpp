@@ -264,15 +264,12 @@ void Forwarder::on_interest(FaceId in_face, InterestPtr&& packet) {
   }
 
   // Content Store: a hit makes this node a content router for the request.
-  if (const DataPtr* cached = cs_.find(interest->name)) {
-    // Clone to stamp the response envelope (tag echo, from_cache); the
-    // cached object itself stays pristine and shared.
-    auto stamped = pool_.clone_for_edit(**cached);
-    stamped->from_cache = true;
-    stamped->tag = interest->tag;
-    stamped->tag_wire_size = interest->tag_wire_size;
-    stamped->flag_f = interest->flag_f;
-    CowData response(DataPtr(std::move(stamped)), pool_);
+  if (const ContentStore::Entry* cached = cs_.find(interest->name)) {
+    // The cache holds content only: the response is built in a fresh
+    // pool slot and carries this request's envelope.
+    auto fresh = pool_.make_data();
+    cached->respond(*interest, *fresh);
+    CowData response(DataPtr(std::move(fresh)), pool_);
     auto hit = policy_->on_cache_hit(*this, in_face, *interest, response);
     compute += hit.compute;
     if (hit.respond) {
@@ -358,27 +355,8 @@ void Forwarder::on_data(FaceId in_face, DataPtr&& packet) {
     return;
   }
 
-  if (policy_->may_cache(*this, *data)) {
-    // Share the arriving packet when its envelope is already clean;
-    // otherwise cache one stripped clone (the cache stores content, not
-    // the response envelope it arrived in).
-    const bool clean = !data->tag && data->tag_wire_size == 0 &&
-                       !data->nack_attached &&
-                       data->nack_reason == NackReason::kNone &&
-                       data->flag_f == 0.0 && !data->from_cache;
-    if (clean) {
-      cs_.insert(data);
-    } else {
-      auto stripped = pool_.clone_for_edit(*data);
-      stripped->tag.reset();
-      stripped->tag_wire_size = 0;
-      stripped->nack_attached = false;
-      stripped->nack_reason = NackReason::kNone;
-      stripped->flag_f = 0.0;
-      stripped->from_cache = false;
-      cs_.insert(DataPtr(std::move(stripped)));
-    }
-  }
+  // The CS copies the content fields out; the envelope stays behind.
+  if (policy_->may_cache(*this, *data)) cs_.insert(*data);
 
   const event::Time now = scheduler_.now();
   for (const PitInRecord& record : entry->in_records) {

@@ -6,7 +6,9 @@
 // of string vectors, making component comparison O(1) and name hashing a
 // few integer multiplies.  Every name table — the prefix-hash FIB, the
 // PIT and the CS — keys on Name::id_hash() over these IDs
-// (docs/ARCHITECTURE.md, "Name interning and table structures").
+// (docs/ARCHITECTURE.md, "Name interning and table structures").  The CS
+// also interns each provider key-locator string, one entry per provider,
+// as a compact handle to the text of its cached entries' locators.
 //
 // The table is process-global and append-only: IDs are never recycled and
 // interned strings are never moved, so `text(id)` references stay valid

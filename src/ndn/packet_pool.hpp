@@ -22,10 +22,12 @@
 //
 // Cow<T> is the copy-on-write seam: policies receive Cow handles and may
 // call edit().  A uniquely-held packet (the common case: an arriving
-// packet whose only reference is the pipeline's own) is mutated in
-// place; a shared one (aliased by the ContentStore or by other PIT
-// fan-out sends) is first cloned into a fresh pool slot.  Readers of the
-// original handle never observe an edit.
+// packet whose only reference is the pipeline's own, or a cache-hit
+// response the forwarder just built) is mutated in place; a shared one
+// (aliased by sibling PIT fan-out sends, a link frame or an app) is
+// first cloned into a fresh pool slot.  Readers of the original handle
+// never observe an edit.  The ContentStore holds no packets: it copies
+// content fields by value.
 
 #include <cstdint>
 #include <deque>
@@ -279,8 +281,8 @@ class Cow {
 
   /// Mutable access.  In place when this handle is the only owner;
   /// otherwise clones into a fresh pool slot first, so aliased readers
-  /// (ContentStore entries, sibling fan-out sends) never observe the
-  /// edit.  Either way the packet's memoized caches are dropped.
+  /// (sibling fan-out sends) never observe the edit.  Either way the
+  /// packet's memoized caches are dropped.
   T& edit() {
     if (ptr_.use_count() == 1) {
       // Sole owner: pool slots are created non-const, so shedding the

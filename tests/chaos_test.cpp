@@ -71,9 +71,9 @@ TEST(Chaos, ForwarderCrashAndRestartSemantics) {
       sched, net::NodeInfo{0, net::NodeKind::kCoreRouter, "r"}, 10);
   // Volatile state to lose.
   node.pit().get_or_create(ndn::Name("/pending"));
-  auto cached = std::make_shared<ndn::Data>();
-  cached->name = ndn::Name("/cached");
-  node.cs().insert(std::move(cached));
+  ndn::Data cached;
+  cached.name = ndn::Name("/cached");
+  node.cs().insert(cached);
   ASSERT_EQ(node.pit().size(), 1u);
   ASSERT_EQ(node.cs().size(), 1u);
 

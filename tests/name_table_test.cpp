@@ -140,10 +140,10 @@ TEST(NameTable, SurvivesRouterCrashThatWipesTables) {
   // Populate volatile state keyed on the name.
   router.fib().add_route(name.prefix(1), 0);
   router.pit().get_or_create(name);
-  auto data = std::make_shared<Data>();
-  data->name = name;
-  data->content_size = 64;
-  router.cs().insert(std::move(data));
+  Data data;
+  data.name = name;
+  data.content_size = 64;
+  router.cs().insert(data);
   ASSERT_EQ(router.pit().size(), 1u);
   ASSERT_TRUE(router.cs().contains(name));
 

@@ -14,6 +14,7 @@
 #include "ndn/name.hpp"
 #include "ndn/packet.hpp"
 #include "ndn/pit.hpp"
+#include "tactic/tag.hpp"
 
 namespace tactic::ndn {
 namespace {
@@ -213,11 +214,19 @@ TEST(Pit, NonceDetection) {
 // Content Store
 // ---------------------------------------------------------------------------
 
-DataPtr make_data(const std::string& uri) {
-  auto data = std::make_shared<Data>();
-  data->name = Name(uri);
-  data->content_size = 100;
+Data make_data(const std::string& uri) {
+  Data data;
+  data.name = Name(uri);
+  data.content_size = 100;
   return data;
+}
+
+std::shared_ptr<const core::Tag> make_tag(const std::string& client) {
+  core::Tag::Fields fields;
+  fields.provider_key_locator = "/p/KEY/1";
+  fields.client_key_locator = "/" + client + "/KEY/1";
+  fields.expiry = 100 * kSecond;
+  return std::make_shared<const core::Tag>(fields, util::Bytes{1, 2, 3});
 }
 
 TEST(ContentStore, InsertFindCounts) {
@@ -250,16 +259,43 @@ TEST(ContentStore, ZeroCapacityDisablesCaching) {
   EXPECT_FALSE(cs.contains(Name("/a")));
 }
 
-// The CS shares the inserted pointer verbatim — envelope sanitation is
-// the Forwarder's job now (see Forwarder.CacheInsertStripsEnvelope).
-TEST(ContentStore, SharesInsertedPointer) {
+// The CS copies the content fields out of the packet and keeps nothing
+// of its envelope: the entry outlives every handle on the packet, and
+// the envelope's tag is not kept alive by it.
+TEST(ContentStore, StoresContentByValue) {
   ContentStore cs(10);
-  DataPtr data = make_data("/a");
-  const Data* address = data.get();
-  cs.insert(data);
-  const DataPtr* stored = cs.find(Name("/a"));
+  auto signature = std::make_shared<const util::Bytes>(util::Bytes{7, 8, 9});
+  std::weak_ptr<const core::Tag> echoed_tag;
+  {
+    auto data = std::make_shared<Data>();
+    data->name = Name("/p/obj/c3");
+    data->content_size = 777;
+    data->access_level = 3;
+    data->provider_key_locator = "/p/KEY/by-value";
+    data->signature_size = 64;
+    data->signature = signature;
+    data->tag = make_tag("u1");
+    data->tag_wire_size = data->tag->wire_size();
+    data->nack_attached = true;
+    data->nack_reason = NackReason::kExpiredTag;
+    data->flag_f = 0.5;
+    data->from_cache = true;
+    echoed_tag = data->tag;
+    cs.insert(*data);
+  }
+  signature.reset();
+  EXPECT_TRUE(echoed_tag.expired());
+
+  const ContentStore::Entry* stored = cs.find(Name("/p/obj/c3"));
   ASSERT_NE(stored, nullptr);
-  EXPECT_EQ(stored->get(), address);  // zero-copy: same object
+  EXPECT_EQ(stored->name, Name("/p/obj/c3"));
+  EXPECT_EQ(stored->content_size, 777u);
+  EXPECT_EQ(stored->access_level, 3u);
+  EXPECT_EQ(NameTable::instance().text(stored->key_locator),
+            "/p/KEY/by-value");
+  EXPECT_EQ(stored->signature_size, 64u);
+  ASSERT_NE(stored->signature, nullptr);
+  EXPECT_EQ(*stored->signature, (util::Bytes{7, 8, 9}));
 }
 
 TEST(ContentStore, ReinsertRefreshesLru) {
@@ -599,19 +635,26 @@ TEST(Forwarder, RegistrationResponsesNotCached) {
   EXPECT_FALSE(chain.router->cs().contains(Name("/p/register/u1/1")));
 }
 
-// What the forwarder caches is the canonical content object: response
-// envelope (nack fields, flag_f, from_cache) stripped.  The stripping
-// moved out of ContentStore::insert into Forwarder::on_data so clean
-// packets can be shared without a copy.
+// A cache hit serves the cached content under the second requester's
+// own envelope: never the tag, F or NACK the content arrived with.
 TEST(Forwarder, CacheInsertStripsEnvelope) {
   Chain chain;
   Forwarder& producer = *chain.producer;
   producer.fib().remove_route(Name("/p"));
+  int produced = 0;
   const FaceId app = producer.add_app_face(AppSink{
-      [&producer](FaceId face, const Interest& interest) {
+      [&producer, &produced](FaceId face, const Interest& interest) {
+        ++produced;
         Data data;
         data.name = interest.name;
         data.content_size = 256;
+        data.access_level = 2;
+        data.provider_key_locator = "/p/KEY/1";
+        data.signature_size = 32;
+        data.signature =
+            std::make_shared<const util::Bytes>(util::Bytes(32, 0xAB));
+        data.tag = interest.tag;  // content-tag pair
+        data.tag_wire_size = interest.tag_wire_size;
         data.nack_reason = NackReason::kInvalidSignature;  // stale field
         data.flag_f = 0.5;
         producer.inject_from_app(face, std::move(data));
@@ -619,15 +662,80 @@ TEST(Forwarder, CacheInsertStripsEnvelope) {
       nullptr, nullptr});
   producer.fib().add_route(Name("/p"), app);
 
-  chain.express("/p/dirty");
+  const auto express_tagged = [&](std::uint64_t nonce,
+                                  std::shared_ptr<const core::Tag> tag,
+                                  double flag_f) {
+    Interest interest = make_interest("/p/dirty", nonce);
+    interest.tag_wire_size = tag->wire_size();
+    interest.tag = std::move(tag);
+    interest.flag_f = flag_f;
+    chain.consumer->inject_from_app(chain.consumer_app, std::move(interest));
+  };
+  const auto first_tag = make_tag("u1");
+  const auto second_tag = make_tag("u2");
+  ASSERT_EQ(first_tag->wire_size(), second_tag->wire_size());
+  express_tagged(1, first_tag, 0.0);
   chain.sched.run();
-  ASSERT_EQ(chain.received.size(), 1u);
-  const DataPtr* stored = chain.router->cs().find(Name("/p/dirty"));
-  ASSERT_NE(stored, nullptr);
-  EXPECT_FALSE((*stored)->nack_attached);
-  EXPECT_EQ((*stored)->nack_reason, NackReason::kNone);
-  EXPECT_EQ((*stored)->flag_f, 0.0);
-  EXPECT_FALSE((*stored)->from_cache);
+  express_tagged(2, second_tag, 0.25);
+  chain.sched.run();
+
+  ASSERT_EQ(chain.received.size(), 2u);
+  EXPECT_EQ(produced, 1);  // the router's cache answered the second
+  EXPECT_EQ(chain.router->cs().hits(), 1u);
+  const Data& response = chain.received[0];
+  const Data& served = chain.received[1];
+  EXPECT_FALSE(response.from_cache);
+  EXPECT_EQ(response.tag, first_tag);
+  EXPECT_TRUE(served.from_cache);
+  EXPECT_EQ(served.tag, second_tag);
+  EXPECT_EQ(served.tag_wire_size, second_tag->wire_size());
+  EXPECT_EQ(served.flag_f, 0.25);
+  EXPECT_FALSE(served.nack_attached);
+  EXPECT_EQ(served.nack_reason, NackReason::kNone);
+  EXPECT_FALSE(served.is_registration_response);
+  EXPECT_EQ(served.name, response.name);
+  EXPECT_EQ(served.content_size, response.content_size);
+  EXPECT_EQ(served.access_level, response.access_level);
+  EXPECT_EQ(served.provider_key_locator, response.provider_key_locator);
+  EXPECT_EQ(served.signature_size, response.signature_size);
+  EXPECT_EQ(served.signature, response.signature);
+  EXPECT_EQ(served.wire_size(), response.wire_size());
+}
+
+// The cache holds no packet: a caching router that forwards tagged
+// responses keeps no live Data slot in its pool.
+TEST(Forwarder, CacheHoldsNoPoolSlot) {
+  const bool pooling = PacketPool::pooling_enabled();
+  PacketPool::set_pooling_enabled(true);
+  Chain chain;
+  Forwarder& producer = *chain.producer;
+  producer.fib().remove_route(Name("/p"));
+  const FaceId app = producer.add_app_face(AppSink{
+      [&producer](FaceId face, const Interest& interest) {
+        Data data;
+        data.name = interest.name;
+        data.tag = interest.tag;  // tag echo: envelope the cache drops
+        data.tag_wire_size = interest.tag_wire_size;
+        producer.inject_from_app(face, std::move(data));
+      },
+      nullptr, nullptr});
+  producer.fib().add_route(Name("/p"), app);
+
+  constexpr std::size_t kChunks = 8;
+  const auto tag = make_tag("u1");
+  for (std::size_t i = 0; i < kChunks; ++i) {
+    Interest interest = make_interest("/p/obj/c" + std::to_string(i), i + 1);
+    interest.tag = tag;
+    interest.tag_wire_size = tag->wire_size();
+    chain.consumer->inject_from_app(chain.consumer_app, std::move(interest));
+  }
+  chain.sched.run();
+  PacketPool::set_pooling_enabled(pooling);
+
+  ASSERT_EQ(chain.received.size(), kChunks);
+  EXPECT_EQ(chain.router->cs().size(), kChunks);
+  const PacketPool& pool = chain.router->pool();
+  EXPECT_EQ(pool.data_slot_count(), pool.free_data_slots());
 }
 
 /// Diamond topology: consumer - router - {upper, lower} - producer, with

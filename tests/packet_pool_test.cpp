@@ -91,7 +91,7 @@ TEST(PacketPool, CowClonesWhenAliasedAndReaderIsUntouched) {
   auto data = pool.make_data();
   data->name = Name("/cow/aliased");
   data->flag_f = 0.0;
-  DataPtr reader = std::move(data);  // e.g. the ContentStore's reference
+  DataPtr reader = std::move(data);  // e.g. a sibling fan-out send
   CowData cow(DataPtr(reader), pool);
   ASSERT_EQ(reader.use_count(), 2);
 

@@ -405,10 +405,10 @@ TEST(TableCost, PitSlotReuseKeepsEntryReferencesStable) {
 TEST(TableCost, CsEvictionIsCountedAndBounded) {
   ContentStore cs(4);
   for (int i = 0; i < 10; ++i) {
-    auto data = std::make_shared<Data>();
-    data->name = Name("/cs-evict").append_number(i);
-    data->content_size = 8;
-    cs.insert(std::move(data));
+    Data data;
+    data.name = Name("/cs-evict").append_number(i);
+    data.content_size = 8;
+    cs.insert(data);
   }
   EXPECT_EQ(cs.size(), 4u);
   EXPECT_EQ(cs.evictions(), 6u);  // one O(1) tail-pop per overflow
