@@ -6,7 +6,8 @@
 // check nothing distinguishes the two requesters, and the shared tag
 // retrieves content.  With the check on, the edge router compares the
 // access path signed into the tag with the one the request accumulated
-// and NACKs the mismatch.
+// and NACKs the mismatch.  Exits 1 unless the shared-tag attackers get 0
+// chunks with enforcement on and more than 0 with it off.
 
 #include "harness.hpp"
 
@@ -24,6 +25,7 @@ int main(int argc, char** argv) {
   csv.row({"access_path", "attacker_chunks", "attacker_rate",
            "client_rate"});
 
+  bench::ShapeCheck shape;
   for (const bool enforce : {false, true}) {
     const auto acc = bench::run_seeds(
         options, static_cast<int>(options.topologies.front()),
@@ -38,6 +40,13 @@ int main(int argc, char** argv) {
                    util::Table::fmt_ratio(acc.attacker_delivery.mean()),
                    util::Table::fmt(acc.attacker_nacks.mean(), 8),
                    util::Table::fmt_ratio(acc.client_delivery.mean())});
+    if (enforce) {
+      shape.check(acc.attacker_received.mean() == 0,
+                  "enforcement on: shared-tag attackers get 0 chunks");
+    } else {
+      shape.check(acc.attacker_received.mean() > 0,
+                  "enforcement off: shared tags retrieve content");
+    }
     csv.row({enforce ? "on" : "off",
              util::CsvWriter::num(acc.attacker_received.mean()),
              util::CsvWriter::num(acc.attacker_delivery.mean()),
@@ -48,5 +57,5 @@ int main(int argc, char** argv) {
       "\nexpected: shared tags succeed freely with the feature off and "
       "are NACKed at the edge with it on, at no cost to legitimate "
       "clients\n");
-  return 0;
+  return shape.exit_code();
 }

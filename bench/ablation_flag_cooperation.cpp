@@ -6,6 +6,7 @@
 // tag as unvouched.  The design claim (Section 4.B: "eliminate redundant
 // tag validations and reduce the cost of signature verification") is
 // quantified here as the change in core/provider verification counts.
+// Exits 1 unless turning cooperation off raises both.
 
 #include "harness.hpp"
 
@@ -21,6 +22,7 @@ int main(int argc, char** argv) {
   csv.row({"cooperation", "core_verifies", "provider_verifies",
            "core_bf_lookups", "mean_latency", "client_rate"});
 
+  std::vector<double> core_verifies, provider_verifies;  // on, then off
   for (const bool cooperation : {true, false}) {
     const auto acc = bench::run_seeds(
         options, static_cast<int>(options.topologies.front()),
@@ -33,6 +35,8 @@ int main(int argc, char** argv) {
                    util::Table::fmt(acc.core.bf_lookups.mean(), 8),
                    util::Table::fmt(acc.mean_latency.mean(), 5),
                    util::Table::fmt_ratio(acc.client_delivery.mean())});
+    core_verifies.push_back(acc.core.sig_verifications.mean());
+    provider_verifies.push_back(acc.provider_verifies.mean());
     csv.row({cooperation ? "on" : "off",
              util::CsvWriter::num(acc.core.sig_verifications.mean()),
              util::CsvWriter::num(acc.provider_verifies.mean()),
@@ -44,5 +48,10 @@ int main(int argc, char** argv) {
   std::printf(
       "\nexpected: cooperation off multiplies upstream verification work "
       "while delivery stays intact\n");
-  return 0;
+  bench::ShapeCheck shape;
+  shape.check(core_verifies[1] > core_verifies[0],
+              "cooperation off raises core verifications");
+  shape.check(provider_verifies[1] > provider_verifies[0],
+              "cooperation off raises provider verifications");
+  return shape.exit_code();
 }

@@ -6,6 +6,8 @@
 // prevents: (1) expired/misdirected requests burn signature verifications
 // deeper in the network, and (2) an *expired but genuinely signed* tag
 // sails through signature verification — expiry-based revocation breaks.
+// Exits 1 unless expired tags fetch 0 chunks with the pre-check on and
+// more than 0 with it off.
 
 #include "harness.hpp"
 
@@ -21,6 +23,7 @@ int main(int argc, char** argv) {
   csv.row({"precheck", "attacker_chunks", "attacker_rate",
            "router_verifies", "provider_verifies", "client_rate"});
 
+  bench::ShapeCheck shape;
   for (const bool precheck : {true, false}) {
     const auto acc = bench::run_seeds(
         options, static_cast<int>(options.topologies.front()),
@@ -40,6 +43,13 @@ int main(int argc, char** argv) {
                    util::Table::fmt(router_verifies, 8),
                    util::Table::fmt(acc.provider_verifies.mean(), 8),
                    util::Table::fmt_ratio(acc.client_delivery.mean())});
+    if (precheck) {
+      shape.check(acc.attacker_received.mean() == 0,
+                  "pre-check on: expired tags fetch 0 chunks");
+    } else {
+      shape.check(acc.attacker_received.mean() > 0,
+                  "pre-check off: expired tags fetch content");
+    }
     csv.row({precheck ? "on" : "off",
              util::CsvWriter::num(acc.attacker_received.mean()),
              util::CsvWriter::num(acc.attacker_delivery.mean()),
@@ -52,5 +62,5 @@ int main(int argc, char** argv) {
       "\nexpected: without the pre-check, expired (revoked) tags with "
       "genuine signatures retrieve content and invalid traffic consumes "
       "crypto budget upstream\n");
-  return 0;
+  return shape.exit_code();
 }

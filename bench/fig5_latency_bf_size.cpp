@@ -7,6 +7,13 @@
 // highest.  Default BF sizes are scaled to our (protocol-faithful) tag
 // churn so resets actually occur inside the shortened runs; --full
 // restores the paper's 500/2500/10000.
+//
+// Exits 1 unless, on every topology, the causal chain holds as the
+// filter grows: edge BF resets, core signature verifications and charged
+// router compute each never rise, and each ends strictly lower at the
+// largest filter than at the smallest.  Latency itself is not gated: its
+// separation is below noise at default scale (EXPERIMENTS.md, known
+// deviations).
 
 #include "harness.hpp"
 
@@ -24,8 +31,10 @@ int main(int argc, char** argv) {
   bench::MaybeCsv csv(options.csv_path);
   csv.row({"topology", "bf_size", "second", "mean_latency_s"});
 
+  bench::ShapeCheck shape;
   for (const std::int64_t topo : options.topologies) {
     std::printf("Topology %lld\n", static_cast<long long>(topo));
+    std::vector<double> resets, verifies, compute;
     util::Table table({"BF size", "mean latency (s)", "p95 (s)",
                        "BF resets (E/C)", "sig verifies (E/C)",
                        "router compute (s)"});
@@ -59,12 +68,25 @@ int main(int argc, char** argv) {
            util::Table::fmt(metrics.edge_ops.compute_charged_s +
                                 metrics.core_ops.compute_charged_s,
                             4)});
+      resets.push_back(static_cast<double>(metrics.edge_ops.bf_resets));
+      verifies.push_back(
+          static_cast<double>(metrics.core_ops.sig_verifications));
+      compute.push_back(metrics.edge_ops.compute_charged_s +
+                        metrics.core_ops.compute_charged_s);
     }
     table.print(std::cout);
     std::printf("\n");
+    const std::string where =
+        "Topology " + std::to_string(topo) + ": a larger BF never raises ";
+    shape.check(bench::falls_overall(resets),
+                where + "edge BF resets, and the largest lowers them");
+    shape.check(bench::falls_overall(verifies),
+                where + "core verifications, and the largest lowers them");
+    shape.check(bench::falls_overall(compute),
+                where + "router compute, and the largest lowers it");
   }
   std::printf(
       "paper shape: larger BF -> fewer resets -> fewer re-validations -> "
       "lower latency curve\n");
-  return 0;
+  return shape.exit_code();
 }

@@ -12,8 +12,9 @@
 //   --seed <base>            base seed
 //   --csv <path>             also write a CSV with the full-resolution data
 //
-// Harnesses whose claim has a checkable shape (Tables IV and V, Fig. 7)
-// exit 1 when the measured numbers miss it; see ShapeCheck.
+// Every paper harness whose claim has a checkable shape (Tables II, IV
+// and V, Figs. 5-8, the four ablations) exits 1 when the measured
+// numbers miss it; see ShapeCheck.
 
 #include <cstdio>
 #include <fstream>
@@ -204,5 +205,26 @@ class ShapeCheck {
  private:
   bool failed_ = false;
 };
+
+/// Whether `values`, in sweep order, never rise and end strictly below
+/// where they start.
+inline bool falls_overall(const std::vector<double>& values) {
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    if (values[i] > values[i - 1]) return false;
+  }
+  return values.size() >= 2 && values.back() < values.front();
+}
+
+/// Whether each of `values`, in sweep order, is strictly above (`rising`)
+/// or strictly below the one before it.
+inline bool strictly_monotone(const std::vector<double>& values,
+                              bool rising) {
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    if (rising ? values[i] <= values[i - 1] : values[i] >= values[i - 1]) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace tactic::bench

@@ -40,6 +40,7 @@ bool Scheduler::cancel(EventId id) {
   rec.handler = nullptr;
   free_recs_.push_back(id.rec_);
   --pending_;
+  ++cancelled_;
   return true;
 }
 
@@ -76,6 +77,23 @@ Time Scheduler::run_until(Time until) {
   }
   now_ = until;
   return now_;
+}
+
+void Wakeup::arm(Time when) {
+  if (at_) {
+    if (*at_ <= when) return;
+    scheduler_.cancel(event_);
+  }
+  at_ = when;
+  event_ = scheduler_.schedule_at(when, [this] {
+    at_.reset();
+    fire_();
+  });
+}
+
+void Wakeup::disarm() {
+  if (at_) scheduler_.cancel(event_);
+  at_.reset();
 }
 
 }  // namespace tactic::event

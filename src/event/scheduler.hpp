@@ -19,7 +19,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "event/time.hpp"
@@ -69,6 +71,8 @@ class Scheduler {
 
   /// Number of events executed so far.
   std::uint64_t executed_count() const { return executed_; }
+  /// Number of successful cancel() calls so far.
+  std::uint64_t cancelled_count() const { return cancelled_; }
   /// Number of events currently pending (excluding cancelled ones).
   std::size_t pending_count() const { return pending_; }
 
@@ -100,7 +104,33 @@ class Scheduler {
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
+  std::uint64_t cancelled_ = 0;
   std::size_t pending_ = 0;
+};
+
+/// One pending event at or before the earliest of an owner's deadlines,
+/// which the owner keeps in its own record (the PIT's lazy expiry heap, a
+/// user app's requests in flight).  A deadline answered early just leaves
+/// that record and cancels nothing; when the event runs, `fire` serves
+/// what is due and arms the next deadline.
+class Wakeup {
+ public:
+  Wakeup(Scheduler& scheduler, Scheduler::Handler fire)
+      : scheduler_(scheduler), fire_(std::move(fire)) {}
+  Wakeup(const Wakeup&) = delete;
+  Wakeup& operator=(const Wakeup&) = delete;
+
+  /// Moves the event to `when` unless it is already at or before it.
+  void arm(Time when);
+  void disarm();  // drops the pending event
+
+ private:
+  Scheduler& scheduler_;
+  Scheduler::Handler fire_;
+  EventId event_;
+  /// Empty when no event is pending, which the id cannot tell: it stays
+  /// valid after its event ran.
+  std::optional<Time> at_;
 };
 
 }  // namespace tactic::event

@@ -58,6 +58,10 @@ Forwarder::Forwarder(event::Scheduler& scheduler, net::NodeInfo info,
                      std::size_t cs_capacity)
     : scheduler_(scheduler),
       info_(std::move(info)),
+      expiry_wakeup_(scheduler, [this] {
+        counters_.pit_expirations += pit_.erase_expired(scheduler_.now());
+        if (const auto next = pit_.min_expiry()) expiry_wakeup_.arm(*next);
+      }),
       cs_(cs_capacity),
       policy_(std::make_unique<NullPolicy>()) {}
 
@@ -228,18 +232,7 @@ void Forwarder::send_interest(const std::vector<Fib::NextHop>& next_hops,
 
 void Forwarder::set_pit_expiry(PitEntry& entry, event::Time expiry) {
   pit_.set_expiry(entry, expiry);  // updates expiry_time + the expiry heap
-  if (expiry_wakeup_at_ && *expiry_wakeup_at_ <= expiry) return;
-  if (expiry_wakeup_at_) scheduler_.cancel(expiry_wakeup_);
-  arm_expiry_wakeup(expiry);
-}
-
-void Forwarder::arm_expiry_wakeup(event::Time when) {
-  expiry_wakeup_at_ = when;
-  expiry_wakeup_ = scheduler_.schedule_at(when, [this] {
-    expiry_wakeup_at_.reset();
-    counters_.pit_expirations += pit_.erase_expired(scheduler_.now());
-    if (const auto next = pit_.min_expiry()) arm_expiry_wakeup(*next);
-  });
+  expiry_wakeup_.arm(expiry);
 }
 
 void Forwarder::on_interest(FaceId in_face, InterestPtr&& packet) {
@@ -399,8 +392,7 @@ void Forwarder::crash() {
   // wakeup waiting on their deadlines), the whole Content Store, and the
   // pool's recycled packet buffers (live packets belong to other nodes /
   // in-flight frames).
-  if (expiry_wakeup_at_) scheduler_.cancel(expiry_wakeup_);
-  expiry_wakeup_at_.reset();
+  expiry_wakeup_.disarm();
   pit_.clear();
   cs_.clear();
   pool_.wipe_volatile();

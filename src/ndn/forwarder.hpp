@@ -22,7 +22,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -257,23 +256,18 @@ class Forwarder {
   void do_send_interest(const std::vector<Fib::NextHop>& next_hops,
                         InterestPtr&& interest);
 
-  /// Records `entry`'s deadline in the PIT's expiry heap and re-arms the
-  /// expiry wakeup when the deadline is earlier than the pending one.
+  /// Records `entry`'s deadline in the PIT's expiry heap and arms the
+  /// expiry wakeup for it.
   void set_pit_expiry(PitEntry& entry, event::Time expiry);
-  /// Schedules the wakeup that erases every PIT entry due at `when` and
-  /// re-arms at the next deadline.
-  void arm_expiry_wakeup(event::Time when);
 
   event::Scheduler& scheduler_;
   net::NodeInfo info_;
   Fib fib_;
   Pit pit_;
   std::size_t pit_capacity_ = 0;  // 0 = unbounded
-  /// The one pending PIT-expiry wakeup, at or before the PIT's earliest
-  /// deadline, and its time — empty when none is pending, which the id
-  /// cannot tell: it stays valid after its event ran.
-  event::EventId expiry_wakeup_;
-  std::optional<event::Time> expiry_wakeup_at_;
+  /// At or before the PIT's earliest deadline; erases every entry that
+  /// is due and re-arms at the next deadline.
+  event::Wakeup expiry_wakeup_;
   ContentStore cs_;
   PacketPool pool_;
   std::unique_ptr<AccessControlPolicy> policy_;

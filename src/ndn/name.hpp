@@ -17,9 +17,9 @@
 // Contract: id_hash() values depend on interning order, which depends on
 // everything the process interned before.  Nothing may iterate a
 // Name-keyed unordered container in an order that reaches output
-// (fingerprints, traces, stats).  Today nothing does; the four such maps
-// are LinearFib's entry map, the client and attacker `outstanding_` maps,
-// and the provider's `signature_cache_`, and all four are only probed.
+// (fingerprints, traces, stats).  Today nothing does; the two such maps
+// are LinearFib's entry map and the provider's `signature_cache_`, and
+// both are only probed.
 
 #include <cstddef>
 #include <cstdint>

@@ -336,7 +336,7 @@ void Scenario::build_attackers() {
             ? workload::AttackerMode::kNoTag
             : config_.attacker_mix[index % config_.attacker_mix.size()];
     auto attacker = std::make_unique<workload::AttackerApp>(
-        node, provider_ptrs_, config_.attacker, mode,
+        node, provider_ptrs_, config_.attacker,
         make_strategy(mode, index, id), rng_.fork());
     attacker->start();
     attackers_.push_back(std::move(attacker));

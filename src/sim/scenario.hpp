@@ -43,7 +43,10 @@ struct ScenarioConfig {
   core::TacticConfig tactic;          // Bloom sizing, AP/flag/precheck toggles
   workload::ProviderConfig provider;  // catalog, tag validity, key bits
   workload::ClientConfig client;
-  workload::AttackerConfig attacker;
+  /// Attackers probe far less often than clients stream (calibrated in
+  /// EXPERIMENTS.md against Table IV's attacker request magnitudes), and
+  /// never retransmit, so `max_chunks` caps their `chunks_requested`.
+  workload::UserConfig attacker{.think_time_mean = 90 * event::kSecond};
   /// Threat mix, assigned to attackers round-robin.  Default: the threats
   /// the paper's simulations exercise (access-path-dependent sharing is
   /// exercised by the AP ablation instead).

@@ -1,6 +1,6 @@
 #include "workload/attacker_app.hpp"
 
-#include <cmath>
+#include <unordered_map>
 
 namespace tactic::workload {
 
@@ -17,140 +17,42 @@ const char* to_string(AttackerMode mode) {
   return "?";
 }
 
-namespace {
-std::size_t total_ranks(const std::vector<ProviderApp*>& providers) {
-  std::size_t n = 0;
-  for (const ProviderApp* p : providers) n += p->catalog().object_count();
-  return n == 0 ? 1 : n;
-}
-}  // namespace
-
 AttackerApp::AttackerApp(ndn::Forwarder& node,
                          std::vector<ProviderApp*> providers,
-                         AttackerConfig config, AttackerMode mode,
-                         TagStrategy make_tag, util::Rng rng)
-    : node_(node),
-      providers_(std::move(providers)),
-      config_(config),
-      mode_(mode),
-      make_tag_(std::move(make_tag)),
-      rng_(rng),
-      popularity_(total_ranks(providers_), config.zipf_alpha) {
-  face_ = node_.add_app_face(ndn::AppSink{
-      nullptr,
-      [this](const ndn::Data& data) { on_data(data); },
-      [this](const ndn::Nack& nack) { on_nack(nack); }});
-}
-
-void AttackerApp::start() {
-  running_ = true;
-  const event::Time jitter =
-      config_.start_jitter > 0
-          ? static_cast<event::Time>(rng_.uniform(
-                static_cast<std::uint64_t>(config_.start_jitter)))
-          : 0;
-  for (std::size_t slot = 0; slot < config_.window; ++slot) {
-    node_.scheduler().schedule(jitter + think_sample(),
-                               [this] { fill_one_slot(); });
-  }
-}
+                         const UserConfig& config, TagStrategy make_tag,
+                         util::Rng rng)
+    : UserApp(node, std::move(providers), config, rng),
+      make_tag_(std::move(make_tag)) {}
 
 void AttackerApp::set_tempo(std::size_t window,
                             event::Time think_time_mean) {
-  const std::size_t old_window = config_.window;
-  config_.window = window;
-  config_.think_time_mean = think_time_mean;
+  const std::size_t old_window = loop_.window;
+  loop_.window = window;
+  loop_.think_time_mean = think_time_mean;
   if (!running_) return;
   for (std::size_t slot = old_window; slot < window; ++slot) {
     schedule_slot_fill();
   }
 }
 
-event::Time AttackerApp::think_sample() {
-  if (config_.think_time_mean <= 0) return 0;
-  const double u = rng_.uniform_double();
-  const double mean = static_cast<double>(config_.think_time_mean);
-  return static_cast<event::Time>(-mean * std::log1p(-u));
-}
-
-void AttackerApp::schedule_slot_fill() {
-  if (!running_) return;
-  node_.scheduler().schedule(think_sample(), [this] { fill_one_slot(); });
-}
-
-void AttackerApp::fill_one_slot() {
-  if (!running_ || outstanding_.size() >= config_.window) return;
-  if (config_.max_chunks > 0 &&
-      counters_.chunks_requested >= config_.max_chunks) {
-    return;  // closed-loop cap reached: the slot retires
-  }
-
+void AttackerApp::request_next() {
   // Pick a target chunk by the same popularity law clients use (attackers
-  // want content that is likely cached).
-  const std::size_t rank = popularity_.sample(rng_);
-  const std::size_t provider_index = rank % providers_.size();
-  ProviderApp& provider = *providers_[provider_index];
-  const std::size_t object = rank / providers_.size();
+  // want content that is likely cached).  Low-AL attackers aim
+  // specifically at high-AL objects; wrong-provider attackers aim at
+  // providers their tag does not cover — both handled by the strategy,
+  // which sees the final name.
+  const Target target = draw_target();
+  const Catalog& catalog = providers_[target.provider]->catalog();
   const std::size_t chunk =
-      rng_.uniform(provider.catalog().params().chunks_per_object);
-
-  // Low-AL attackers aim specifically at high-AL objects; wrong-provider
-  // attackers aim at providers their tag does not cover — both handled by
-  // the strategy/scenario, which sees the final name.
-  ndn::Name name = provider.catalog().chunk_name(object, chunk);
-  if (outstanding_.count(name) > 0) {
+      rng_.uniform(catalog.params().chunks_per_object);
+  const ndn::Name name = catalog.chunk_name(target.object, chunk);
+  if (find(name) != nullptr) {
     schedule_slot_fill();
     return;
   }
-
-  auto interest = node_.pool().make_interest();
-  interest->name = name;
-  interest->nonce = rng_();
-  interest->lifetime = config_.interest_lifetime;
-  interest->tag = make_tag_ ? make_tag_(name, node_.scheduler().now())
-                            : core::TagPtr{};
-  interest->tag_wire_size = interest->tag ? interest->tag->wire_size() : 0;
-
-  Outstanding out;
-  out.sent_at = node_.scheduler().now();
-  out.timeout = node_.scheduler().schedule(
-      config_.interest_lifetime, [this, name] { on_timeout(name); });
-  outstanding_[name] = out;
-  ++counters_.chunks_requested;
-  node_.inject_from_app(face_, std::move(interest));
-}
-
-void AttackerApp::on_data(const ndn::Data& data) {
-  const auto it = outstanding_.find(data.name);
-  if (it == outstanding_.end()) return;
-  node_.scheduler().cancel(it->second.timeout);
-  if (data.nack_attached) {
-    ++counters_.nacks_received;
-    ++counters_.nacks_by_reason[static_cast<std::size_t>(data.nack_reason)];
-  } else {
-    // Unauthorized delivery — the event TACTIC exists to prevent.
-    ++counters_.chunks_received;
-  }
-  outstanding_.erase(it);
-  schedule_slot_fill();
-}
-
-void AttackerApp::on_nack(const ndn::Nack& nack) {
-  const auto it = outstanding_.find(nack.name);
-  if (it == outstanding_.end()) return;
-  node_.scheduler().cancel(it->second.timeout);
-  outstanding_.erase(it);
-  ++counters_.nacks_received;
-  ++counters_.nacks_by_reason[static_cast<std::size_t>(nack.reason)];
-  schedule_slot_fill();
-}
-
-void AttackerApp::on_timeout(const ndn::Name& name) {
-  const auto it = outstanding_.find(name);
-  if (it == outstanding_.end()) return;
-  outstanding_.erase(it);
-  ++counters_.timeouts;
-  schedule_slot_fill();
+  Request& request = track(name);
+  send_attempt(request, make_tag_ ? make_tag_(name, node_.scheduler().now())
+                                  : core::TagPtr{});
 }
 
 namespace attacker_strategies {
@@ -210,29 +112,6 @@ AttackerApp::TagStrategy forged_churn(
     core::Tag::Fields fields = tmpl->fields();
     fields.expiry -= static_cast<event::Time>(++state->counter);
     return std::make_shared<const core::Tag>(fields, tmpl->signature());
-  };
-}
-
-AttackerApp::TagStrategy expired(core::TagPtr stale_tag) {
-  return [stale_tag = std::move(stale_tag)](const ndn::Name&, event::Time) {
-    return stale_tag;
-  };
-}
-
-AttackerApp::TagStrategy insufficient_al(
-    std::function<core::TagPtr(event::Time)> mint) {
-  auto cached = std::make_shared<core::TagPtr>();
-  return [mint = std::move(mint), cached](const ndn::Name&,
-                                          event::Time now) -> core::TagPtr {
-    if (!*cached || (*cached)->expiry() <= now) *cached = mint(now);
-    return *cached;
-  };
-}
-
-AttackerApp::TagStrategy shared(std::function<core::TagPtr()> victim_tag) {
-  return [victim_tag = std::move(victim_tag)](const ndn::Name&,
-                                              event::Time) {
-    return victim_tag();
   };
 }
 

@@ -6,20 +6,17 @@
 // (d) a tag whose access level is below the content's, (e) a tag shared
 // by a client located behind a different access point, or (f) a valid tag
 // of provider A presented for provider B's content.  Each attacker runs
-// the same windowed request loop as a client; its tag strategy is a
-// pluggable functor so experiment harnesses can compose arbitrary mixes.
+// the UserApp request loop (user_app.hpp) with one-shot requests: a
+// random chunk of a Zipf-drawn object, carrying whatever tag its
+// strategy supplies.  The strategy is a pluggable functor, so experiment
+// harnesses can compose arbitrary mixes.
 
 #include <functional>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "ndn/forwarder.hpp"
-#include "tactic/tag.hpp"
-#include "util/distributions.hpp"
-#include "util/rng.hpp"
-#include "workload/client_app.hpp"
-#include "workload/provider_app.hpp"
+#include "workload/user_app.hpp"
 
 namespace tactic::workload {
 
@@ -35,21 +32,7 @@ enum class AttackerMode {
 
 const char* to_string(AttackerMode mode);
 
-struct AttackerConfig {
-  std::size_t window = 5;
-  event::Time interest_lifetime = event::kSecond;
-  /// Attackers probe far less often than clients stream (calibrated in
-  /// EXPERIMENTS.md against Table IV's attacker request magnitudes).
-  event::Time think_time_mean = 90 * event::kSecond;
-  double zipf_alpha = 0.7;
-  event::Time start_jitter = event::kSecond;
-  /// Closed-loop cap on probe Interests (attackers never retransmit, so
-  /// this caps `chunks_requested` directly).  0 = unlimited.  See
-  /// ClientConfig::max_chunks.
-  std::size_t max_chunks = 0;
-};
-
-class AttackerApp {
+class AttackerApp : public UserApp {
  public:
   /// `make_tag(content_name, now)` supplies the (invalid) tag for each
   /// request; returning nullptr sends an untagged Interest.
@@ -57,11 +40,8 @@ class AttackerApp {
       std::function<core::TagPtr(const ndn::Name&, event::Time)>;
 
   AttackerApp(ndn::Forwarder& node, std::vector<ProviderApp*> providers,
-              AttackerConfig config, AttackerMode mode,
-              TagStrategy make_tag, util::Rng rng);
-
-  void start();
-  void stop() { running_ = false; }
+              const UserConfig& config, TagStrategy make_tag,
+              util::Rng rng);
 
   /// Mid-run tempo change for ramp experiments (flood intensity sweeps).
   /// Growing the window schedules fills for the new slots immediately;
@@ -69,39 +49,16 @@ class AttackerApp {
   /// each resolution re-fills its slot only while under the new window.
   void set_tempo(std::size_t window, event::Time think_time_mean);
 
-  AttackerMode mode() const { return mode_; }
-  const UserCounters& counters() const { return counters_; }
-  const std::string& label() const { return node_.info().label; }
-
  private:
-  struct Outstanding {
-    event::Time sent_at = 0;
-    event::EventId timeout;
-  };
+  void request_next() override;
 
-  void fill_one_slot();
-  void schedule_slot_fill();
-  void on_data(const ndn::Data& data);
-  void on_nack(const ndn::Nack& nack);
-  void on_timeout(const ndn::Name& name);
-  event::Time think_sample();
-
-  ndn::Forwarder& node_;
-  std::vector<ProviderApp*> providers_;
-  AttackerConfig config_;
-  AttackerMode mode_;
   TagStrategy make_tag_;
-  util::Rng rng_;
-  util::ZipfDist popularity_;
-  ndn::FaceId face_ = ndn::kInvalidFace;
-  bool running_ = false;
-  std::unordered_map<ndn::Name, Outstanding> outstanding_;
-  UserCounters counters_;
 };
 
 /// Ready-made tag strategies for the standard threat mix.  All returned
 /// strategies mint sparingly (tags are cached until expiry) so attacker
-/// crypto cost stays negligible.
+/// crypto cost stays negligible.  The other threats need scenario state
+/// (issuers, victims, locations): sim::Scenario builds their strategies.
 namespace attacker_strategies {
 
 /// (a) No tag at all.
@@ -125,19 +82,6 @@ AttackerApp::TagStrategy forged(
 AttackerApp::TagStrategy forged_churn(
     std::shared_ptr<const crypto::RsaPrivateKey> forger_key,
     std::string client_label, event::Time validity);
-
-/// (c) A genuinely provider-signed tag that expired before the run
-/// started (a stale tag kept after revocation).
-AttackerApp::TagStrategy expired(core::TagPtr stale_tag);
-
-/// (d) A genuinely provider-signed, fresh tag whose AL is below the
-/// targeted content's (issued via `issuer`, refreshed on expiry).
-AttackerApp::TagStrategy insufficient_al(
-    std::function<core::TagPtr(event::Time)> mint);
-
-/// (e) A tag legitimately issued to a client behind a *different* AP —
-/// the access path signed into it cannot match this attacker's location.
-AttackerApp::TagStrategy shared(std::function<core::TagPtr()> victim_tag);
 
 }  // namespace attacker_strategies
 

@@ -1,55 +1,16 @@
 #include "workload/client_app.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace tactic::workload {
-
-namespace {
-std::size_t total_ranks(const std::vector<ProviderApp*>& providers) {
-  std::size_t n = 0;
-  for (const ProviderApp* p : providers) n += p->catalog().object_count();
-  return n == 0 ? 1 : n;
-}
-}  // namespace
 
 ClientApp::ClientApp(ndn::Forwarder& node,
                      std::vector<ProviderApp*> providers,
                      ClientConfig config, util::Rng rng)
-    : node_(node),
-      providers_(std::move(providers)),
-      config_(config),
-      rng_(rng),
-      popularity_(total_ranks(providers_), config.zipf_alpha),
-      tags_(providers_.size()) {
-  face_ = node_.add_app_face(ndn::AppSink{
-      nullptr,
-      [this](const ndn::Data& data) { on_data(data); },
-      [this](const ndn::Nack& nack) { on_nack(nack); }});
-}
-
-void ClientApp::start() {
-  running_ = true;
-  advance_stream();  // choose the first (provider, object)
-  next_chunk_ = 0;
-  const event::Time jitter =
-      config_.start_jitter > 0
-          ? static_cast<event::Time>(rng_.uniform(
-                static_cast<std::uint64_t>(config_.start_jitter)))
-          : 0;
-  for (std::size_t slot = 0; slot < config_.window; ++slot) {
-    node_.scheduler().schedule(jitter + think_sample(),
-                               [this] { fill_one_slot(); });
-  }
-}
-
-event::Time ClientApp::think_sample() {
-  if (config_.think_time_mean <= 0) return 0;
-  // Exponential via inverse transform.
-  const double u = rng_.uniform_double();
-  const double mean = static_cast<double>(config_.think_time_mean);
-  return static_cast<event::Time>(-mean * std::log1p(-u));
-}
+    : UserApp(node, std::move(providers), config, rng),
+      config_(std::move(config)),
+      stream_(draw_target()),
+      tags_(providers_.size()) {}
 
 event::Time ClientApp::retry_backoff(std::size_t attempt) {
   const double cap = static_cast<double>(
@@ -66,44 +27,22 @@ event::Time ClientApp::retry_backoff(std::size_t attempt) {
   return std::max<event::Time>(1, static_cast<event::Time>(delay));
 }
 
-void ClientApp::schedule_slot_fill() {
-  if (!running_) return;
-  node_.scheduler().schedule(think_sample(), [this] { fill_one_slot(); });
-}
-
 void ClientApp::release_parked_slots(std::size_t count, event::Time delay) {
   count = std::min(count, parked_slots_);
   parked_slots_ -= count;
   for (std::size_t i = 0; i < count; ++i) {
     node_.scheduler().schedule(delay + think_sample(),
-                               [this] { fill_one_slot(); });
+                               [this] { fill_slot(); });
   }
 }
 
-std::size_t ClientApp::provider_of_rank(std::size_t rank) const {
-  // Ranks interleave across providers so every provider owns content at
-  // all popularity strata: rank r -> provider r % P, object r / P.
-  return rank % providers_.size();
-}
-
-void ClientApp::advance_stream() {
-  const std::size_t rank = popularity_.sample(rng_);
-  current_provider_ = provider_of_rank(rank);
-  current_object_ = rank / providers_.size();
-  next_chunk_ = 0;
-}
-
-void ClientApp::fill_one_slot() {
-  if (!running_) return;
-  if (config_.max_chunks > 0 && chunks_started_ >= config_.max_chunks) {
-    return;  // closed-loop cap reached: the slot retires
-  }
-  if (outstanding_.size() >= config_.window) return;  // window full
-
+void ClientApp::request_next() {
   if (next_chunk_ >=
-      providers_[current_provider_]->catalog().params().chunks_per_object) {
-    advance_stream();
+      providers_[stream_.provider]->catalog().params().chunks_per_object) {
+    stream_ = draw_target();
+    next_chunk_ = 0;
   }
+  const Catalog& catalog = providers_[stream_.provider]->catalog();
 
   // Registration gate: protected objects need a valid (unexpired) tag for
   // the current provider; public objects (AL 0) are fetched tag-free.
@@ -111,93 +50,34 @@ void ClientApp::fill_one_slot() {
   // fault model a client can honestly believe an expired tag live (and
   // vice versa); the edge's tolerance window is what absorbs that.
   const bool is_protected =
-      providers_[current_provider_]->catalog().access_level(
-          current_object_) != ndn::kPublicAccessLevel;
-  const core::TagPtr& tag = tags_[current_provider_];
+      catalog.access_level(stream_.object) != ndn::kPublicAccessLevel;
+  const core::TagPtr& tag = tags_[stream_.provider];
   const event::Time local_now = node_.local_now();
-  const bool tag_live = tag && tag->expiry() > local_now;
-  if (is_protected && !tag_live && tag_usable(tag, local_now)) {
+  if (is_protected && !(tag && tag->expiry() > local_now)) {
+    if (!registration_pending_) send_registration(stream_.provider);
+    if (!tag_usable(tag, local_now)) {
+      // Park the slot; it resumes when the tag arrives or the
+      // registration fails (see on_data / the registration-timeout
+      // handler).
+      ++parked_slots_;
+      return;
+    }
     // Client half of outage grace: the tag just expired but stays
     // attached for the grace window — a grace-mode edge can still vouch
     // it — while re-registration keeps trying in the background.
-    if (!registration_pending_) send_registration(current_provider_);
-    send_chunk_interest();
-    return;
   }
-  if (is_protected && !tag_live) {
-    if (!registration_pending_) send_registration(current_provider_);
-    // Park the slot; it resumes when the tag arrives or the registration
-    // fails (see on_data / the registration-timeout handler).
-    ++parked_slots_;
-    return;
-  }
-  send_chunk_interest();
-}
 
-void ClientApp::send_chunk_interest() {
-  ProviderApp& provider = *providers_[current_provider_];
-  const ndn::Name name =
-      provider.catalog().chunk_name(current_object_, next_chunk_);
-  ++next_chunk_;
-
-  if (outstanding_.count(name) > 0) {
+  const ndn::Name name = catalog.chunk_name(stream_.object, next_chunk_++);
+  if (find(name) != nullptr) {
     // Already in flight (stream wrapped onto the same object); just move
     // on next time.
     schedule_slot_fill();
     return;
   }
-
-  auto interest = node_.pool().make_interest();
-  interest->name = name;
-  interest->nonce = rng_();
-  interest->lifetime = config_.interest_lifetime;
-  interest->tag = tags_[current_provider_];
-  interest->tag_wire_size = interest->tag ? interest->tag->wire_size() : 0;
-
-  Outstanding out;
-  out.sent_at = node_.scheduler().now();
-  out.first_sent_at = out.sent_at;
-  out.provider = current_provider_;
-  out.needs_tag = provider.catalog().access_level(current_object_) !=
-                  ndn::kPublicAccessLevel;
-  out.timeout = node_.scheduler().schedule(
-      config_.interest_lifetime, [this, name] { on_timeout(name); });
-  outstanding_[name] = out;
-  ++counters_.chunks_requested;
-  ++chunks_started_;
-  node_.inject_from_app(face_, std::move(interest));
-}
-
-void ClientApp::resend_chunk(const ndn::Name& name) {
-  const auto it = outstanding_.find(name);
-  if (it == outstanding_.end()) return;  // answered during the backoff
-  Outstanding& out = it->second;
-
-  // Re-resolve the tag: a re-registration during the backoff may have
-  // replaced it.  If it expired instead (on this node's local clock,
-  // minus any client-side grace), a resend would only be silently
-  // dropped by Protocol 1, so surrender the slot to the registration gate
-  // rather than burn the retry budget (this is not a loss abandonment).
-  const core::TagPtr& tag = tags_[out.provider];
-  if (out.needs_tag && !tag_usable(tag, node_.local_now())) {
-    outstanding_.erase(it);
-    schedule_slot_fill();
-    return;
-  }
-
-  auto interest = node_.pool().make_interest();
-  interest->name = name;
-  interest->nonce = rng_();  // fresh nonce so PITs don't flag a duplicate
-  interest->lifetime = config_.interest_lifetime;
-  interest->tag = tag;
-  interest->tag_wire_size = interest->tag ? interest->tag->wire_size() : 0;
-
-  out.sent_at = node_.scheduler().now();
-  out.timeout = node_.scheduler().schedule(
-      config_.interest_lifetime, [this, name] { on_timeout(name); });
-  ++counters_.chunks_requested;
-  ++counters_.retransmissions;
-  node_.inject_from_app(face_, std::move(interest));
+  Request& request = track(name);
+  request.provider = stream_.provider;
+  request.needs_tag = is_protected;
+  send_attempt(request, tag);
 }
 
 bool ClientApp::tag_usable(const core::TagPtr& tag,
@@ -240,19 +120,15 @@ void ClientApp::send_registration(std::size_t provider_index) {
 
 void ClientApp::send_registration_attempt() {
   ProviderApp& provider = *providers_[*registration_pending_];
-  const ndn::Name name = provider.registration_name(label(), rng_());
-  pending_registration_name_ = name;
+  pending_registration_name_ = provider.registration_name(label(), rng_());
 
-  auto interest = node_.pool().make_interest();
-  interest->name = name;
-  interest->nonce = rng_();
-  interest->lifetime = config_.interest_lifetime;
+  auto interest = make_interest(pending_registration_name_);
   interest->payload_size = 64;  // modeled credential blob
 
   ++counters_.tags_requested;
   if (on_tag_request) on_tag_request(node_.scheduler().now());
   registration_timeout_ = node_.scheduler().schedule(
-      config_.interest_lifetime, [this] { on_registration_timeout(); });
+      loop_.interest_lifetime, [this] { on_registration_timeout(); });
   node_.inject_from_app(face_, std::move(interest));
 }
 
@@ -305,21 +181,14 @@ void ClientApp::on_data(const ndn::Data& data) {
     return;
   }
 
-  const auto it = outstanding_.find(data.name);
-  if (it == outstanding_.end()) return;  // late duplicate
-  // Cancels the pending timeout — or, if the chunk is between a timeout
-  // and its retransmission, the scheduled resend (late data during the
-  // backoff still counts; the resend would have been wasted).
-  node_.scheduler().cancel(it->second.timeout);
+  Request* request = find(data.name);
+  if (request == nullptr) return;  // late duplicate
   const event::Time now = node_.scheduler().now();
-
   if (data.nack_attached) {
-    ++counters_.nacks_received;
-    ++counters_.nacks_by_reason[static_cast<std::size_t>(data.nack_reason)];
+    count_nack(data.nack_reason);
     if (data.nack_reason == ndn::NackReason::kRouterOverloaded) {
-      // A router shed this request under load; the timer is already
-      // cancelled, so back off and retry without burning the slot.
-      on_overload_nack(data.name);
+      ++counters_.overload_nacks;
+      retry_or_abandon(*request);
       return;
     }
   } else if (config_.verify_content && config_.verify_pki != nullptr &&
@@ -330,15 +199,14 @@ void ClientApp::on_data(const ndn::Data& data) {
   } else {
     ++counters_.chunks_received;
     if (on_latency_sample) {
-      on_latency_sample(now, event::to_seconds(now - it->second.sent_at));
+      on_latency_sample(now, event::to_seconds(now - request->sent_at));
     }
-    if (it->second.retries > 0 && on_recovery_sample) {
-      on_recovery_sample(
-          now, event::to_seconds(now - it->second.first_sent_at));
+    if (request->retries > 0 && on_recovery_sample) {
+      on_recovery_sample(now,
+                         event::to_seconds(now - request->first_sent_at));
     }
   }
-  outstanding_.erase(it);
-  schedule_slot_fill();
+  end(*request);
 }
 
 bool ClientApp::verify_content_signature(const ndn::Data& data) const {
@@ -358,16 +226,14 @@ void ClientApp::on_nack(const ndn::Nack& nack) {
     release_parked_slots(1, retry_backoff(++registration_refusal_streak_));
     return;
   }
-  const auto it = outstanding_.find(nack.name);
-  if (it == outstanding_.end()) return;
-  node_.scheduler().cancel(it->second.timeout);
-  ++counters_.nacks_received;
-  ++counters_.nacks_by_reason[static_cast<std::size_t>(nack.reason)];
+  Request* request = find(nack.name);
+  if (request == nullptr) return;
+  count_nack(nack.reason);
   if (nack.reason == ndn::NackReason::kRouterOverloaded) {
-    on_overload_nack(nack.name);
+    ++counters_.overload_nacks;
+    retry_or_abandon(*request);
     return;
   }
-  outstanding_.erase(it);
   if (nack.reason == ndn::NackReason::kAccessPathMismatch) {
     // Mobility: the edge router no longer recognizes our location, so
     // every held tag is bound to the old one.  Drop them all; the next
@@ -375,45 +241,41 @@ void ClientApp::on_nack(const ndn::Nack& nack) {
     // tag every time she moves to a new location", paper Section 4.A).
     for (auto& tag : tags_) tag.reset();
   }
-  schedule_slot_fill();
+  end(*request);
 }
 
-void ClientApp::on_overload_nack(const ndn::Name& name) {
-  const auto it = outstanding_.find(name);
-  if (it == outstanding_.end()) return;
-  ++counters_.overload_nacks;
-  Outstanding& out = it->second;
-  if (running_ && out.retries < config_.max_retries) {
-    // Immediate backoff: the router told us to come back later, so the
-    // retry starts now rather than after the Interest lifetime runs out.
-    // The slot token stays on this entry through the backoff.
-    ++out.retries;
-    const ndn::Name retry_name = name;
-    out.timeout = node_.scheduler().schedule(
-        retry_backoff(out.retries),
-        [this, retry_name] { resend_chunk(retry_name); });
+void ClientApp::on_deadline(Request& request) {
+  if (!request.backoff) {
+    ++counters_.timeouts;
+    retry_or_abandon(request);
+    return;
+  }
+  // The backoff ended.  Re-resolve the tag: a re-registration during the
+  // backoff may have replaced it.  If it expired instead (on this node's
+  // local clock, minus any client-side grace), a resend would only be
+  // silently dropped by Protocol 1, so surrender the slot to the
+  // registration gate rather than burn the retry budget (this is not a
+  // loss abandonment).
+  const core::TagPtr& tag = tags_[request.provider];
+  if (request.needs_tag && !tag_usable(tag, node_.local_now())) {
+    end(request);
+    return;
+  }
+  ++counters_.retransmissions;
+  send_attempt(request, tag);
+}
+
+void ClientApp::retry_or_abandon(Request& request) {
+  if (running_ && request.retries < config_.max_retries) {
+    // The slot token stays on this request through the backoff.
+    ++request.retries;
+    request.backoff = true;
+    arm(request,
+        node_.scheduler().now() + retry_backoff(request.retries));
     return;
   }
   if (running_ && config_.max_retries > 0) ++counters_.chunks_abandoned;
-  outstanding_.erase(it);
-  schedule_slot_fill();
-}
-
-void ClientApp::on_timeout(const ndn::Name& name) {
-  const auto it = outstanding_.find(name);
-  if (it == outstanding_.end()) return;
-  ++counters_.timeouts;
-  Outstanding& out = it->second;
-  if (running_ && out.retries < config_.max_retries) {
-    // Keep the slot token on this entry through the backoff and resend.
-    ++out.retries;
-    out.timeout = node_.scheduler().schedule(
-        retry_backoff(out.retries), [this, name] { resend_chunk(name); });
-    return;
-  }
-  if (running_ && config_.max_retries > 0) ++counters_.chunks_abandoned;
-  outstanding_.erase(it);
-  schedule_slot_fill();
+  end(request);
 }
 
 }  // namespace tactic::workload

@@ -1,37 +1,23 @@
 #pragma once
 // The paper's "Zipf-window client" (Section 8.A).
 //
-// Each client keeps a fixed-size window of outstanding Interests (5),
-// selects content objects by Zipf(alpha = 0.7) popularity across the
-// global catalog, registers with a provider whenever it lacks a valid tag
-// for it, and then streams the object's chunks through its window.
-// Requests expire after the Interest lifetime (1 s), freeing the window
-// slot.  A think-time gap paces each slot (calibrated in EXPERIMENTS.md to
-// the paper's observed per-client request rates).
+// Runs the UserApp request loop (user_app.hpp) and streams each drawn
+// object's chunks in order through its window.  It registers with a
+// provider whenever it lacks a valid tag for it, resends a timed-out
+// chunk after a jittered exponential backoff, and backs off at once when
+// a router sheds its request.  A think-time gap paces each slot
+// (calibrated in EXPERIMENTS.md to the paper's observed per-client
+// request rates).
 
-#include <array>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
-#include "ndn/forwarder.hpp"
-#include "tactic/tag.hpp"
-#include "util/distributions.hpp"
-#include "util/rng.hpp"
-#include "workload/provider_app.hpp"
+#include "workload/user_app.hpp"
 
 namespace tactic::workload {
 
-struct ClientConfig {
-  std::size_t window = 5;
-  event::Time interest_lifetime = event::kSecond;
-  /// Mean of the exponential per-slot think time between a slot freeing
-  /// and its next request.
-  event::Time think_time_mean = 200 * event::kMillisecond;
-  double zipf_alpha = 0.7;
-  /// Uniform random start delay (desynchronizes clients).
-  event::Time start_jitter = event::kSecond;
+struct ClientConfig : UserConfig {
   /// Retransmission policy, shared by chunk Interests and registrations
   /// (including *refused* registrations, which back off through the same
   /// jittered exponential keyed on the refusal streak — a fixed refusal
@@ -57,12 +43,6 @@ struct ClientConfig {
   /// sign content.
   bool verify_content = false;
   const crypto::Pki* verify_pki = nullptr;
-  /// Closed-loop cap on *distinct* chunk requests (first attempts;
-  /// retransmissions are free).  0 = unlimited (the default open loop).
-  /// The differential batching harness uses this so batched and
-  /// unbatched runs issue the exact same request population regardless
-  /// of timing shifts near the scenario end.
-  std::size_t max_chunks = 0;
   /// Proactive tag renewal (docs/FAULTS.md, "Clock skew & tag
   /// lifecycle"): re-register at `T_e - renewal_lead` plus a uniform
   /// draw from [-renewal_jitter, +renewal_jitter], instead of
@@ -81,37 +61,14 @@ struct ClientConfig {
   event::Time expired_tag_grace = 0;
 };
 
-/// Per-user traffic counters (Table IV's rows; Fig. 6's tag rates).  The
-/// fields harvested into sim::TrafficTotals are rows of
-/// workload/user_stats.def.
-struct UserCounters {
-#define USER_STAT(counter, total, print) std::uint64_t counter = 0;
-#include "workload/user_stats.def"
-  std::uint64_t registrations_refused = 0;
-  /// Content that failed client-side signature verification (fake or
-  /// unsigned content under a protected prefix with verification on).
-  std::uint64_t content_verification_failures = 0;
-  /// Per-reason breakdown of `nacks_received` (chunk verdicts only;
-  /// registration NACKs are excluded just as they are from
-  /// `nacks_received`).  Indexed by ndn::NackReason.  The batching
-  /// equivalence harness compares these as a verdict multiset.
-  std::array<std::uint64_t, ndn::kNackReasonCount> nacks_by_reason{};
-};
-
-class ClientApp {
+class ClientApp : public UserApp {
  public:
   /// `providers` must outlive the app.  The client's node FIB must
-  /// already default-route toward its access point.
+  /// already default-route toward its access point.  The first
+  /// (provider, object) target is drawn here, before start() draws the
+  /// start jitter.
   ClientApp(ndn::Forwarder& node, std::vector<ProviderApp*> providers,
             ClientConfig config, util::Rng rng);
-
-  /// Schedules the first requests (after the start jitter).
-  void start();
-  /// Stops issuing new requests (outstanding ones simply expire).
-  void stop() { running_ = false; }
-
-  const UserCounters& counters() const { return counters_; }
-  const std::string& label() const { return node_.info().label; }
 
   /// The client's current tag for provider `index` (may be null or
   /// expired).  Exposed for the tag-sharing threat scenarios and tests.
@@ -128,27 +85,20 @@ class ClientApp {
   std::function<void(event::Time, double)> on_recovery_sample;
 
  private:
-  struct Outstanding {
-    event::Time sent_at = 0;        // most recent attempt
-    event::Time first_sent_at = 0;  // first attempt (recovery latency)
-    std::size_t retries = 0;        // resends already spent
-    std::size_t provider = 0;       // tag to attach on a resend
-    /// Protected chunk: a resend is pointless without a live tag (the
-    /// edge silently drops expired ones), so expiry ends the retries.
-    bool needs_tag = false;
-    /// Pending timer: the Interest timeout, or — between a timeout and
-    /// the resend — the scheduled retransmission.  Either way the slot
-    /// token stays held by this entry.
-    event::EventId timeout;
-  };
+  void request_next() override;
+  /// The Interest timed out (back off), or a backoff ended (resend).
+  void on_deadline(Request& request) override;
+  /// A Data or NACK that arrives during a backoff ends the request too:
+  /// the resend would have been wasted.
+  void on_data(const ndn::Data& data) override;
+  void on_nack(const ndn::Nack& nack) override;
 
-  void schedule_slot_fill();
   void release_parked_slots(std::size_t count, event::Time delay);
-  void fill_one_slot();
-  std::size_t provider_of_rank(std::size_t rank) const;
-  void advance_stream();
-  void send_chunk_interest();
-  void resend_chunk(const ndn::Name& name);
+  /// A timeout, or a router shedding the request (explicit
+  /// kRouterOverloaded, which backs off at once instead of waiting out
+  /// the timeout): resend after a backoff while retries last, else
+  /// abandon the chunk.  An overload NACK during a backoff restarts it.
+  void retry_or_abandon(Request& request);
   void send_registration(std::size_t provider_index);
   void send_registration_attempt();
   void on_registration_timeout();
@@ -159,30 +109,15 @@ class ClientApp {
   /// `local_now` — live, or inside the client-side grace window.
   bool tag_usable(const core::TagPtr& tag, event::Time local_now) const;
   bool verify_content_signature(const ndn::Data& data) const;
-  void on_data(const ndn::Data& data);
-  void on_nack(const ndn::Nack& nack);
-  void on_timeout(const ndn::Name& name);
-  /// A router shed our outstanding Interest for `name` (explicit
-  /// kRouterOverloaded): back off now instead of waiting out the chunk
-  /// timeout.  The caller must have cancelled the pending timer.
-  void on_overload_nack(const ndn::Name& name);
-  event::Time think_sample();
   /// Backoff before resend number `attempt` (1-based): base *
   /// factor^(attempt-1), jittered by [1-j, 1+j], clamped at
   /// `retry_backoff_max`.
   event::Time retry_backoff(std::size_t attempt);
 
-  ndn::Forwarder& node_;
-  std::vector<ProviderApp*> providers_;
   ClientConfig config_;
-  util::Rng rng_;
-  util::ZipfDist popularity_;  // over provider x object ranks
-  ndn::FaceId face_ = ndn::kInvalidFace;
-  bool running_ = false;
 
   // Stream position.
-  std::size_t current_provider_ = 0;
-  std::size_t current_object_ = 0;
+  Target stream_;
   std::size_t next_chunk_ = 0;
 
   // Tag state, per provider.
@@ -195,14 +130,9 @@ class ClientApp {
   /// arrives); drives the jittered exponential re-registration backoff.
   std::size_t registration_refusal_streak_ = 0;
   /// Window slots waiting for a tag.  Slot tokens are conserved: each
-  /// token is either an outstanding Interest, a scheduled fill event, or
+  /// token is either a request in flight, a scheduled fill event, or
   /// parked here — so the request rate stays window-limited.
   std::size_t parked_slots_ = 0;
-
-  std::unordered_map<ndn::Name, Outstanding> outstanding_;
-  UserCounters counters_;
-  /// Distinct chunks started (first attempts), against `max_chunks`.
-  std::size_t chunks_started_ = 0;
 };
 
 }  // namespace tactic::workload

@@ -1,5 +1,6 @@
 // Tests for the discrete-event scheduler: ordering guarantees, FIFO
-// tie-breaking, cancellation, and reentrancy.
+// tie-breaking, cancellation, reentrancy, and the Wakeup that keeps one
+// event per owner of many deadlines.
 
 #include <gtest/gtest.h>
 
@@ -152,6 +153,50 @@ TEST(Scheduler, Counters) {
   sched.run();
   EXPECT_EQ(sched.executed_count(), 2u);
   EXPECT_EQ(sched.pending_count(), 0u);
+}
+
+TEST(Scheduler, CancelledCountCountsSuccessfulCancels) {
+  Scheduler sched;
+  const EventId a = sched.schedule(kSecond, [] {});
+  const EventId b = sched.schedule(kSecond, [] {});
+  EXPECT_TRUE(sched.cancel(a));
+  EXPECT_FALSE(sched.cancel(a));
+  EXPECT_FALSE(sched.cancel(EventId{}));
+  sched.run();
+  EXPECT_FALSE(sched.cancel(b));  // already ran
+  EXPECT_EQ(sched.cancelled_count(), 1u);
+  EXPECT_EQ(sched.executed_count(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Wakeup: one event at or before an owner's earliest deadline.
+// ---------------------------------------------------------------------------
+
+TEST(Wakeup, StaysAtOrBeforeTheEarliestArm) {
+  Scheduler sched;
+  std::vector<Time> fired;
+  Wakeup wakeup(sched, [&] { fired.push_back(sched.now()); });
+  wakeup.arm(2 * kSecond);
+  wakeup.arm(3 * kSecond);  // later: nothing moves
+  EXPECT_EQ(sched.cancelled_count(), 0u);
+  wakeup.arm(kSecond);  // earlier: the event moves
+  EXPECT_EQ(sched.pending_count(), 1u);
+  EXPECT_EQ(sched.cancelled_count(), 1u);
+  sched.run();
+  // The owner re-arms from its own record; this one keeps none.
+  EXPECT_EQ(fired, std::vector<Time>{kSecond});
+}
+
+TEST(Wakeup, DisarmDropsThePendingEvent) {
+  Scheduler sched;
+  int fired = 0;
+  Wakeup wakeup(sched, [&] { ++fired; });
+  wakeup.arm(kSecond);
+  wakeup.disarm();
+  wakeup.arm(2 * kSecond);  // a later arm after a disarm schedules afresh
+  sched.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sched.now(), 2 * kSecond);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 // Tests for the workload layer: catalog naming/AL/encryption, the
-// provider app (registration, serving, revocation), the Zipf-window
-// client, and attacker strategies — each over a minimal live network.
+// provider app (registration, serving, revocation), the request loop
+// users share, the Zipf-window client, and attacker strategies — each
+// over a minimal live network.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "event/scheduler.hpp"
+#include "ndn/forwarder.hpp"
 #include "sim/scenario.hpp"
 #include "tactic/access_path.hpp"
 #include "tactic/registration.hpp"
@@ -15,6 +21,7 @@
 #include "workload/catalog.hpp"
 #include "workload/client_app.hpp"
 #include "workload/provider_app.hpp"
+#include "workload/user_app.hpp"
 
 namespace tactic::workload {
 namespace {
@@ -204,6 +211,201 @@ TEST(ClientApp, LatencySamplesFeedTimeSeries) {
   EXPECT_GT(metrics.latency.total_count(), 0u);
   EXPECT_GT(metrics.mean_latency(), 0.0);
   EXPECT_LT(metrics.mean_latency(), 1.0);
+}
+
+TEST(ClientApp, AnsweredRequestsCancelNoTimer) {
+  // Each app keeps one wakeup at or before its earliest deadline, so an
+  // answer cancels nothing: what is left are registration timeouts and
+  // wakeups moved earlier by an overload backoff or a new deadline.
+  sim::Scenario scenario(tiny_config());
+  const auto& metrics = scenario.run();
+  const std::uint64_t requests =
+      metrics.clients.requested + metrics.attackers.requested;
+  EXPECT_GT(requests, 1000u);
+  EXPECT_LT(scenario.scheduler().cancelled_count() * 100, requests);
+}
+
+// ---------------------------------------------------------------------------
+// Against a producer the test controls: one client on a bare node whose
+// FIB sends every Interest to a test face.  The node's policy delays
+// each Data by 300 ms, so a Data the producer sends just before the
+// Interest times out reaches the client during the retransmission
+// backoff (timeout at 1 s, backoff 500 ms, jitter off).
+// ---------------------------------------------------------------------------
+
+class SlowDataPolicy : public ndn::AccessControlPolicy {
+ public:
+  event::Time on_data(ndn::Forwarder&, ndn::FaceId, const ndn::Data&) override {
+    return 300 * event::kMillisecond;
+  }
+};
+
+struct ControlledProducer {
+  ControlledProducer() {
+    ProviderConfig provider_config;
+    provider_config.catalog = small_catalog();
+    provider_config.catalog.public_fraction = 1.0;  // no registration
+    provider_config.key_bits = 512;
+    provider = std::make_unique<ProviderApp>(
+        catalog_node, "/provider0", provider_config, anchors, util::Rng(3));
+    node.set_policy(std::make_unique<SlowDataPolicy>());
+    producer_face = node.add_app_face(ndn::AppSink{
+        [this](ndn::FaceId, const ndn::Interest& interest) {
+          interests.push_back({sched.now(), interest.name});
+        },
+        nullptr, nullptr});
+    node.fib().add_route(ndn::Name("/"), producer_face);
+
+    ClientConfig config;
+    config.window = 1;
+    config.max_chunks = 1;
+    config.think_time_mean = 0;
+    config.start_jitter = 0;
+    config.retry_backoff_base = 500 * event::kMillisecond;
+    config.retry_jitter = 0.0;
+    client = std::make_unique<ClientApp>(node, std::vector{provider.get()},
+                                         config, util::Rng(4));
+    client->start();
+  }
+
+  /// Sends `data` for the first Interest's name at `when`.
+  void answer_at(event::Time when, ndn::Data data) {
+    sched.schedule_at(when, [this, data = std::move(data)]() mutable {
+      data.name = interests.front().second;
+      node.inject_from_app(producer_face, std::move(data));
+    });
+  }
+
+  event::Scheduler sched;
+  core::TrustAnchors anchors;
+  ndn::Forwarder catalog_node{
+      sched, net::NodeInfo{0, net::NodeKind::kProvider, "provider0"}, 0};
+  ndn::Forwarder node{
+      sched, net::NodeInfo{1, net::NodeKind::kClient, "client0"}, 0};
+  std::unique_ptr<ProviderApp> provider;
+  ndn::FaceId producer_face = ndn::kInvalidFace;
+  std::vector<std::pair<event::Time, ndn::Name>> interests;
+  std::unique_ptr<ClientApp> client;
+};
+
+TEST(ClientApp, DataDuringBackoffEndsTheRequest) {
+  ControlledProducer net;
+  net.answer_at(kSecond - 1, ndn::Data{});
+  net.sched.run_until(3 * kSecond);
+  ASSERT_EQ(net.interests.size(), 1u);  // no resend at 1.5 s
+  const UserCounters& counters = net.client->counters();
+  EXPECT_EQ(counters.timeouts, 1u);
+  EXPECT_EQ(counters.chunks_received, 1u);
+  EXPECT_EQ(counters.retransmissions, 0u);
+  EXPECT_EQ(counters.chunks_requested, 1u);
+}
+
+TEST(ClientApp, OverloadNackDuringBackoffRestartsIt) {
+  ControlledProducer net;
+  ndn::Data shed;
+  shed.nack_attached = true;
+  shed.nack_reason = ndn::NackReason::kRouterOverloaded;
+  net.answer_at(kSecond - 1, std::move(shed));
+  net.sched.run_until(3 * kSecond);
+  // The NACK lands at 1.3 s - 1 ns, inside the first backoff, and starts
+  // the second (1 s): one resend at 2.3 s - 1 ns, none at 1.5 s.
+  ASSERT_EQ(net.interests.size(), 2u);
+  EXPECT_EQ(net.interests[1].first, 2300 * event::kMillisecond - 1);
+  const UserCounters& counters = net.client->counters();
+  EXPECT_EQ(counters.timeouts, 1u);
+  EXPECT_EQ(counters.overload_nacks, 1u);
+  EXPECT_EQ(counters.retransmissions, 1u);
+  EXPECT_EQ(counters.chunks_requested, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The request loop's deadlines, through a probe app on a bare node: the
+// test starts, arms and ends requests by name and the probe logs each
+// deadline the loop hands back as "name@ms".
+// ---------------------------------------------------------------------------
+
+class ProbeApp : public UserApp {
+ public:
+  explicit ProbeApp(ndn::Forwarder& node)
+      : UserApp(node, {}, UserConfig{}, util::Rng(1)) {}
+
+  void add(const std::string& uri) { track(ndn::Name(uri)); }
+  void arm(const std::string& uri, event::Time deadline) {
+    UserApp::arm(*find(ndn::Name(uri)), deadline);
+  }
+  void end(const std::string& uri) { UserApp::end(*find(ndn::Name(uri))); }
+
+  std::vector<std::string> log;
+  std::function<void(const std::string&)> on_due;
+
+ private:
+  void request_next() override {}
+  void on_deadline(Request& request) override {
+    const std::string uri = request.name.to_uri();
+    log.push_back(uri + "@" +
+                  std::to_string(node_.scheduler().now() /
+                                 event::kMillisecond));
+    if (on_due) on_due(uri);
+  }
+};
+
+struct ProbeNode {
+  event::Scheduler sched;
+  ndn::Forwarder node{
+      sched, net::NodeInfo{0, net::NodeKind::kClient, "probe"}, 0};
+  ProbeApp app{node};
+};
+
+TEST(UserApp, SameInstantDeadlinesRunInArmingOrder) {
+  ProbeNode probe;
+  probe.app.add("/a");
+  probe.app.add("/b");
+  probe.app.end("/a");
+  probe.app.add("/c");  // reuses /a's slot, ahead of /b's
+  probe.app.arm("/b", kSecond);
+  probe.app.arm("/c", kSecond);
+  probe.sched.run();
+  EXPECT_EQ(probe.app.log, (std::vector<std::string>{"/b@1000", "/c@1000"}));
+}
+
+TEST(UserApp, EndedRequestNeverFiresAndTheNextFiresOnTime) {
+  ProbeNode probe;
+  probe.app.add("/a");
+  probe.app.add("/b");
+  probe.app.arm("/a", kSecond);
+  probe.app.arm("/b", 2 * kSecond);
+  probe.sched.schedule(kSecond / 2, [&] { probe.app.end("/a"); });
+  probe.sched.run();
+  EXPECT_EQ(probe.app.log, (std::vector<std::string>{"/b@2000"}));
+  EXPECT_EQ(probe.sched.cancelled_count(), 0u);
+}
+
+TEST(UserApp, EarlierDeadlineMovesTheWakeup) {
+  ProbeNode probe;
+  probe.app.add("/a");
+  probe.app.add("/b");
+  probe.app.arm("/a", 2 * kSecond);
+  probe.sched.run_until(kSecond / 2);
+  probe.app.arm("/b", kSecond);
+  probe.app.arm("/a", 3 * kSecond);  // later: the wakeup stays put
+  probe.sched.run();
+  EXPECT_EQ(probe.app.log, (std::vector<std::string>{"/b@1000", "/a@3000"}));
+  EXPECT_EQ(probe.sched.cancelled_count(), 1u);
+}
+
+TEST(UserApp, DeadlineArmedForNowInTheHandlerRunsInALaterEvent) {
+  ProbeNode probe;
+  probe.app.add("/a");
+  probe.app.add("/b");
+  probe.app.arm("/a", kSecond);
+  probe.app.on_due = [&](const std::string& uri) {
+    if (uri != "/a") return;
+    probe.sched.schedule(0, [&] { probe.app.log.push_back("marker"); });
+    probe.app.arm("/b", probe.sched.now());
+  };
+  probe.sched.run();
+  EXPECT_EQ(probe.app.log,
+            (std::vector<std::string>{"/a@1000", "marker", "/b@1000"}));
 }
 
 TEST(AttackerModes, NamesAreStable) {
