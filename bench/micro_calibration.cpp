@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -140,6 +141,39 @@ void tag_precheck() {
   });
 }
 
+/// A churning forger's per-request tag: the template's fields with a
+/// fresh expiry, sharing the template's signature.
+void tag_build() {
+  const RsaFixture fixture(1024);
+  core::Tag::Fields fields = fixture.tag->fields();
+  std::int64_t expiry = 0;
+  run_case("TagBuild", [&] {
+    fields.expiry = ++expiry;
+    keep(std::make_shared<const core::Tag>(fields, fixture.tag->signature()));
+  });
+}
+
+/// A router's Bloom probe for a tag, made as ValidationEngine::bloom_lookup
+/// makes it, against a filter holding 1,000 tags; half the probed tags
+/// are absent.
+void tag_bloom_lookup() {
+  const RsaFixture fixture(1024);
+  constexpr std::size_t kTags = 2000;
+  std::vector<core::TagPtr> tags;
+  core::Tag::Fields fields = fixture.tag->fields();
+  for (std::size_t i = 0; i < kTags; ++i) {
+    fields.expiry = static_cast<event::Time>(i + 1);
+    tags.push_back(
+        std::make_shared<const core::Tag>(fields, fixture.tag->signature()));
+  }
+  bloom::BloomFilter bf({kTags / 2, 5, 1e-4});
+  for (std::size_t i = 0; i < kTags; i += 2) bf.insert(tags[i]->bloom_hashes());
+  std::size_t i = 0;
+  run_case("TagBloomLookup", [&] {
+    keep(bf.contains(tags[i++ % kTags]->bloom_hashes()));
+  });
+}
+
 void name_parse() {
   run_case("NameParse", [] { keep(ndn::Name("/provider3/obj17/c42")); });
 }
@@ -203,6 +237,8 @@ int main() {
   tag_sign_and_verify(1024);
   tag_sign_and_verify(2048);
   tag_precheck();
+  tag_build();
+  tag_bloom_lookup();
   name_parse();
   fib_longest_prefix_match();
   content_store_hit();

@@ -15,12 +15,14 @@
 # allocation: the same run checks for leaks (crash wipe_volatile paths
 # included) and UB.  Results land in BENCH_packet_path.json.
 #
-# Usage: ci/alloc.sh [build-dir]    (default: build-sanitize)
+# Usage: ci/alloc.sh [build-dir]    (default: $BUILD_DIR, else
+# build-sanitize)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD_DIR="${1:-build-sanitize}"
+BUILD_DIR="${1:-${BUILD_DIR:-build-sanitize}}"
+echo "alloc: build tree $BUILD_DIR"
 
 cmake -B "$BUILD_DIR" -S . -DTACTIC_SANITIZE=ON -DTACTIC_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target packet_path

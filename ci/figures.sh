@@ -27,12 +27,14 @@
 #   ci/figures.sh; cp build-figures/figures/*.txt tests/golden/figures/
 # and say so in the commit message.
 #
-# Usage: ci/figures.sh [build-dir]    (default: build-figures)
+# Usage: ci/figures.sh [build-dir]    (default: $BUILD_DIR, else
+# build-figures)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD_DIR="${1:-build-figures}"
+BUILD_DIR="${1:-${BUILD_DIR:-build-figures}}"
+echo "figures: build tree $BUILD_DIR"
 GOLDEN_DIR="$PWD/tests/golden/figures"
 
 PAPER=(table2_comparison table4_delivery_ratio table5_bf_resets

@@ -34,12 +34,14 @@
 # verdict multisets the batching equivalence harness
 # (tests/batching_test.cpp) compares.
 #
-# Usage: ci/parity.sh [build-dir]    (default: build-sanitize)
+# Usage: ci/parity.sh [build-dir]    (default: $BUILD_DIR, else
+# build-sanitize)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD_DIR="${1:-build-sanitize}"
+BUILD_DIR="${1:-${BUILD_DIR:-build-sanitize}}"
+echo "parity: build tree $BUILD_DIR"
 GOLDEN="tests/golden/fingerprints.txt"
 VERDICT_GOLDEN="tests/golden/verdicts.txt"
 

@@ -5,12 +5,14 @@
 # Every ci/ script configures its build tree with -DTACTIC_WERROR=ON
 # (CMake caches the option), so a compiler warning fails the build too.
 #
-# Usage: ci/sanitize.sh [build-dir]    (default: build-sanitize)
+# Usage: ci/sanitize.sh [build-dir]    (default: $BUILD_DIR, else
+# build-sanitize)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD_DIR="${1:-build-sanitize}"
+BUILD_DIR="${1:-${BUILD_DIR:-build-sanitize}}"
+echo "sanitize: build tree $BUILD_DIR"
 
 cmake -B "$BUILD_DIR" -S . -DTACTIC_SANITIZE=ON -DTACTIC_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"

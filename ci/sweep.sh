@@ -26,6 +26,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build-sanitize}"
+echo "sweep: build tree $BUILD_DIR"
 
 # The flood-based rows share seed 9000: each layer's draws come after the
 # base draws, so a seed that fails in one row but not in `flood` isolates

@@ -9,21 +9,6 @@ namespace tactic::bloom {
 
 namespace {
 
-/// Derives the two base hashes (h1, h2) for double hashing from one
-/// SHA-256 of the element.
-struct BaseHashes {
-  std::uint64_t h1;
-  std::uint64_t h2;
-};
-
-BaseHashes base_hashes(util::BytesView element) {
-  const util::Bytes digest = crypto::Sha256::digest(element);
-  std::uint64_t h1 = util::read_u64(digest, 0);
-  std::uint64_t h2 = util::read_u64(digest, 8);
-  h2 |= 1;  // ensure h2 is odd so the probe sequence covers the table
-  return {h1, h2};
-}
-
 std::size_t validated_bit_count(const BloomParams& params) {
   if (params.capacity == 0 || params.hashes == 0 || params.max_fpp <= 0.0 ||
       params.max_fpp >= 1.0 || params.design_fpp <= 0.0 ||
@@ -35,6 +20,14 @@ std::size_t validated_bit_count(const BloomParams& params) {
 }
 
 }  // namespace
+
+BaseHashes base_hashes(util::BytesView element) {
+  const util::Bytes digest = crypto::Sha256::digest(element);
+  std::uint64_t h1 = util::read_u64(digest, 0);
+  std::uint64_t h2 = util::read_u64(digest, 8);
+  h2 |= 1;  // ensure h2 is odd so the probe sequence covers the table
+  return {h1, h2};
+}
 
 double theoretical_fpp(std::size_t bits, std::size_t hashes,
                        std::size_t items) {
@@ -62,8 +55,8 @@ BloomFilter::BloomFilter(BloomParams params) : params_(params) {
   bits_.assign(validated_bit_count(params_) / 64, 0);
 }
 
-void BloomFilter::insert(util::BytesView element) {
-  const auto [h1, h2] = base_hashes(element);
+void BloomFilter::insert(BaseHashes hashes) {
+  const auto [h1, h2] = hashes;
   const std::size_t m = bit_count();
   for (std::size_t i = 0; i < params_.hashes; ++i) {
     const std::size_t bit = (h1 + i * h2) % m;
@@ -72,8 +65,8 @@ void BloomFilter::insert(util::BytesView element) {
   ++items_;
 }
 
-bool BloomFilter::contains(util::BytesView element) const {
-  const auto [h1, h2] = base_hashes(element);
+bool BloomFilter::contains(BaseHashes hashes) const {
+  const auto [h1, h2] = hashes;
   const std::size_t m = bit_count();
   for (std::size_t i = 0; i < params_.hashes; ++i) {
     const std::size_t bit = (h1 + i * h2) % m;

@@ -10,7 +10,9 @@
 // Hashing uses the standard double-hashing scheme of Kirsch & Mitzenmacher:
 // g_i(x) = h1(x) + i * h2(x), with h1/h2 derived from one SHA-256 of the
 // element (cryptographic hashing keeps an adversary from engineering
-// collisions against router filters).
+// collisions against router filters).  A caller that probes the same
+// element repeatedly may hash it once with base_hashes() and insert or
+// probe with the resulting BaseHashes; the bits are the same either way.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,6 +32,15 @@ double theoretical_fpp(std::size_t bits, std::size_t hashes,
 /// with `hashes` hash functions.
 std::size_t bits_for_capacity(std::size_t capacity, std::size_t hashes,
                               double target_fpp);
+
+/// The two base hashes (h1, h2) of double hashing.
+struct BaseHashes {
+  std::uint64_t h1 = 0;
+  std::uint64_t h2 = 0;  // odd, so the probe sequence covers the table
+};
+
+/// Derives (h1, h2) from one SHA-256 of the element.
+BaseHashes base_hashes(util::BytesView element);
 
 /// Parameters of a router Bloom filter.
 struct BloomParams {
@@ -57,12 +68,16 @@ class BloomFilter {
   /// element are counted; the analytic FPP is then an upper bound).
   std::size_t item_count() const { return items_; }
 
-  /// Inserts an element.
-  void insert(util::BytesView element);
+  /// Inserts an element, given its base hashes or its bytes.
+  void insert(BaseHashes hashes);
+  void insert(util::BytesView element) { insert(base_hashes(element)); }
 
   /// Membership query: false means definitely absent; true means present
   /// or a false positive.
-  bool contains(util::BytesView element) const;
+  bool contains(BaseHashes hashes) const;
+  bool contains(util::BytesView element) const {
+    return contains(base_hashes(element));
+  }
 
   /// Analytic FPP given the current item count.  This is the value TACTIC
   /// edge routers stamp into the flag F.

@@ -48,7 +48,11 @@ const Constants& constants() {
   return c;
 }
 
+std::uint64_t g_blocks_compressed = 0;
+
 }  // namespace
+
+std::uint64_t Sha256::blocks_compressed() { return g_blocks_compressed; }
 
 Sha256::Sha256() { reset(); }
 
@@ -119,6 +123,7 @@ util::Bytes Sha256::finish() {
 }
 
 void Sha256::process_block(const std::uint8_t* block) {
+  ++g_blocks_compressed;
   const auto& k = constants().k;
   std::uint32_t w[64];
   for (int t = 0; t < 16; ++t) {

@@ -36,6 +36,11 @@ class Sha256 {
   static util::Bytes digest(util::BytesView data);
   static util::Bytes digest(std::string_view s);
 
+  /// 64-byte blocks compressed by every context in the process so far: an
+  /// exact work counter for tests and profiling drivers.  It feeds no
+  /// fingerprint (the simulator is single-threaded).
+  static std::uint64_t blocks_compressed();
+
  private:
   void process_block(const std::uint8_t* block);
 

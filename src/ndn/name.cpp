@@ -79,6 +79,11 @@ Name Name::prefix(std::size_t n) const {
   return out;
 }
 
+std::string Name::head_uri() const {
+  if (ids_.empty()) return "/";
+  return "/" + NameTable::instance().text(ids_.front());
+}
+
 bool Name::is_prefix_of(const Name& other) const {
   if (ids_.size() > other.ids_.size()) return false;
   return std::equal(ids_.begin(), ids_.end(), other.ids_.begin());

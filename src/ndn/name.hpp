@@ -72,6 +72,9 @@ class Name {
 
   /// First `n` components (n clamped to size()).
   Name prefix(std::size_t n) const;
+  /// prefix(1).to_uri() without building the prefix: "/" plus the first
+  /// component, or "/" for the root name.
+  std::string head_uri() const;
 
   /// True when *this is a (non-strict) prefix of `other`.
   bool is_prefix_of(const Name& other) const;

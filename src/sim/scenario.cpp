@@ -240,7 +240,7 @@ workload::AttackerApp::TagStrategy Scenario::make_strategy(
       }
       return [stale](const ndn::Name& content,
                      event::Time) -> core::TagPtr {
-        const auto it = stale->find(content.prefix(1).to_uri());
+        const auto it = stale->find(content.head_uri());
         return it == stale->end() ? core::TagPtr{} : it->second;
       };
     }
@@ -255,7 +255,7 @@ workload::AttackerApp::TagStrategy Scenario::make_strategy(
       return [mints, providers, locator,
               own_ap](const ndn::Name& content,
                       event::Time now) -> core::TagPtr {
-        const std::string prefix = content.prefix(1).to_uri();
+        const std::string prefix = content.head_uri();
         auto& slot = (*mints)[prefix];
         if (!slot || slot->expiry() <= now) {
           for (auto* provider : providers) {
@@ -281,7 +281,7 @@ workload::AttackerApp::TagStrategy Scenario::make_strategy(
       const std::string home_prefix = home->prefix().to_uri();
       return [home, cached, locator, own_ap, home_prefix](
                  const ndn::Name& content, event::Time now) -> core::TagPtr {
-        if (content.prefix(1).to_uri() == home_prefix) return {};
+        if (content.head_uri() == home_prefix) return {};
         if (!*cached || (*cached)->expiry() <= now) {
           *cached = home->issuer().issue(locator, own_ap, now);
         }
@@ -335,9 +335,12 @@ void Scenario::build_attackers() {
         config_.attacker_mix.empty()
             ? workload::AttackerMode::kNoTag
             : config_.attacker_mix[index % config_.attacker_mix.size()];
+    // Fork before make_strategy, which may draw a forger key from rng_:
+    // the draw order must not depend on argument evaluation order.
+    util::Rng attacker_rng = rng_.fork();
     auto attacker = std::make_unique<workload::AttackerApp>(
         node, provider_ptrs_, config_.attacker,
-        make_strategy(mode, index, id), rng_.fork());
+        make_strategy(mode, index, id), attacker_rng);
     attacker->start();
     attackers_.push_back(std::move(attacker));
     ++index;

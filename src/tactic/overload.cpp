@@ -74,7 +74,7 @@ void ValidationLanes::reset() {
   for (ValidationQueue& lane : lanes_) lane.reset();
 }
 
-bool NegativeTagCache::contains(const std::string& key, event::Time now) {
+bool NegativeTagCache::contains(const util::Bytes& key, event::Time now) {
   const auto it = index_.find(key);
   if (it == index_.end()) return false;
   if (it->second->expires <= now) {
@@ -85,7 +85,7 @@ bool NegativeTagCache::contains(const std::string& key, event::Time now) {
   return true;
 }
 
-void NegativeTagCache::insert(const std::string& key, event::Time now) {
+void NegativeTagCache::insert(const util::Bytes& key, event::Time now) {
   if (capacity_ == 0) return;
   const auto it = index_.find(key);
   if (it != index_.end()) {

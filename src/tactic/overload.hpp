@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "event/time.hpp"
+#include "util/bytes.hpp"
 
 namespace tactic::core {
 
@@ -146,7 +147,8 @@ class ValidationLanes {
   std::uint64_t steals_ = 0;
 };
 
-/// TTL- and size-bounded set of tag keys that failed verification.
+/// TTL- and size-bounded set of tag keys (Tag::bloom_key() bytes) that
+/// failed verification.
 /// Insertion order doubles as the eviction order (oldest verdict leaves
 /// first when full); a re-inserted key refreshes its TTL and moves to the
 /// back.  Deterministic: expiry is judged against caller-supplied time.
@@ -157,10 +159,10 @@ class NegativeTagCache {
 
   /// True when `key` holds an unexpired negative verdict at `now`.
   /// An expired entry found here is erased as a side effect.
-  bool contains(const std::string& key, event::Time now);
+  bool contains(const util::Bytes& key, event::Time now);
 
   /// Records (or refreshes) a negative verdict for `key` at `now`.
-  void insert(const std::string& key, event::Time now);
+  void insert(const util::Bytes& key, event::Time now);
 
   void clear();
   std::size_t size() const { return index_.size(); }
@@ -168,14 +170,15 @@ class NegativeTagCache {
 
  private:
   struct Entry {
-    std::string key;
+    util::Bytes key;
     event::Time expires = 0;
   };
 
   std::size_t capacity_;
   event::Time ttl_;
   std::list<Entry> order_;  // front = oldest verdict
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  std::unordered_map<util::Bytes, std::list<Entry>::iterator, util::BytesHash>
+      index_;
   std::uint64_t evictions_ = 0;
 };
 

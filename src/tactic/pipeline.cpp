@@ -1,7 +1,5 @@
 #include "tactic/pipeline.hpp"
 
-#include "util/bytes.hpp"
-
 namespace tactic::core {
 
 // ---------------------------------------------------------------------------
@@ -10,12 +8,12 @@ namespace tactic::core {
 
 void RevocationBlacklist::blacklist(const Tag& tag,
                                     std::size_t router_count) {
-  keys.insert(util::to_hex(tag.bloom_key()));
+  keys.insert(tag.bloom_key());
   push_messages += router_count;
 }
 
 bool RevocationBlacklist::contains(const Tag& tag) const {
-  return keys.count(util::to_hex(tag.bloom_key())) > 0;
+  return keys.count(tag.bloom_key()) > 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -133,7 +131,7 @@ BloomVouch ValidationEngine::bloom_lookup(const Tag& tag, event::Time now,
   const std::size_t lane = lane_for(tag);
   ++counters_.bf_lookups;
   charge(now, probe_cost(), compute, CostKind::kBf, lane);
-  if (bloom_.contains(tag.bloom_key())) {
+  if (bloom_.contains(tag.bloom_hashes())) {
     return BloomVouch{true, bloom_.current_fpp()};
   }
   if (draining_) {
@@ -144,7 +142,7 @@ BloomVouch ValidationEngine::bloom_lookup(const Tag& tag, event::Time now,
       // its own, higher FPP) for the cost of a second lookup.
       ++counters_.bf_lookups;
       charge(now, probe_cost(), compute, CostKind::kBf, lane);
-      if (draining_->contains(tag.bloom_key())) {
+      if (draining_->contains(tag.bloom_hashes())) {
         ++counters_.draining_hits;
         return BloomVouch{true, draining_->current_fpp()};
       }
@@ -158,7 +156,7 @@ void ValidationEngine::bloom_insert(const Tag& tag, event::Time now,
   ++counters_.bf_insertions;
   charge(now, compute_.bf_insert_cost(rng_), compute, CostKind::kBf,
          lane_for(tag));
-  bloom_.insert(tag.bloom_key());
+  bloom_.insert(tag.bloom_hashes());
   // "Each router automatically resets its BF when it is saturated (its
   // FPP reaches the maximum FPP)."
   if (bloom_.saturated()) {
@@ -290,7 +288,7 @@ bool ValidationEngine::neg_cache_rejects(const Tag& tag, event::Time now,
                                          event::Time& compute) {
   charge(now, compute_.neg_lookup_cost(rng_), compute, CostKind::kNegCache,
          lane_for(tag));
-  if (!neg_cache_.contains(util::to_hex(tag.bloom_key()), now)) {
+  if (!neg_cache_.contains(tag.bloom_key(), now)) {
     return false;
   }
   ++counters_.neg_cache_hits;
@@ -298,7 +296,7 @@ bool ValidationEngine::neg_cache_rejects(const Tag& tag, event::Time now,
 }
 
 void ValidationEngine::remember_invalid(const Tag& tag, event::Time now) {
-  neg_cache_.insert(util::to_hex(tag.bloom_key()), now);
+  neg_cache_.insert(tag.bloom_key(), now);
   ++counters_.neg_cache_insertions;
 }
 

@@ -39,6 +39,7 @@
 #include "tactic/precheck.hpp"
 #include "tactic/tag.hpp"
 #include "tactic/traitor_tracing.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -51,8 +52,8 @@ namespace tactic::core {
 /// revoked tag's Bloom key and pays one message per router (accounted in
 /// `push_messages`); edge routers then reject the tag immediately.
 struct RevocationBlacklist {
-  std::unordered_set<std::string> keys;  // hex of Tag::bloom_key()
-  std::uint64_t push_messages = 0;       // router-messages spent on pushes
+  std::unordered_set<util::Bytes, util::BytesHash> keys;  // Tag::bloom_key()
+  std::uint64_t push_messages = 0;  // router-messages spent on pushes
 
   /// Blacklists one tag, charging a push to `router_count` routers.
   void blacklist(const Tag& tag, std::size_t router_count);
@@ -71,7 +72,7 @@ struct TrustAnchors {
   RevocationBlacklist revocations;
 
   bool is_protected(const ndn::Name& name) const {
-    return protected_prefixes.count(name.prefix(1).to_uri()) > 0;
+    return protected_prefixes.count(name.head_uri()) > 0;
   }
 };
 

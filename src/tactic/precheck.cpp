@@ -29,7 +29,7 @@ ndn::NackReason to_nack_reason(PrecheckResult result) {
 
 PrecheckResult edge_precheck(const Tag& tag, const ndn::Name& content_name,
                              event::Time now, event::Time tolerance) {
-  if (!tag.provider_prefix().is_prefix_of(content_name)) {
+  if (!tag.provider_prefix_of(content_name)) {
     return PrecheckResult::kPrefixMismatch;
   }
   if (tag.expiry() + tolerance < now) return PrecheckResult::kExpired;

@@ -5,8 +5,11 @@
 namespace tactic::core {
 
 Tag::Tag(Fields fields, util::Bytes signature)
-    : fields_(std::move(fields)), signature_(std::move(signature)) {
+    : fields_(std::move(fields)), signature_(std::move(signature)) {}
+
+void Tag::derive_keys() const {
   bloom_key_ = crypto::Sha256::digest(serialize());
+  bloom_hashes_ = bloom::base_hashes(bloom_key_);
 }
 
 util::Bytes Tag::serialize_fields(const Fields& fields) {
@@ -26,7 +29,10 @@ util::Bytes Tag::serialize() const {
 }
 
 std::size_t Tag::wire_size() const {
-  return serialize().size();
+  // Three u32 length prefixes (two locators and the signature), the u32
+  // access level, and the u64 access path and expiry.
+  return 3 * 4 + 4 + 8 + 8 + fields_.provider_key_locator.size() +
+         fields_.client_key_locator.size() + signature_.size();
 }
 
 namespace {
@@ -66,11 +72,18 @@ std::shared_ptr<const Tag> Tag::deserialize(util::BytesView wire) {
 }
 
 bool Tag::same_tag(const Tag& other) const {
-  return bloom_key_ == other.bloom_key_;
+  // serialize() is length-prefixed, so equal fields and signatures are
+  // exactly equal encodings.
+  return this == &other ||
+         (fields_ == other.fields_ && signature_ == other.signature_);
 }
 
-ndn::Name Tag::provider_prefix() const {
-  return ndn::Name(fields_.provider_key_locator).prefix(1);
+bool Tag::provider_prefix_of(const ndn::Name& name) const {
+  const std::string_view locator = fields_.provider_key_locator;
+  const std::size_t start = locator.find_first_not_of('/');
+  if (start == std::string_view::npos) return true;  // the root prefix
+  const std::size_t end = locator.find('/', start);
+  return !name.empty() && locator.substr(start, end - start) == name.at(0);
 }
 
 TagPtr issue_tag(const Tag::Fields& fields,

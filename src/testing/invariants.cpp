@@ -159,7 +159,7 @@ void InvariantChecker::check_delivery(const ndn::Forwarder& node,
 }
 
 bool InvariantChecker::signature_valid(const core::Tag& tag) {
-  const std::string key = util::to_hex(tag.bloom_key());
+  const util::Bytes& key = tag.bloom_key();
   auto it = signature_cache_.find(key);
   if (it != signature_cache_.end()) return it->second;
   const bool valid = core::verify_tag_signature(tag, scenario_.anchors().pki);

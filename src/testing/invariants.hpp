@@ -128,7 +128,7 @@ class InvariantChecker {
   bool finalized_ = false;
 
   util::Bytes chain_;  // multiset accumulator over per-event digests
-  std::unordered_map<std::string, bool> signature_cache_;
+  std::unordered_map<util::Bytes, bool, util::BytesHash> signature_cache_;
   std::unordered_map<net::NodeId, int> fpp_streak_;
 
   std::vector<Violation> violations_;

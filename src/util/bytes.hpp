@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -52,5 +53,13 @@ Bytes to_bytes(std::string_view s);
 
 /// Constant-time equality for secret-dependent comparisons (MACs, tags).
 bool constant_time_equal(BytesView a, BytesView b);
+
+/// Hash functor for unordered containers keyed on Bytes (digests, keys).
+struct BytesHash {
+  std::size_t operator()(BytesView data) const noexcept {
+    return std::hash<std::string_view>{}(std::string_view(
+        reinterpret_cast<const char*>(data.data()), data.size()));
+  }
+};
 
 }  // namespace tactic::util

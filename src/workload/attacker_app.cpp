@@ -71,7 +71,7 @@ AttackerApp::TagStrategy forged(
   return [forger_key = std::move(forger_key),
           client_label = std::move(client_label), validity,
           cache](const ndn::Name& content, event::Time now) -> core::TagPtr {
-    const std::string prefix = content.prefix(1).to_uri();
+    const std::string prefix = content.head_uri();
     auto& slot = (*cache)[prefix];
     if (!slot || slot->expiry() <= now) {
       core::Tag::Fields fields;
@@ -96,7 +96,7 @@ AttackerApp::TagStrategy forged_churn(
   return [forger_key = std::move(forger_key),
           client_label = std::move(client_label), validity,
           state](const ndn::Name& content, event::Time now) -> core::TagPtr {
-    const std::string prefix = content.prefix(1).to_uri();
+    const std::string prefix = content.head_uri();
     auto& tmpl = state->templates[prefix];
     if (!tmpl || tmpl->expiry() <= now + validity) {
       core::Tag::Fields fields;

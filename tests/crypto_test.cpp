@@ -53,6 +53,22 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+// The work counter counts compressed blocks, padding included: a message
+// of n bytes takes ceil((n + 9) / 64) blocks.
+TEST(Sha256, BlocksCompressedCountsPaddedBlocks) {
+  const auto blocks = [](std::size_t n) {
+    const std::uint64_t before = Sha256::blocks_compressed();
+    Sha256::digest(util::Bytes(n, 0x61));
+    return Sha256::blocks_compressed() - before;
+  };
+  EXPECT_EQ(blocks(0), 1u);
+  EXPECT_EQ(blocks(55), 1u);
+  EXPECT_EQ(blocks(56), 2u);
+  EXPECT_EQ(blocks(64), 2u);
+  EXPECT_EQ(blocks(119), 2u);
+  EXPECT_EQ(blocks(120), 3u);
+}
+
 TEST(Sha256, StreamingEqualsOneShot) {
   const std::string msg = "The quick brown fox jumps over the lazy dog";
   Sha256 ctx;

@@ -129,37 +129,41 @@ TEST(ValidationLanes, ConfigureResizesAndClears) {
 // NegativeTagCache
 // ---------------------------------------------------------------------------
 
+/// A cache key: the bytes of a one-letter name (real keys are the 32
+/// bytes of Tag::bloom_key()).
+util::Bytes key(std::string_view name) { return util::to_bytes(name); }
+
 TEST(NegativeTagCache, TtlExpiryErasesLazily) {
   core::NegativeTagCache cache(/*capacity=*/4, /*ttl=*/10);
-  cache.insert("a", 0);
-  EXPECT_TRUE(cache.contains("a", 5));
-  EXPECT_TRUE(cache.contains("a", 9));    // valid until insert time + ttl
-  EXPECT_FALSE(cache.contains("a", 10));  // expired — and erased
+  cache.insert(key("a"), 0);
+  EXPECT_TRUE(cache.contains(key("a"), 5));
+  EXPECT_TRUE(cache.contains(key("a"), 9));    // valid until insert time + ttl
+  EXPECT_FALSE(cache.contains(key("a"), 10));  // expired — and erased
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.evictions(), 0u);  // expiry is not a capacity eviction
 }
 
 TEST(NegativeTagCache, CapacityEvictsOldestVerdict) {
   core::NegativeTagCache cache(/*capacity=*/2, /*ttl=*/100);
-  cache.insert("a", 0);
-  cache.insert("b", 1);
-  cache.insert("c", 2);  // evicts "a"
+  cache.insert(key("a"), 0);
+  cache.insert(key("b"), 1);
+  cache.insert(key("c"), 2);  // evicts "a"
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_FALSE(cache.contains("a", 3));
-  EXPECT_TRUE(cache.contains("b", 3));
-  EXPECT_TRUE(cache.contains("c", 3));
+  EXPECT_FALSE(cache.contains(key("a"), 3));
+  EXPECT_TRUE(cache.contains(key("b"), 3));
+  EXPECT_TRUE(cache.contains(key("c"), 3));
 }
 
 TEST(NegativeTagCache, ReinsertRefreshesAndMovesToBack) {
   core::NegativeTagCache cache(/*capacity=*/2, /*ttl=*/100);
-  cache.insert("a", 0);
-  cache.insert("b", 1);
-  cache.insert("a", 2);  // refresh: "b" is now the oldest
-  cache.insert("c", 3);  // evicts "b", not "a"
-  EXPECT_TRUE(cache.contains("a", 4));
-  EXPECT_FALSE(cache.contains("b", 4));
-  EXPECT_TRUE(cache.contains("c", 4));
+  cache.insert(key("a"), 0);
+  cache.insert(key("b"), 1);
+  cache.insert(key("a"), 2);  // refresh: "b" is now the oldest
+  cache.insert(key("c"), 3);  // evicts "b", not "a"
+  EXPECT_TRUE(cache.contains(key("a"), 4));
+  EXPECT_FALSE(cache.contains(key("b"), 4));
+  EXPECT_TRUE(cache.contains(key("c"), 4));
 }
 
 // A probe landing exactly on the expiry instant misses (and erases), so
@@ -167,12 +171,12 @@ TEST(NegativeTagCache, ReinsertRefreshesAndMovesToBack) {
 // a verdict that just died — the boundary is closed on the miss side.
 TEST(NegativeTagCache, ExpiryExactlyAtProbeTimeStartsFreshWindow) {
   core::NegativeTagCache cache(/*capacity=*/2, /*ttl=*/10);
-  cache.insert("a", 0);                   // valid on [0, 10)
-  EXPECT_FALSE(cache.contains("a", 10));  // boundary probe: miss + erase
+  cache.insert(key("a"), 0);                   // valid on [0, 10)
+  EXPECT_FALSE(cache.contains(key("a"), 10));  // boundary probe: miss + erase
   EXPECT_EQ(cache.size(), 0u);
-  cache.insert("a", 10);  // new window [10, 20)
-  EXPECT_TRUE(cache.contains("a", 19));
-  EXPECT_FALSE(cache.contains("a", 20));
+  cache.insert(key("a"), 10);  // new window [10, 20)
+  EXPECT_TRUE(cache.contains(key("a"), 19));
+  EXPECT_FALSE(cache.contains(key("a"), 20));
   EXPECT_EQ(cache.evictions(), 0u);  // TTL churn never counts as eviction
 }
 
@@ -183,22 +187,22 @@ TEST(NegativeTagCache, ExpiryExactlyAtProbeTimeStartsFreshWindow) {
 // expiry-awareness.
 TEST(NegativeTagCache, CapacityCountsUnprobedExpiredEntries) {
   core::NegativeTagCache cache(/*capacity=*/2, /*ttl=*/5);
-  cache.insert("a", 0);  // expires at 5
-  cache.insert("b", 1);  // expires at 6
+  cache.insert(key("a"), 0);  // expires at 5
+  cache.insert(key("b"), 1);  // expires at 6
   // Both are long dead at t=10, but nothing probed them: still resident.
   EXPECT_EQ(cache.size(), 2u);
-  cache.insert("c", 10);  // at capacity: evicts the oldest verdict ("a")
+  cache.insert(key("c"), 10);  // at capacity: evicts the oldest verdict ("a")
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.size(), 2u);
   // Probing the dead "b" erases it lazily — an expiry, not an eviction.
-  EXPECT_FALSE(cache.contains("b", 10));
+  EXPECT_FALSE(cache.contains(key("b"), 10));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.evictions(), 1u);
   // The freed slot absorbs the next insert without evicting live "c".
-  cache.insert("d", 10);
+  cache.insert(key("d"), 10);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_TRUE(cache.contains("c", 11));
-  EXPECT_TRUE(cache.contains("d", 11));
+  EXPECT_TRUE(cache.contains(key("c"), 11));
+  EXPECT_TRUE(cache.contains(key("d"), 11));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "bloom/bloom_filter.hpp"
 #include "crypto/rsa.hpp"
+#include "crypto/sha256.hpp"
 #include "ndn/forwarder.hpp"
 #include "tactic/access_path.hpp"
 #include "tactic/compute_model.hpp"
@@ -15,6 +19,7 @@
 #include "tactic/tactic_policy.hpp"
 #include "tactic/tag.hpp"
 #include "topology/network.hpp"
+#include "workload/attacker_app.hpp"
 
 namespace tactic::core {
 namespace {
@@ -123,7 +128,190 @@ TEST(Tag, WireSizeIsACoupleHundredBytes) {
 TEST(Tag, ProviderPrefixExtraction) {
   const auto keys = test_keypair();
   const TagPtr tag = issue_tag(basic_fields(), keys.private_key);
-  EXPECT_EQ(tag->provider_prefix().to_uri(), "/provider0");
+  EXPECT_TRUE(tag->provider_prefix_of(ndn::Name("/provider0/obj1/c0")));
+  EXPECT_FALSE(tag->provider_prefix_of(ndn::Name("/provider1/obj1/c0")));
+}
+
+// ---------------------------------------------------------------------------
+// Derived tag values: computed once, on first use
+// ---------------------------------------------------------------------------
+
+/// SHA-256 blocks compressed while `op` runs.
+template <class Op>
+std::uint64_t blocks_during(Op op) {
+  const std::uint64_t before = crypto::Sha256::blocks_compressed();
+  op();
+  return crypto::Sha256::blocks_compressed() - before;
+}
+
+TEST(TagKeys, UnprobedTagIsNeverHashed) {
+  const util::Bytes signature(64, 0x5A);
+  std::unique_ptr<Tag> tag;
+  EXPECT_EQ(blocks_during([&] {
+              tag = std::make_unique<Tag>(basic_fields(), signature);
+            }),
+            0u);
+  const Tag twin(basic_fields(), signature);
+  EXPECT_EQ(blocks_during([&] {
+              EXPECT_GT(tag->wire_size(), 0u);
+              EXPECT_TRUE(tag->same_tag(twin));
+              EXPECT_EQ(edge_precheck(*tag, ndn::Name("/provider0/obj1/c0"),
+                                      kSecond),
+                        PrecheckResult::kOk);
+            }),
+            0u);
+}
+
+TEST(TagKeys, FirstUseHashesOnceLaterUsesNone) {
+  const util::Bytes signature(64, 0x5A);
+  const Tag reference(basic_fields(), signature);
+  // The work of one derivation: SHA-256 of the encoding, then of the key.
+  const std::uint64_t once = blocks_during([&] {
+    bloom::base_hashes(crypto::Sha256::digest(reference.serialize()));
+  });
+  ASSERT_GT(once, 0u);
+
+  const Tag by_key(basic_fields(), signature);
+  EXPECT_EQ(blocks_during([&] { by_key.bloom_key(); }), once);
+  EXPECT_EQ(blocks_during([&] {
+              by_key.bloom_key();
+              by_key.bloom_hashes();
+            }),
+            0u);
+
+  const Tag by_hashes(basic_fields(), signature);
+  EXPECT_EQ(blocks_during([&] { by_hashes.bloom_hashes(); }), once);
+  EXPECT_EQ(blocks_during([&] {
+              by_hashes.bloom_hashes();
+              by_hashes.bloom_key();
+            }),
+            0u);
+  EXPECT_EQ(by_key.bloom_key(), by_hashes.bloom_key());
+}
+
+TEST(TagKeys, ForgedChurnSignsOnceThenBuildsWithoutHashing) {
+  const auto forger = test_keypair(2);
+  auto strategy = workload::attacker_strategies::forged_churn(
+      std::make_shared<const crypto::RsaPrivateKey>(forger.private_key),
+      "mallory", 60 * kSecond);
+  const ndn::Name content("/provider0/obj1/c0");
+  TagPtr first;
+  EXPECT_GT(blocks_during([&] { first = strategy(content, kSecond); }), 0u);
+  std::vector<TagPtr> tags;
+  tags.reserve(999);
+  EXPECT_EQ(blocks_during([&] {
+              for (int i = 0; i < 999; ++i) {
+                tags.push_back(strategy(content, kSecond));
+              }
+            }),
+            0u);
+  EXPECT_FALSE(tags.front()->same_tag(*first));
+  EXPECT_EQ(tags.front()->signature(), first->signature());
+}
+
+TEST(TagKeys, BloomHashesAreBaseHashesOfBloomKey) {
+  const auto keys = test_keypair();
+  for (std::uint32_t level = 0; level < 8; ++level) {
+    Tag::Fields fields = basic_fields();
+    fields.access_level = level;
+    const TagPtr tag = issue_tag(fields, keys.private_key);
+    const bloom::BaseHashes expected = bloom::base_hashes(tag->bloom_key());
+    EXPECT_EQ(tag->bloom_hashes().h1, expected.h1);
+    EXPECT_EQ(tag->bloom_hashes().h2, expected.h2);
+  }
+}
+
+TEST(TagKeys, HashProbesAgreeWithByteProbes) {
+  util::Rng rng(7);
+  const util::Bytes signature(64, 0x5A);
+  std::vector<TagPtr> tags;
+  for (int i = 0; i < 400; ++i) {
+    Tag::Fields fields = basic_fields();
+    fields.expiry = static_cast<event::Time>(rng() % 1000000);
+    tags.push_back(std::make_shared<const Tag>(fields, signature));
+  }
+  // A small filter, so some probes are false positives.
+  bloom::BloomFilter filter({/*capacity=*/60, 5, 1e-2, 1e-2});
+  for (const TagPtr& tag : tags) {
+    if (rng() % 4 != 0) continue;
+    if (rng() % 2 == 0) {
+      filter.insert(tag->bloom_key());
+    } else {
+      filter.insert(tag->bloom_hashes());
+    }
+  }
+  std::size_t hits = 0;
+  for (const TagPtr& tag : tags) {
+    const bool by_hashes = filter.contains(tag->bloom_hashes());
+    EXPECT_EQ(by_hashes, filter.contains(tag->bloom_key()));
+    hits += by_hashes ? 1 : 0;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, tags.size());
+}
+
+TEST(TagKeys, WireSizeIsSerializedSize) {
+  for (const std::size_t signature_size : {0, 64, 128}) {
+    for (const bool empty_locators : {false, true}) {
+      Tag::Fields fields = basic_fields();
+      if (empty_locators) {
+        fields.provider_key_locator.clear();
+        fields.client_key_locator.clear();
+      }
+      const Tag tag(fields, util::Bytes(signature_size, 0x11));
+      EXPECT_EQ(tag.wire_size(), tag.serialize().size())
+          << signature_size << "-byte signature, empty locators "
+          << empty_locators;
+    }
+  }
+}
+
+TEST(TagKeys, SameTagIsEncodingEquality) {
+  const util::Bytes signature(64, 0x5A);
+  const Tag base(basic_fields(), signature);
+  EXPECT_TRUE(base.same_tag(base));
+  const Tag twin(basic_fields(), signature);
+  EXPECT_TRUE(base.same_tag(twin));
+
+  const auto check = [&](const Tag& other) {
+    EXPECT_EQ(base.same_tag(other), base.serialize() == other.serialize());
+    EXPECT_EQ(other.same_tag(base), base.serialize() == other.serialize());
+    EXPECT_FALSE(base.same_tag(other));
+  };
+  const auto tampered = [&](auto mutate) {
+    Tag::Fields fields = basic_fields();
+    mutate(fields);
+    return Tag(fields, signature);
+  };
+  check(tampered([](Tag::Fields& f) { f.provider_key_locator += "x"; }));
+  check(tampered([](Tag::Fields& f) { f.client_key_locator = "/c1/KEY/1"; }));
+  check(tampered([](Tag::Fields& f) { f.access_level = 3; }));
+  check(tampered([](Tag::Fields& f) { f.access_path ^= 1; }));
+  check(tampered([](Tag::Fields& f) { f.expiry += 1; }));
+  util::Bytes other_signature = signature;
+  other_signature.back() ^= 1;
+  check(Tag(basic_fields(), other_signature));
+  check(Tag(basic_fields(), util::Bytes(65, 0x5A)));
+}
+
+TEST(TagKeys, ProviderPrefixTestFollowsNameParsing) {
+  const std::vector<std::string> locators = {
+      "/provider0/KEY/1", "//provider0//KEY", "provider0", "/", ""};
+  const std::vector<ndn::Name> names = {
+      ndn::Name("/provider0/obj1/c0"), ndn::Name("/provider0"),
+      ndn::Name("/provider1/obj1/c0"), ndn::Name("/provider00/obj1"),
+      ndn::Name("/KEY/provider0"), ndn::Name("/")};
+  for (const std::string& locator : locators) {
+    Tag::Fields fields = basic_fields();
+    fields.provider_key_locator = locator;
+    const Tag tag(fields, util::Bytes(64, 0x5A));
+    for (const ndn::Name& name : names) {
+      // The parse-and-slice the text test replaces.
+      const bool expected = ndn::Name(locator).prefix(1).is_prefix_of(name);
+      EXPECT_EQ(tag.provider_prefix_of(name), expected)
+          << "locator '" << locator << "', name " << name.to_uri();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
