@@ -21,9 +21,17 @@
 //   --no-cooperation    ablate flag-F cooperation [on]
 //   --key-bits N        provider RSA modulus [512]
 //   --clients N / --attackers N   override the preset's counts
+//
+// After the report, one "host:" line gives the run's own cost: set-up and
+// loop wall seconds, and peak RSS (VmHWM from /proc/self/status, left out
+// where that file cannot be read).
 
+#include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "sim/scenario.hpp"
 #include "util/flags.hpp"
@@ -40,6 +48,25 @@ sim::PolicyKind parse_policy(const std::string& name) {
   if (name == "per-request") return sim::PolicyKind::kPerRequestAuth;
   if (name == "prob-bf") return sim::PolicyKind::kProbBf;
   throw std::invalid_argument("unknown --policy: " + name);
+}
+
+/// This process's peak resident set in MB (VmHWM), if the kernel says.
+std::optional<double> peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    unsigned long long kib = 0;
+    if (std::sscanf(line.c_str(), "VmHWM: %llu kB", &kib) == 1) {
+      return static_cast<double>(kib) / 1024.0;
+    }
+  }
+  return std::nullopt;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 }  // namespace
@@ -82,8 +109,12 @@ int main(int argc, char** argv) {
               event::to_seconds(config.duration),
               static_cast<unsigned long long>(config.seed));
 
+  const auto setup_start = std::chrono::steady_clock::now();
   sim::Scenario scenario(config);
+  const double setup_s = seconds_since(setup_start);
+  const auto loop_start = std::chrono::steady_clock::now();
   const sim::Metrics& m = scenario.run();
+  const double loop_s = seconds_since(loop_start);
 
   util::Table table({"metric", "clients", "attackers"});
   table.add_row({"chunks requested", util::Table::fmt(m.clients.requested),
@@ -133,5 +164,8 @@ int main(int argc, char** argv) {
                     scenario.traitor_tracer()->reports_received()),
                 scenario.traitor_tracer()->flagged().size());
   }
+  std::printf("host: setup %.3f s, loop %.3f s", setup_s, loop_s);
+  if (const auto rss = peak_rss_mb()) std::printf(", peak RSS %.2f MB", *rss);
+  std::printf("\n");
   return 0;
 }

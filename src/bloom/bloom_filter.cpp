@@ -51,11 +51,11 @@ std::size_t bits_for_capacity(std::size_t capacity, std::size_t hashes,
   return (bits + 63) / 64 * 64;
 }
 
-BloomFilter::BloomFilter(BloomParams params) : params_(params) {
-  bits_.assign(validated_bit_count(params_) / 64, 0);
-}
+BloomFilter::BloomFilter(BloomParams params)
+    : params_(params), bit_count_(validated_bit_count(params_)) {}
 
 void BloomFilter::insert(BaseHashes hashes) {
+  if (bits_.empty()) bits_.assign(bit_count_ / 64, 0);
   const auto [h1, h2] = hashes;
   const std::size_t m = bit_count();
   for (std::size_t i = 0; i < params_.hashes; ++i) {
@@ -66,6 +66,7 @@ void BloomFilter::insert(BaseHashes hashes) {
 }
 
 bool BloomFilter::contains(BaseHashes hashes) const {
+  if (bits_.empty()) return false;  // nothing inserted since construction
   const auto [h1, h2] = hashes;
   const std::size_t m = bit_count();
   for (std::size_t i = 0; i < params_.hashes; ++i) {

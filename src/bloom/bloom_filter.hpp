@@ -57,13 +57,15 @@ struct BloomParams {
   double design_fpp = 1e-4;
 };
 
-/// Standard Bloom filter over opaque byte-string elements.
+/// Standard Bloom filter over opaque byte-string elements.  The bit
+/// array is allocated by the first insert(): a filter that never vouches
+/// for a tag costs no bits.
 class BloomFilter {
  public:
   explicit BloomFilter(BloomParams params = {});
 
   const BloomParams& params() const { return params_; }
-  std::size_t bit_count() const { return bits_.size() * 64; }
+  std::size_t bit_count() const { return bit_count_; }
   /// Elements inserted since the last reset (double-insertions of the same
   /// element are counted; the analytic FPP is then an upper bound).
   std::size_t item_count() const { return items_; }
@@ -87,6 +89,7 @@ class BloomFilter {
   bool saturated() const;
 
   /// Clears all bits and the item count, incrementing `reset_count()`.
+  /// An allocated bit array stays allocated (as for wipe()).
   void reset();
 
   /// Clears all bits and the item count WITHOUT counting a reset.  Used
@@ -99,7 +102,8 @@ class BloomFilter {
 
  private:
   BloomParams params_;
-  std::vector<std::uint64_t> bits_;
+  std::size_t bit_count_;
+  std::vector<std::uint64_t> bits_;  // empty until the first insert()
   std::size_t items_ = 0;
   std::uint64_t resets_ = 0;
 };

@@ -15,16 +15,10 @@ EventId Scheduler::schedule_at(Time when, Handler handler) {
     throw std::invalid_argument("Scheduler: scheduling in the past");
   }
   const std::uint64_t seq = next_seq_++;
-  std::uint32_t rec;
-  if (!free_recs_.empty()) {
-    rec = free_recs_.back();
-    free_recs_.pop_back();
-  } else {
-    rec = static_cast<std::uint32_t>(recs_.size());
-    recs_.emplace_back();
-  }
-  recs_[rec].handler = std::move(handler);
-  recs_[rec].seq = seq;
+  const std::uint32_t rec = recs_.acquire();
+  Rec& slot = recs_[rec];
+  slot.handler = std::move(handler);
+  slot.seq = seq;
   queue_.push(Entry{when, seq, rec});
   ++pending_;
   return EventId{seq, rec};
@@ -38,7 +32,7 @@ bool Scheduler::cancel(EventId id) {
   // dispatch time by its stale seq.
   rec.seq = 0;
   rec.handler = nullptr;
-  free_recs_.push_back(id.rec_);
+  recs_.release(id.rec_);
   --pending_;
   ++cancelled_;
   return true;
@@ -51,7 +45,7 @@ void Scheduler::dispatch(const Entry& entry) {
   Handler handler = std::move(rec.handler);
   rec.seq = 0;
   rec.handler = nullptr;
-  free_recs_.push_back(entry.rec);
+  recs_.release(entry.rec);
   --pending_;
   ++executed_;
   handler();

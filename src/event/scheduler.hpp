@@ -9,8 +9,9 @@
 //  - the scheduler is single-threaded and reentrant: handlers may schedule
 //    further events freely.
 //
-// Storage is allocation-free at steady state: handlers live in a slab of
-// reusable records (small-buffer callables, no std::function nodes) and
+// Storage is allocation-free at steady state: handlers live in a
+// util::Slab of reusable records (small-buffer callables, no
+// std::function nodes) and
 // the heap orders plain {when, seq, record} tuples.  Cancellation is
 // lazy — a cancelled record is freed immediately, and the stale heap
 // entry is recognised at pop time by its sequence number (sequence
@@ -18,7 +19,6 @@
 // mistaken for the cancelled event that once occupied it).
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -26,6 +26,7 @@
 
 #include "event/time.hpp"
 #include "util/inplace_function.hpp"
+#include "util/slab.hpp"
 
 namespace tactic::event {
 
@@ -99,8 +100,7 @@ class Scheduler {
   void dispatch(const Entry& entry);
 
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::deque<Rec> recs_;  // stable addresses; freed slots keep SBO storage
-  std::vector<std::uint32_t> free_recs_;
+  util::Slab<Rec> recs_;  // stable addresses; freed slots keep SBO storage
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;

@@ -46,21 +46,11 @@ void ContentStore::lru_push_front(std::uint32_t s) {
   lru_head_ = s;
 }
 
-std::uint32_t ContentStore::alloc_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t s = free_slots_.back();
-    free_slots_.pop_back();
-    return s;
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
 void ContentStore::free_slot(std::uint32_t s) {
   Slot& slot = slots_[s];
   slot.entry.signature.reset();  // releases the shared signature bytes
   slot.live = false;
-  free_slots_.push_back(s);
+  slots_.release(s);
 }
 
 const ContentStore::Entry* ContentStore::find(const Name& name) {
@@ -83,7 +73,16 @@ void ContentStore::insert(const Data& data) {
     lru_push_front(existing);
     return;
   }
-  const std::uint32_t s = alloc_slot();
+  if (index_.size() >= capacity_) {
+    // Evict before taking a slot: the victim's slot is the one reused.
+    const std::uint32_t victim = lru_tail_;
+    index_.erase(slots_[victim].entry.name.id_hash(),
+                 [victim](std::uint32_t v) { return v == victim; });
+    lru_unlink(victim);
+    free_slot(victim);
+    ++evictions_;
+  }
+  const std::uint32_t s = slots_.acquire();
   Slot& slot = slots_[s];
   Entry& entry = slot.entry;
   entry.name = data.name;  // reuses the recycled slot's capacity
@@ -95,14 +94,6 @@ void ContentStore::insert(const Data& data) {
   slot.live = true;
   index_.insert(entry.name.id_hash(), s);
   lru_push_front(s);
-  if (index_.size() > capacity_) {
-    const std::uint32_t victim = lru_tail_;
-    index_.erase(slots_[victim].entry.name.id_hash(),
-                 [victim](std::uint32_t v) { return v == victim; });
-    lru_unlink(victim);
-    free_slot(victim);
-    ++evictions_;
-  }
 }
 
 void ContentStore::clear() {

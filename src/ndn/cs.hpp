@@ -16,13 +16,14 @@
 //
 // The key locator is kept as its NameTable ID (one table entry per
 // provider, not a string per entry); the ID is only a handle to the
-// text, never hashed or compared.  Storage is a slab of reusable slots
-// with an intrusive LRU list and an externalized-key hash index, the
-// PIT's layout; a recycled slot keeps its Name capacity, so steady-state
-// insert/evict allocates nothing.
+// text, never hashed or compared.  Storage is a util::Slab of reusable
+// slots with an intrusive LRU list and an externalized-key hash index,
+// the PIT's layout; a recycled slot keeps its Name capacity, so
+// steady-state insert/evict allocates nothing.  A full store evicts its
+// LRU tail before it takes a slot, so the slab never holds more than
+// `capacity` slots, and a store that never caches allocates nothing.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "ndn/packet.hpp"
 #include "util/bytes.hpp"
 #include "util/hash_index.hpp"
+#include "util/slab.hpp"
 
 namespace tactic::ndn {
 
@@ -64,6 +66,7 @@ class ContentStore {
 
   /// Copies the content fields of `data` into a slot, or LRU-refreshes
   /// the entry already cached under its name.  The envelope is ignored.
+  /// A full store first evicts its least recently used entry.
   void insert(const Data& data);
 
   bool contains(const Name& name) const {
@@ -95,14 +98,12 @@ class ContentStore {
       return slots_[s].entry.name == name;
     });
   }
-  std::uint32_t alloc_slot();
   void free_slot(std::uint32_t s);
   void lru_unlink(std::uint32_t s);
   void lru_push_front(std::uint32_t s);
 
   std::size_t capacity_;
-  std::deque<Slot> slots_;  // stable addresses
-  std::vector<std::uint32_t> free_slots_;
+  util::Slab<Slot> slots_;  // stable addresses
   /// id_hash -> slot; keys (names) live in the slots.
   util::HashIndex index_;
   std::uint32_t lru_head_ = kNil;  // most recently used

@@ -111,13 +111,7 @@ std::uint32_t Fib::find_slot(const Name& prefix) const {
 Fib::Entry& Fib::entry_for(const Name& prefix) {
   std::uint32_t s = find_slot(prefix);
   if (s != util::HashIndex::kNpos) return entries_[s];
-  if (free_slots_.empty()) {
-    s = static_cast<std::uint32_t>(entries_.size());
-    entries_.emplace_back();
-  } else {
-    s = free_slots_.back();
-    free_slots_.pop_back();
-  }
+  s = entries_.acquire();
   entries_[s].prefix = prefix;
   index_.insert(prefix.id_hash(), s);
   if (length_counts_.size() <= prefix.size()) {
@@ -136,7 +130,7 @@ void Fib::free_slot(std::uint32_t s) {
   }
   entry.prefix.clear();
   entry.next_hops.clear();  // keeps capacity for the slot's next tenant
-  free_slots_.push_back(s);
+  entries_.release(s);
 }
 
 void Fib::add_route(const Name& prefix, FaceId next_hop, std::uint32_t cost) {

@@ -5,9 +5,8 @@
 // Two interchangeable lookup structures live here:
 //
 //  - `Fib` (the default, Impl::kPrefixHash): a flat prefix-hash index.
-//    Entries live in a vector slab with a free list; one util::HashIndex
-//    (the index the PIT and CS use) maps each prefix's Name::id_hash() to
-//    its slot, and a count of entries per prefix length tells lookup()
+//    Entries live in a util::Slab; one util::HashIndex (the index the
+//    PIT and CS use) maps each prefix's Name::id_hash() to its slot, and a count of entries per prefix length tells lookup()
 //    which lengths to probe.  A lookup folds the query's component IDs
 //    into prefix hashes in one pass (Name::extend_id_hash), probes only
 //    the lengths that hold entries, keeps the longest hit, and allocates
@@ -29,6 +28,7 @@
 
 #include "ndn/name.hpp"
 #include "util/hash_index.hpp"
+#include "util/slab.hpp"
 
 namespace tactic::ndn {
 
@@ -107,9 +107,11 @@ class Fib {
   /// probe per prefix length that holds an entry (Linear: one map probe
   /// per prefix length).
   ///
-  /// The returned pointer (like find_exact()'s) stays valid only until the
-  /// next route change — add_route, set_routes, remove_route or
-  /// remove_next_hop may move or recycle the slab slot it points into.
+  /// The returned pointer (like find_exact()'s) stays valid until that
+  /// route is removed — by remove_route, or by remove_next_hop or
+  /// set_routes leaving it no hop.  Slab slots never move (nor do the
+  /// linear map's nodes), but a removed route's slot is recycled by the
+  /// next new prefix.
   const Entry* lookup(const Name& name) const;
 
   /// Exact-prefix find (no LPM).
@@ -134,15 +136,14 @@ class Fib {
   std::uint32_t find_slot(const Name& prefix) const;
   /// The entry for `prefix`, created (hop list empty) if absent.
   Entry& entry_for(const Name& prefix);
-  /// Unindexes slot `s` and returns it to the free list.
+  /// Unindexes slot `s` and returns it to the slab.
   void free_slot(std::uint32_t s);
 
   Impl impl_ = Impl::kPrefixHash;
   LinearFib linear_;  // backing store in Impl::kLinear mode
 
   /// Entry slab; freed slots keep their hop-vector capacity for reuse.
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> free_slots_;
+  util::Slab<Entry> entries_;
   /// prefix id_hash -> slot; collisions resolve against the slot's prefix.
   util::HashIndex index_;
   /// Entries per prefix length; no trailing zero, so size() - 1 is the

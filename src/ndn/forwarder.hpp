@@ -165,6 +165,9 @@ class Forwarder {
   /// Adds a local application face.
   FaceId add_app_face(AppSink sink);
 
+  /// Faces added so far; the next face added gets this ID.
+  std::size_t face_count() const { return faces_.size(); }
+
   /// Entry point for packets arriving from a link (bound into the peer's
   /// deliver closure by the wiring helper) or from local apps.
   void receive(FaceId in_face, PacketVariant&& packet);

@@ -7,15 +7,17 @@
 // control-block allocation per packet, and the capacity of the packet's
 // own vectors/strings dying with it.  The pool removes both:
 //
-//  - packet objects live in a deque slab (stable addresses, PR-6 style);
-//    a freed slot is reset field-wise (reset_for_reuse) but keeps its
-//    heap capacity, so re-acquiring it allocates nothing;
+//  - packet objects live in a util::Slab (stable addresses); a freed
+//    slot is reset field-wise (reset_for_reuse) but keeps its heap
+//    capacity, so re-acquiring it allocates nothing;
 //  - each acquire hands out an *aliasing* shared_ptr whose control block
 //    (fused with a small Lease object that returns the slot on the last
 //    release) comes from a free list of fixed-size blocks.
 //
 // Steady state: acquire + release touch only free-list vectors — zero
-// heap traffic per packet (ci/alloc.sh pins this).  Pooling can be
+// heap traffic per packet (ci/alloc.sh pins this).  A slab creates its
+// slots and block store on its first acquire, so a node that never
+// builds a packet of some kind pays nothing for it.  Pooling can be
 // switched off globally (set_pooling_enabled(false)); packets then come
 // from plain make_shared.  The two modes are behaviourally identical —
 // ci/parity.sh runs the fingerprint corpus both ways.
@@ -30,12 +32,12 @@
 // content fields by value.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "ndn/packet.hpp"
+#include "util/slab.hpp"
 
 namespace tactic::ndn {
 
@@ -116,29 +118,22 @@ struct BlockAllocator {
   }
 };
 
-/// One slab of reusable T objects.
+/// One slab of reusable T objects.  The shared core and block store
+/// are created on the first acquire.
 template <typename T>
 class PacketSlab {
  public:
-  PacketSlab()
-      : core_(std::make_shared<Core>()),
-        blocks_(std::make_shared<BlockStore>()) {}
-
   /// A fresh (default-state) mutable packet.  The returned shared_ptr
-  /// aliases the slot; the fused Lease returns the slot to the free list
-  /// on the last release, after reset_for_reuse().
+  /// aliases the slot; the fused Lease returns the slot to the slab on
+  /// the last release, after reset_for_reuse().
   std::shared_ptr<T> acquire(PoolCounters& counters) {
-    ++counters.acquires;
-    std::uint32_t idx;
-    if (!core_->free_list.empty()) {
-      idx = core_->free_list.back();
-      core_->free_list.pop_back();
-      ++counters.reuses;
-    } else {
-      idx = static_cast<std::uint32_t>(core_->slots.size());
-      core_->slots.emplace_back();
-      ++counters.refills;
+    if (!core_) {
+      core_ = std::make_shared<Core>();
+      blocks_ = std::make_shared<BlockStore>();
     }
+    ++counters.acquires;
+    ++(core_->slots.free_count() > 0 ? counters.reuses : counters.refills);
+    const std::uint32_t idx = core_->slots.acquire();
     T* slot = &core_->slots[idx];
     auto lease = std::allocate_shared<Lease>(
         BlockAllocator<Lease>{blocks_}, core_, idx);
@@ -146,24 +141,23 @@ class PacketSlab {
   }
 
   /// Free slots currently available for reuse (tests/diagnostics).
-  std::size_t free_count() const { return core_->free_list.size(); }
+  std::size_t free_count() const {
+    return core_ ? core_->slots.free_count() : 0;
+  }
   /// Slots ever created (live + free).
-  std::size_t slot_count() const { return core_->slots.size(); }
+  std::size_t slot_count() const { return core_ ? core_->slots.size() : 0; }
 
   /// Crash hygiene: drop the retained heap capacity of every *free* slot
   /// (live packets are unaffected — they belong to in-flight frames or
   /// other nodes).  The slab itself shrinks to nothing once the last
   /// in-flight lease dies.
   void wipe_free_slots() {
-    for (const std::uint32_t idx : core_->free_list) {
-      core_->slots[idx] = T{};
-    }
+    if (core_) core_->slots.for_each_free([](T& slot) { slot = T{}; });
   }
 
  private:
   struct Core {
-    std::deque<T> slots;  // stable addresses; freed slots keep capacity
-    std::vector<std::uint32_t> free_list;
+    util::Slab<T> slots;  // stable addresses; freed slots keep capacity
   };
 
   struct Lease {
@@ -174,7 +168,7 @@ class PacketSlab {
         : core(std::move(c)), idx(i) {}
     ~Lease() {
       core->slots[idx].reset_for_reuse();
-      core->free_list.push_back(idx);
+      core->slots.release(idx);
     }
   };
 

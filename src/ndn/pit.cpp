@@ -31,18 +31,6 @@ void Pit::lru_push_back(std::uint32_t s) {
   lru_tail_ = s;
 }
 
-std::uint32_t Pit::alloc_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t s = free_slots_.back();
-    free_slots_.pop_back();
-    return s;
-  }
-  slots_.emplace_back();
-  const auto s = static_cast<std::uint32_t>(slots_.size() - 1);
-  slots_[s].entry.slot = s;
-  return s;
-}
-
 void Pit::free_slot(std::uint32_t s) {
   Slot& slot = slots_[s];
   slot.entry.name.clear();        // keeps component capacity
@@ -51,7 +39,7 @@ void Pit::free_slot(std::uint32_t s) {
   slot.entry.expiry_time = 0;
   ++slot.gen;  // invalidates any expiry-heap records for this slot
   slot.live = false;
-  free_slots_.push_back(s);
+  slots_.release(s);
 }
 
 PitEntry* Pit::find(const Name& name) {
@@ -74,8 +62,9 @@ PitEntry& Pit::get_or_create(const Name& name) {
     return slots_[existing].entry;
   }
   ++counters_.inserts;
-  const std::uint32_t s = alloc_slot();
+  const std::uint32_t s = slots_.acquire();
   Slot& slot = slots_[s];
+  slot.entry.slot = s;
   slot.entry.name = name;
   slot.live = true;
   index_.insert(name.id_hash(), s);

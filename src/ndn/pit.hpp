@@ -6,19 +6,18 @@
 // to record the 3-tuple <tag T, flag F, incoming face>, so intermediate
 // routers can validate every aggregated tag when the content returns.
 //
-// Storage is a slab arena: entries live in a deque of reusable slots
-// (stable addresses — callers hold PitEntry references across inserts),
-// indexed by an interned-name hash map, with recency kept as an intrusive
-// doubly-linked list of slot indices.  Freed slots keep their in_records
-// vector capacity, so steady-state operation allocates nothing per
-// Interest.  The lazy expiry min-heap is the only record of deadlines:
+// Storage is a slab arena: entries live in a util::Slab of reusable
+// slots (stable addresses — callers hold PitEntry references across
+// inserts), indexed by an interned-name hash map, with recency kept as an
+// intrusive doubly-linked list of slot indices.  Freed slots keep their
+// in_records vector capacity, so steady-state operation allocates
+// nothing per Interest, and an idle PIT allocates nothing at all.  The lazy expiry min-heap is the only record of deadlines:
 // the owning forwarder keeps one scheduler wakeup at or before
 // min_expiry() and erases what is due with erase_expired(), and the
 // invariant sampler reads the earliest live deadline in O(1) amortized
 // instead of scanning the whole table.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "ndn/name.hpp"
 #include "ndn/packet.hpp"
 #include "util/hash_index.hpp"
+#include "util/slab.hpp"
 
 namespace tactic::ndn {
 
@@ -83,8 +83,8 @@ class Pit {
   /// fingerprint-visible may depend on the order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Slot& slot : slots_) {
-      if (slot.live) fn(slot.entry);
+    for (std::uint32_t s = 0; s < slots_.size(); ++s) {
+      if (slots_[s].live) fn(slots_[s].entry);
     }
   }
 
@@ -135,7 +135,6 @@ class Pit {
     std::uint32_t gen = 0;
   };
 
-  std::uint32_t alloc_slot();
   void free_slot(std::uint32_t s);
   /// Unindexes and frees live slot `s`.
   void erase_slot(std::uint32_t s);
@@ -149,8 +148,7 @@ class Pit {
     return slots_[s].entry.name == name;
   }
 
-  std::deque<Slot> slots_;  // stable addresses; freed slots keep capacity
-  std::vector<std::uint32_t> free_slots_;
+  util::Slab<Slot> slots_;  // stable addresses; freed slots keep capacity
   /// Keys (names) live in the slots; the index maps id_hash -> slot and
   /// resolves collisions through slot_holds().  No per-entry allocation.
   util::HashIndex index_;

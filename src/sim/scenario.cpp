@@ -158,7 +158,8 @@ void Scenario::build_clients() {
     node.set_policy(
         std::make_unique<core::ApPolicy>(network_->ap_of(id).label));
     auto client = std::make_unique<workload::ClientApp>(
-        node, provider_ptrs_, client_config, rng_.fork());
+        node, provider_ptrs_, client_config,
+        popularity(client_config.zipf_alpha), rng_.fork());
     const std::string locator =
         workload::ProviderApp::client_key_locator(client->label());
     for (auto& provider : providers_) {
@@ -185,6 +186,14 @@ void Scenario::build_clients() {
     client->start();
     clients_.push_back(std::move(client));
   }
+}
+
+util::ZipfDist Scenario::popularity(double alpha) {
+  for (const util::ZipfDist& law : popularity_) {
+    if (law.alpha() == alpha) return law;
+  }
+  return popularity_.emplace_back(
+      workload::popularity_law(provider_ptrs_, alpha));
 }
 
 workload::AttackerApp::TagStrategy Scenario::make_strategy(
@@ -340,6 +349,7 @@ void Scenario::build_attackers() {
     util::Rng attacker_rng = rng_.fork();
     auto attacker = std::make_unique<workload::AttackerApp>(
         node, provider_ptrs_, config_.attacker,
+        popularity(config_.attacker.zipf_alpha),
         make_strategy(mode, index, id), attacker_rng);
     attacker->start();
     attackers_.push_back(std::move(attacker));

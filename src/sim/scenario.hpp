@@ -162,6 +162,9 @@ class Scenario {
   void build_providers();
   void build_clients();
   void build_attackers();
+  /// The users' popularity law at `alpha`, built on first request.
+  /// Every user draws over provider_ptrs_, so alpha alone keys a law.
+  util::ZipfDist popularity(double alpha);
   /// Resolves config_.faults against the built network: installs link
   /// fault models and the corruption probe, schedules crashes and flaps.
   /// No-op for an empty plan.  Implemented in fault.cpp.
@@ -179,6 +182,7 @@ class Scenario {
   std::unique_ptr<topology::Network> network_;
   std::vector<std::unique_ptr<workload::ProviderApp>> providers_;
   std::vector<workload::ProviderApp*> provider_ptrs_;
+  std::vector<util::ZipfDist> popularity_;  // one per distinct alpha
   std::vector<std::unique_ptr<workload::ClientApp>> clients_;
   std::vector<std::unique_ptr<workload::AttackerApp>> attackers_;
   std::shared_ptr<const crypto::RsaPrivateKey> forger_key_;

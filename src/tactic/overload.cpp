@@ -4,29 +4,37 @@
 
 namespace tactic::core {
 
-event::Time ValidationQueue::admit(event::Time now, event::Time service) {
-  // Prune jobs that completed by `now` so depth reflects live backlog.
-  while (!completions_.empty() && completions_.front() <= now) {
-    completions_.pop_front();
+void ValidationQueue::prune(event::Time now) {
+  while (head_ < completions_.size() && completions_[head_] <= now) ++head_;
+  // Compact once the dead prefix is at least half the vector: each kept
+  // entry moves at most once per pop, and the capacity stays.
+  if (head_ > 0 && head_ * 2 >= completions_.size()) {
+    completions_.erase(completions_.begin(),
+                       completions_.begin() +
+                           static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
+}
+
+event::Time ValidationQueue::admit(event::Time now, event::Time service) {
+  prune(now);  // so depth reflects live backlog
   const event::Time start = std::max(now, busy_until_);
   const event::Time done = start + service;
   busy_until_ = done;
   completions_.push_back(done);
   total_wait_ += start - now;
-  peak_depth_ = std::max(peak_depth_, completions_.size());
+  peak_depth_ = std::max(peak_depth_, completions_.size() - head_);
   return done - now;
 }
 
 std::size_t ValidationQueue::depth(event::Time now) {
-  while (!completions_.empty() && completions_.front() <= now) {
-    completions_.pop_front();
-  }
-  return completions_.size();
+  prune(now);
+  return completions_.size() - head_;
 }
 
 void ValidationQueue::reset() {
   completions_.clear();
+  head_ = 0;
   busy_until_ = 0;
 }
 

@@ -21,7 +21,6 @@
 // advances only from the simulated timestamps callers pass in.
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <string>
 #include <unordered_map>
@@ -63,6 +62,8 @@ struct OverloadConfig {
 /// this job complete" and "how many jobs are pending at `now`".  It never
 /// rejects work itself — admission control (watermarks, capacity) is the
 /// policy's decision, taken by inspecting depth() *before* admitting.
+/// The completion FIFO allocates on the first admit, and copies stay
+/// independent (ValidationLanes keeps its queues in a vector).
 class ValidationQueue {
  public:
   /// Admits one job with service time `service` arriving at `now`.
@@ -88,7 +89,12 @@ class ValidationQueue {
   bool busy_at(event::Time now) const { return busy_until_ > now; }
 
  private:
-  std::deque<event::Time> completions_;  // ascending completion times
+  /// Drops completions at or before `now` from the FIFO's head.
+  void prune(event::Time now);
+
+  /// Ascending completion times; the pending ones start at head_.
+  std::vector<event::Time> completions_;
+  std::size_t head_ = 0;
   event::Time busy_until_ = 0;
   std::size_t peak_depth_ = 0;
   event::Time total_wait_ = 0;

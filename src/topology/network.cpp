@@ -47,17 +47,19 @@ void Network::connect(net::NodeId a, net::NodeId b,
   links_.push_back(std::make_unique<net::Link>(scheduler_, params));
   net::Link* link_ba = links_.back().get();
 
-  // Delivery closures resolve the receiving face at delivery time via
-  // neighbor_face_, which is fully populated below before any packet can
-  // flow.
-  const ndn::FaceId face_a = forwarders_[a]->add_link_face(
-      link_ab, [this, a, b](ndn::PacketVariant&& p) {
-        forwarders_[b]->receive(neighbor_face_[b].at(a), std::move(p));
-      });
-  const ndn::FaceId face_b = forwarders_[b]->add_link_face(
-      link_ba, [this, a, b](ndn::PacketVariant&& p) {
-        forwarders_[a]->receive(neighbor_face_[a].at(b), std::move(p));
-      });
+  // A forwarder's next face ID is its face count, so both IDs are known
+  // before either face exists: each delivery closure holds its receiver
+  // and the face a frame arrives on, and no frame looks anything up.
+  ndn::Forwarder* const node_a = forwarders_[a].get();
+  ndn::Forwarder* const node_b = forwarders_[b].get();
+  const auto face_a = static_cast<ndn::FaceId>(node_a->face_count());
+  const auto face_b = static_cast<ndn::FaceId>(node_b->face_count());
+  node_a->add_link_face(link_ab, [node_b, face_b](ndn::PacketVariant&& p) {
+    node_b->receive(face_b, std::move(p));
+  });
+  node_b->add_link_face(link_ba, [node_a, face_a](ndn::PacketVariant&& p) {
+    node_a->receive(face_a, std::move(p));
+  });
   neighbor_face_[a][b] = face_a;
   neighbor_face_[b][a] = face_b;
   neighbors_[a].push_back(b);

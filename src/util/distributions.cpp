@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace tactic::util {
 
@@ -39,25 +40,28 @@ double NormalDist::sample_at_least(Rng& rng, double lower) {
 ZipfDist::ZipfDist(std::size_t n, double alpha) : alpha_(alpha) {
   if (n == 0) throw std::invalid_argument("ZipfDist: n must be >= 1");
   if (alpha < 0.0) throw std::invalid_argument("ZipfDist: negative alpha");
-  cdf_.resize(n);
+  std::vector<double> cdf(n);
   double acc = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     acc += 1.0 / std::pow(static_cast<double>(k + 1), alpha);
-    cdf_[k] = acc;
+    cdf[k] = acc;
   }
-  for (double& c : cdf_) c /= acc;
-  cdf_.back() = 1.0;  // guard against floating-point shortfall
+  for (double& c : cdf) c /= acc;
+  cdf.back() = 1.0;  // guard against floating-point shortfall
+  cdf_ = std::make_shared<const std::vector<double>>(std::move(cdf));
 }
 
 double ZipfDist::pmf(std::size_t rank) const {
-  assert(rank < cdf_.size());
-  return rank == 0 ? cdf_[0] : cdf_[rank] - cdf_[rank - 1];
+  const std::vector<double>& cdf = *cdf_;
+  assert(rank < cdf.size());
+  return rank == 0 ? cdf[0] : cdf[rank] - cdf[rank - 1];
 }
 
 std::size_t ZipfDist::sample(Rng& rng) const {
   const double u = rng.uniform_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+  const std::vector<double>& cdf = *cdf_;
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return static_cast<std::size_t>(it - cdf.begin());
 }
 
 }  // namespace tactic::util

@@ -9,6 +9,7 @@
 //   following Breslau et al.).
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -42,13 +43,14 @@ class NormalDist {
 
 /// Zipf distribution over ranks {0, 1, ..., n-1}: P(rank k) proportional to
 /// 1 / (k+1)^alpha.  Sampling is O(log n) by binary search over the
-/// precomputed CDF; construction is O(n).
+/// precomputed CDF; construction is O(n).  Copies share the immutable
+/// CDF, so every user of one popularity law can hold its own copy.
 class ZipfDist {
  public:
   /// `n` must be >= 1; `alpha` >= 0 (alpha = 0 degenerates to uniform).
   ZipfDist(std::size_t n, double alpha);
 
-  std::size_t size() const { return cdf_.size(); }
+  std::size_t size() const { return cdf_->size(); }
   double alpha() const { return alpha_; }
 
   /// Probability of a given rank.
@@ -59,7 +61,8 @@ class ZipfDist {
 
  private:
   double alpha_;
-  std::vector<double> cdf_;  // cdf_[k] = P(rank <= k); cdf_.back() == 1.
+  /// (*cdf_)[k] = P(rank <= k); cdf_->back() == 1.
+  std::shared_ptr<const std::vector<double>> cdf_;
 };
 
 }  // namespace tactic::util

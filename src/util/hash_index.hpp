@@ -7,9 +7,14 @@
 // candidate value (`eq(value)` answers "does this slot hold my key?").
 // Compared with unordered_map<Name, u32> this stores no key copies and
 // allocates nothing per insert/erase — only the flat cell array, which
-// stops growing once the table reaches its steady-state size.  Deletion
-// uses tombstones; the table rehashes when full + tombstone cells exceed
-// 3/4 of capacity, which also garbage-collects the tombstones.
+// stops growing once the table reaches its steady-state size.
+//
+// A cell is 8 bytes: a 32-bit tag taken from the mixed hash (its low
+// bits pick the home cell; the whole tag screens candidates before `eq`
+// runs) and the value, kNpos marking an empty cell.  Probing is linear.
+// Erasing shifts the rest of the cluster back into the hole (Knuth's
+// Algorithm R), so the table holds no tombstones and never rehashes at a
+// fixed size: it only doubles, when live entries pass 3/4 of capacity.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,101 +30,97 @@ class HashIndex {
   bool empty() const { return size_ == 0; }
 
   void clear() {
-    for (Cell& cell : cells_) cell.state = kEmpty;
+    for (Cell& cell : cells_) cell.value = kNpos;
     size_ = 0;
-    used_ = 0;
   }
 
   /// Returns the value stored for the key with this hash, or kNpos.
   /// `eq(value)` must return true iff `value` identifies the caller's key.
   template <typename Eq>
   std::uint32_t find(std::uint64_t hash, Eq&& eq) const {
-    if (cells_.empty()) return kNpos;
-    const std::size_t mask = cells_.size() - 1;
-    for (std::size_t i = mix(hash) & mask;; i = (i + 1) & mask) {
-      const Cell& cell = cells_[i];
-      if (cell.state == kEmpty) return kNpos;
-      if (cell.state == kFull && cell.hash == hash && eq(cell.value)) {
-        return cell.value;
-      }
-    }
+    const std::size_t i = locate(tag_of(hash), eq);
+    return i == kAbsent ? kNpos : cells_[i].value;
   }
 
   /// Inserts hash -> value.  The caller guarantees no equal key is
   /// present (probe with find() first).
   void insert(std::uint64_t hash, std::uint32_t value) {
-    if ((used_ + 1) * 4 > cells_.size() * 3) grow();
-    const std::size_t mask = cells_.size() - 1;
-    for (std::size_t i = mix(hash) & mask;; i = (i + 1) & mask) {
-      Cell& cell = cells_[i];
-      if (cell.state == kFull) continue;
-      if (cell.state == kEmpty) ++used_;  // tombstone reuse keeps used_
-      cell = Cell{hash, value, kFull};
-      ++size_;
-      return;
-    }
+    if ((size_ + 1) * 4 > cells_.size() * 3) grow();
+    place(Cell{tag_of(hash), value});
+    ++size_;
   }
 
   /// Removes the cell for this (hash, eq) key.  Returns false if absent.
   template <typename Eq>
   bool erase(std::uint64_t hash, Eq&& eq) {
-    if (cells_.empty()) return false;
+    std::size_t hole = locate(tag_of(hash), eq);
+    if (hole == kAbsent) return false;
+    // Backward shift: a later cell of the cluster moves into the hole
+    // unless its home lies cyclically in (hole, j] — moving it would put
+    // it before its home, out of its own probe path.
     const std::size_t mask = cells_.size() - 1;
-    for (std::size_t i = mix(hash) & mask;; i = (i + 1) & mask) {
-      Cell& cell = cells_[i];
-      if (cell.state == kEmpty) return false;
-      if (cell.state == kFull && cell.hash == hash && eq(cell.value)) {
-        cell.state = kTombstone;
-        --size_;
-        return true;
+    for (std::size_t j = (hole + 1) & mask; cells_[j].value != kNpos;
+         j = (j + 1) & mask) {
+      const std::size_t home = cells_[j].tag & mask;
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        cells_[hole] = cells_[j];
+        hole = j;
       }
     }
+    cells_[hole].value = kNpos;
+    --size_;
+    return true;
   }
 
  private:
-  enum : std::uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
 
   struct Cell {
-    std::uint64_t hash = 0;
-    std::uint32_t value = 0;
-    std::uint8_t state = kEmpty;
+    std::uint32_t tag = 0;
+    std::uint32_t value = kNpos;
   };
 
   /// Finalizer so weak low bits (e.g. pointer-ish hashes) still spread
-  /// across the table (splitmix64 tail).
-  static std::size_t mix(std::uint64_t h) {
+  /// across the table (splitmix64 tail); the tag is its low half.
+  static std::uint32_t tag_of(std::uint64_t h) {
     h ^= h >> 30;
     h *= 0xbf58476d1ce4e5b9ull;
     h ^= h >> 27;
     h *= 0x94d049bb133111ebull;
     h ^= h >> 31;
-    return static_cast<std::size_t>(h);
+    return static_cast<std::uint32_t>(h);
+  }
+
+  /// Index of the cell holding the (tag, eq) key, or kAbsent.
+  template <typename Eq>
+  std::size_t locate(std::uint32_t tag, Eq& eq) const {
+    if (cells_.empty()) return kAbsent;
+    const std::size_t mask = cells_.size() - 1;
+    for (std::size_t i = tag & mask;; i = (i + 1) & mask) {
+      const Cell& cell = cells_[i];
+      if (cell.value == kNpos) return kAbsent;
+      if (cell.tag == tag && eq(cell.value)) return i;
+    }
+  }
+
+  /// Stores `cell` in the first empty cell of its probe path.
+  void place(Cell cell) {
+    const std::size_t mask = cells_.size() - 1;
+    std::size_t i = cell.tag & mask;
+    while (cells_[i].value != kNpos) i = (i + 1) & mask;
+    cells_[i] = cell;
   }
 
   void grow() {
-    std::size_t cap = cells_.empty() ? 16 : cells_.size();
-    // Rehash in place-ish: grow only when live entries need it; a table
-    // full of tombstones rehashes at the same capacity.  The retired
-    // cell array is kept as a spare and recycled by the next rehash, so
-    // steady-state tombstone GC (insert/erase churn at a fixed size)
-    // allocates nothing — part of the zero-allocation packet path
-    // (docs/ARCHITECTURE.md, "Packet memory model").
-    while ((size_ + 1) * 2 > cap) cap *= 2;
-    std::vector<Cell> old = std::move(cells_);
-    cells_ = std::move(spare_);
-    cells_.assign(cap, Cell{});
-    size_ = 0;
-    used_ = 0;
+    std::vector<Cell> old(cells_.empty() ? 16 : cells_.size() * 2);
+    old.swap(cells_);
     for (const Cell& cell : old) {
-      if (cell.state == kFull) insert(cell.hash, cell.value);
+      if (cell.value != kNpos) place(cell);
     }
-    spare_ = std::move(old);
   }
 
   std::vector<Cell> cells_;
-  std::vector<Cell> spare_;  // retired array, reused by the next rehash
-  std::size_t size_ = 0;  // full cells
-  std::size_t used_ = 0;  // full + tombstone cells
+  std::size_t size_ = 0;
 };
 
 }  // namespace tactic::util

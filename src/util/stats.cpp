@@ -103,8 +103,6 @@ constexpr double kBucketMid = 1.0442737824274138;
 
 }  // namespace
 
-QuantileHistogram::QuantileHistogram() { counts_.assign(kQuantileBuckets, 0); }
-
 std::size_t QuantileHistogram::bucket_index(double x) {
   int exp = 0;
   const double m = std::frexp(x, &exp);  // x = m * 2^exp, m in [0.5, 1)
@@ -133,6 +131,7 @@ void QuantileHistogram::add(double x) {
     ++zero_;
     return;
   }
+  if (counts_.empty()) counts_.assign(kQuantileBuckets, 0);
   ++counts_[bucket_index(x)];
 }
 
@@ -140,6 +139,8 @@ void QuantileHistogram::merge(const QuantileHistogram& other) {
   zero_ += other.zero_;
   count_ += other.count_;
   sum_ += other.sum_;
+  if (other.counts_.empty()) return;
+  if (counts_.empty()) counts_.assign(kQuantileBuckets, 0);
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] += other.counts_[i];
   }
@@ -149,7 +150,7 @@ void QuantileHistogram::reset() {
   zero_ = 0;
   count_ = 0;
   sum_ = 0.0;
-  counts_.assign(kQuantileBuckets, 0);
+  std::fill(counts_.begin(), counts_.end(), 0);
 }
 
 double QuantileHistogram::mean() const {

@@ -63,15 +63,16 @@ class SampleSet {
 /// error.  Unlike P², merging two sketches is exact (bucket-wise sum),
 /// which is what lets per-router wait quantiles aggregate into one
 /// router-class figure.  Bucketing uses only frexp/ldexp (exact
-/// floating-point ops), so results are bit-reproducible.
+/// floating-point ops), so results are bit-reproducible.  The buckets
+/// are allocated by the first positive sample, added or merged in: a
+/// router that never queues validation work costs none.
 class QuantileHistogram {
  public:
-  QuantileHistogram();
-
   /// Adds one sample; x <= 0 lands in a dedicated zero bucket whose
   /// quantile representative is exactly 0.
   void add(double x);
   void merge(const QuantileHistogram& other);
+  /// Zeroes every count; allocated buckets stay allocated.
   void reset();
 
   std::uint64_t count() const { return count_; }
@@ -89,7 +90,7 @@ class QuantileHistogram {
   std::uint64_t zero_ = 0;  // samples <= 0
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
-  std::vector<std::uint64_t> counts_;
+  std::vector<std::uint64_t> counts_;  // empty until a positive sample
 };
 
 /// Fixed-width histogram over [lo, hi) with out-of-range samples clamped to

@@ -19,9 +19,11 @@ const char* to_string(AttackerMode mode) {
 
 AttackerApp::AttackerApp(ndn::Forwarder& node,
                          std::vector<ProviderApp*> providers,
-                         const UserConfig& config, TagStrategy make_tag,
+                         const UserConfig& config,
+                         util::ZipfDist popularity, TagStrategy make_tag,
                          util::Rng rng)
-    : UserApp(node, std::move(providers), config, rng),
+    : UserApp(node, std::move(providers), config, std::move(popularity),
+              rng),
       make_tag_(std::move(make_tag)) {}
 
 void AttackerApp::set_tempo(std::size_t window,

@@ -40,8 +40,8 @@ class AttackerApp : public UserApp {
       std::function<core::TagPtr(const ndn::Name&, event::Time)>;
 
   AttackerApp(ndn::Forwarder& node, std::vector<ProviderApp*> providers,
-              const UserConfig& config, TagStrategy make_tag,
-              util::Rng rng);
+              const UserConfig& config, util::ZipfDist popularity,
+              TagStrategy make_tag, util::Rng rng);
 
   /// Mid-run tempo change for ramp experiments (flood intensity sweeps).
   /// Growing the window schedules fills for the new slots immediately;

@@ -6,8 +6,10 @@ namespace tactic::workload {
 
 ClientApp::ClientApp(ndn::Forwarder& node,
                      std::vector<ProviderApp*> providers,
-                     ClientConfig config, util::Rng rng)
-    : UserApp(node, std::move(providers), config, rng),
+                     ClientConfig config, util::ZipfDist popularity,
+                     util::Rng rng)
+    : UserApp(node, std::move(providers), config, std::move(popularity),
+              rng),
       config_(std::move(config)),
       stream_(draw_target()),
       tags_(providers_.size()) {}

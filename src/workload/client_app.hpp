@@ -68,7 +68,7 @@ class ClientApp : public UserApp {
   /// (provider, object) target is drawn here, before start() draws the
   /// start jitter.
   ClientApp(ndn::Forwarder& node, std::vector<ProviderApp*> providers,
-            ClientConfig config, util::Rng rng);
+            ClientConfig config, util::ZipfDist popularity, util::Rng rng);
 
   /// The client's current tag for provider `index` (may be null or
   /// expired).  Exposed for the tag-sharing threat scenarios and tests.

@@ -7,21 +7,21 @@
 
 namespace tactic::workload {
 
-namespace {
-std::size_t total_ranks(const std::vector<ProviderApp*>& providers) {
+util::ZipfDist popularity_law(const std::vector<ProviderApp*>& providers,
+                              double alpha) {
   std::size_t n = 0;
   for (const ProviderApp* p : providers) n += p->catalog().object_count();
-  return n == 0 ? 1 : n;
+  return util::ZipfDist(n == 0 ? 1 : n, alpha);
 }
-}  // namespace
 
 UserApp::UserApp(ndn::Forwarder& node, std::vector<ProviderApp*> providers,
-                 const UserConfig& loop, util::Rng rng)
+                 const UserConfig& loop, util::ZipfDist popularity,
+                 util::Rng rng)
     : node_(node),
       providers_(std::move(providers)),
       loop_(loop),
       rng_(rng),
-      popularity_(total_ranks(providers_), loop.zipf_alpha),
+      popularity_(std::move(popularity)),
       wakeup_(node.scheduler(), [this] { serve_deadlines(); }) {
   face_ = node_.add_app_face(ndn::AppSink{
       nullptr,

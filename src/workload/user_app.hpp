@@ -2,7 +2,8 @@
 // The request loop every user runs (the paper's Section 8.A workload): a
 // window of Interests in flight (5), each freed slot refilled after an
 // exponential think time, targets drawn from one Zipf(alpha = 0.7) law
-// over every provider's catalog, and a 1 s Interest lifetime.  Clients
+// over every provider's catalog (one table per law, shared by every user
+// that draws from it), and a 1 s Interest lifetime.  Clients
 // (client_app.hpp) add registration and retransmission; attackers
 // (attacker_app.hpp) add an invalid-tag strategy.
 //
@@ -37,6 +38,7 @@ struct UserConfig {
   /// Mean of the exponential per-slot think time between a slot freeing
   /// and its next request.
   event::Time think_time_mean = 200 * event::kMillisecond;
+  /// Popularity skew; sim::Scenario builds the law (popularity_law).
   double zipf_alpha = 0.7;
   /// Uniform random start delay (desynchronizes users).
   event::Time start_jitter = event::kSecond;
@@ -64,6 +66,11 @@ struct UserCounters {
   /// equivalence harness compares these as a verdict multiset.
   std::array<std::uint64_t, ndn::kNackReasonCount> nacks_by_reason{};
 };
+
+/// Zipf(`alpha`) over every rank of `providers`' catalogs: the law
+/// UserApp::draw_target() maps onto (provider, object) targets.
+util::ZipfDist popularity_law(const std::vector<ProviderApp*>& providers,
+                              double alpha);
 
 class UserApp {
  public:
@@ -103,9 +110,10 @@ class UserApp {
   };
 
   /// `providers` must outlive the app; the node's FIB must already
-  /// default-route toward its access point.
+  /// default-route toward its access point.  `popularity` is
+  /// popularity_law(providers, ...); copies share its table.
   UserApp(ndn::Forwarder& node, std::vector<ProviderApp*> providers,
-          const UserConfig& loop, util::Rng rng);
+          const UserConfig& loop, util::ZipfDist popularity, util::Rng rng);
 
   /// Issues the next request of an open window slot (running, under the
   /// cap, window not full): a request in flight, a scheduled fill, or a

@@ -6,19 +6,177 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/csv.hpp"
 #include "util/distributions.hpp"
 #include "util/flags.hpp"
+#include "util/hash_index.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/slab.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timeseries.hpp"
 
 namespace tactic::util {
 namespace {
+
+// ---------------------------------------------------------------------------
+// HashIndex
+// ---------------------------------------------------------------------------
+
+/// Drives a HashIndex and an std::unordered_map reference through the
+/// same random insert/find/erase steps.  Keys live in a caller-side
+/// store (`key_of[value]`), as the PIT, CS and FIB keep them in slabs;
+/// `hash_of` chooses how keys spread over home cells.
+template <typename HashFn>
+void run_hash_index_differential(HashFn hash_of, std::uint64_t seed) {
+  Rng rng(seed);
+  HashIndex index;
+  std::unordered_map<std::uint32_t, std::uint32_t> reference;  // key -> value
+  std::vector<std::uint32_t> key_of;  // value -> key
+  const auto find = [&](std::uint32_t key) {
+    return index.find(hash_of(key),
+                      [&](std::uint32_t v) { return key_of.at(v) == key; });
+  };
+  const auto check_all = [&] {
+    ASSERT_EQ(index.size(), reference.size());
+    for (const auto& [key, value] : reference) ASSERT_EQ(find(key), value);
+  };
+  // Key spaces cycle small -> large so small tables (which wrap most
+  // often) see erasures too, and every ramp grows a clustered table.
+  const std::uint32_t spaces[] = {12, 40, 300, 2500};
+  std::size_t steps = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (const std::uint32_t space : spaces) {
+      for (int i = 0; i < 7000; ++i, ++steps) {
+        const auto key = static_cast<std::uint32_t>(rng.uniform(space));
+        const auto it = reference.find(key);
+        const std::uint64_t op = rng.uniform(10);
+        if (op < 5) {  // insert when absent, else probe
+          if (it == reference.end()) {
+            ASSERT_EQ(find(key), HashIndex::kNpos);
+            const auto value = static_cast<std::uint32_t>(key_of.size());
+            key_of.push_back(key);
+            index.insert(hash_of(key), value);
+            reference.emplace(key, value);
+          } else {
+            ASSERT_EQ(find(key), it->second);
+          }
+        } else if (op < 8) {  // erase
+          const bool erased = index.erase(
+              hash_of(key), [&](std::uint32_t v) { return key_of.at(v) == key; });
+          ASSERT_EQ(erased, it != reference.end());
+          if (it != reference.end()) reference.erase(it);
+          ASSERT_EQ(find(key), HashIndex::kNpos);
+        } else {  // find
+          ASSERT_EQ(find(key),
+                    it == reference.end() ? HashIndex::kNpos : it->second);
+        }
+        ASSERT_EQ(index.size(), reference.size());
+        if (i % 500 == 0) check_all();
+      }
+      check_all();
+    }
+    // clear() drops every key and leaves a working, empty table.
+    index.clear();
+    reference.clear();
+    EXPECT_TRUE(index.empty());
+    for (std::uint32_t key = 0; key < 64; ++key) {
+      ASSERT_EQ(find(key), HashIndex::kNpos);
+    }
+  }
+  EXPECT_GE(steps, 100000u);
+}
+
+TEST(HashIndex, MatchesUnorderedMapWithSpreadHashes) {
+  run_hash_index_differential(
+      [](std::uint32_t key) { return key * 0x9E3779B97F4A7C15ull; }, 11);
+}
+
+TEST(HashIndex, MatchesUnorderedMapWhenKeysShareFewHomes) {
+  // Seven distinct hashes for every key: each home heads a long cluster,
+  // clusters merge and wrap past the last cell, and every erase shifts
+  // entries of other keys (sometimes across the wrap).
+  run_hash_index_differential(
+      [](std::uint32_t key) { return std::uint64_t{key % 7}; }, 12);
+}
+
+TEST(HashIndex, MatchesUnorderedMapWhenEveryKeyCollides) {
+  run_hash_index_differential([](std::uint32_t) { return 42ull; }, 13);
+}
+
+TEST(HashIndex, EmptyTableFindsAndErasesNothing) {
+  HashIndex index;
+  EXPECT_TRUE(index.empty());
+  EXPECT_EQ(index.find(1, [](std::uint32_t) { return true; }),
+            HashIndex::kNpos);
+  EXPECT_FALSE(index.erase(1, [](std::uint32_t) { return true; }));
+  index.clear();
+  EXPECT_EQ(index.size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Slab
+// ---------------------------------------------------------------------------
+
+TEST(Slab, AddressesStayStableAcrossChunkGrowth) {
+  Slab<std::uint64_t> slab;
+  std::vector<const std::uint64_t*> addresses;
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    const std::uint32_t idx = slab.acquire();
+    ASSERT_EQ(idx, i);  // fresh slots are numbered in order
+    slab[idx] = 1000 + i;
+    addresses.push_back(&slab[idx]);
+  }
+  // Every chunk boundary (16, 48, 112, ...) was crossed; no slot moved
+  // and no two indices share a slot.
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    ASSERT_EQ(&slab[i], addresses[i]) << "slot " << i;
+    ASSERT_EQ(slab[i], 1000 + i) << "slot " << i;
+  }
+}
+
+TEST(Slab, ReleasedSlotsComeBackLifoWithTheirCapacity) {
+  Slab<std::vector<int>> slab;
+  const std::uint32_t a = slab.acquire();
+  const std::uint32_t b = slab.acquire();
+  const std::uint32_t c = slab.acquire();
+  slab[a].assign(100, 1);
+  slab[b].assign(200, 2);
+  slab[b].clear();  // a table resets a slot's contents, keeping capacity
+  slab.release(a);
+  slab.release(b);
+  const std::uint32_t first = slab.acquire();
+  EXPECT_EQ(first, b);  // last released, first reused
+  EXPECT_TRUE(slab[first].empty());
+  EXPECT_GE(slab[first].capacity(), 200u);
+  const std::uint32_t second = slab.acquire();
+  EXPECT_EQ(second, a);
+  EXPECT_EQ(slab[second].size(), 100u);  // release leaves contents alone
+  EXPECT_EQ(slab.acquire(), c + 1);      // then fresh slots again
+}
+
+TEST(Slab, CountsSlotsAndFreeSlots) {
+  Slab<int> slab;
+  EXPECT_EQ(slab.size(), 0u);
+  EXPECT_EQ(slab.free_count(), 0u);
+  for (int i = 0; i < 20; ++i) slab[slab.acquire()] = i;
+  EXPECT_EQ(slab.size(), 20u);
+  slab.release(3);
+  slab.release(17);
+  EXPECT_EQ(slab.size(), 20u);  // released slots still exist
+  EXPECT_EQ(slab.free_count(), 2u);
+  std::vector<int> visited;
+  slab.for_each_free([&](int& slot) { visited.push_back(slot); });
+  EXPECT_EQ(visited, (std::vector<int>{3, 17}));
+  slab.acquire();
+  EXPECT_EQ(slab.free_count(), 1u);
+  EXPECT_EQ(slab.size(), 20u);
+}
 
 // ---------------------------------------------------------------------------
 // bytes

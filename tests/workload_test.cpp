@@ -263,8 +263,10 @@ struct ControlledProducer {
     config.start_jitter = 0;
     config.retry_backoff_base = 500 * event::kMillisecond;
     config.retry_jitter = 0.0;
-    client = std::make_unique<ClientApp>(node, std::vector{provider.get()},
-                                         config, util::Rng(4));
+    const std::vector<ProviderApp*> providers{provider.get()};
+    client = std::make_unique<ClientApp>(
+        node, providers, config,
+        popularity_law(providers, config.zipf_alpha), util::Rng(4));
     client->start();
   }
 
@@ -327,7 +329,8 @@ TEST(ClientApp, OverloadNackDuringBackoffRestartsIt) {
 class ProbeApp : public UserApp {
  public:
   explicit ProbeApp(ndn::Forwarder& node)
-      : UserApp(node, {}, UserConfig{}, util::Rng(1)) {}
+      : UserApp(node, {}, UserConfig{}, popularity_law({}, 0.7),
+                util::Rng(1)) {}
 
   void add(const std::string& uri) { track(ndn::Name(uri)); }
   void arm(const std::string& uri, event::Time deadline) {
