@@ -120,6 +120,15 @@ struct RsaFixture {
   }
 };
 
+/// Each op regenerates the key pair of one fixed seed, so every op (and
+/// every build) tries the same prime candidates.
+void rsa_keygen(std::size_t bits) {
+  run_case("RsaKeygen/" + std::to_string(bits), [&] {
+    util::Rng rng(1);
+    keep(crypto::generate_rsa_keypair(rng, bits));
+  });
+}
+
 void tag_sign_and_verify(std::size_t bits) {
   const RsaFixture fixture(bits);
   core::Tag::Fields fields = fixture.tag->fields();
@@ -234,6 +243,9 @@ int main() {
   bloom_insert();
   sha256_1kib();
   aes128_ctr_1kib();
+  rsa_keygen(512);
+  rsa_keygen(1024);
+  tag_sign_and_verify(512);
   tag_sign_and_verify(1024);
   tag_sign_and_verify(2048);
   tag_precheck();

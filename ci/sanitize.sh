@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Builds the whole tree with ASan+UBSan and runs the tier-1 test suite
-# plus a short scenario-fuzz sweep under the sanitizers.  Any sanitizer
-# report aborts the run (-fno-sanitize-recover=all) and fails the script.
+# Builds the whole tree with ASan+UBSan and libstdc++'s container
+# assertions (-D_GLIBCXX_ASSERTIONS, so an out-of-range index aborts) and
+# runs the tier-1 test suite plus a short scenario-fuzz sweep under them.
+# Any sanitizer report or failed assertion aborts the run
+# (-fno-sanitize-recover=all) and fails the script.
 # Every ci/ script configures its build tree with -DTACTIC_WERROR=ON
 # (CMake caches the option), so a compiler warning fails the build too.
 #

@@ -14,10 +14,18 @@ using Wide = unsigned __int128;
 
 /// a * b + c + carry; returns the low limb and leaves the high one in
 /// `carry`.  Cannot overflow: (2^64 - 1)^2 + 2 (2^64 - 1) = 2^128 - 1.
+/// The adds run on 64-bit halves, which compile to add/adc pairs; a
+/// 128-bit sum of zero-extended limbs makes GCC spill them to the stack.
 Limb mul_add(Limb a, Limb b, Limb c, Limb& carry) {
-  const Wide t = Wide{a} * b + c + carry;
-  carry = static_cast<Limb>(t >> 64);
-  return static_cast<Limb>(t);
+  const Wide t = Wide{a} * b;
+  Limb low = static_cast<Limb>(t);
+  Limb high = static_cast<Limb>(t >> 64);
+  low += c;
+  high += low < c;
+  low += carry;
+  high += low < carry;
+  carry = high;
+  return low;
 }
 
 /// a - b - borrow; returns the low limb and sets `borrow` to 0 or 1.
@@ -271,9 +279,11 @@ BigUInt BigUInt::modexp(const BigUInt& base, const BigUInt& exp,
                         const BigUInt& mod) {
   if (mod.is_zero()) throw std::domain_error("BigUInt: zero modulus");
   if (mod == BigUInt{1}) return BigUInt{};
-  if (mod.is_odd()) return Montgomery(mod).exp(base, exp);
+  if (mod.is_odd() && mod.bit_length() <= Montgomery::kMaxBits) {
+    return Montgomery(mod).exp(base, exp);
+  }
 
-  // Even modulus: plain square-and-multiply with divide-based reduction.
+  // Plain square-and-multiply with divide-based reduction.
   BigUInt result{1};
   BigUInt b = base % mod;
   for (std::size_t i = exp.bit_length(); i-- > 0;) {
@@ -353,10 +363,117 @@ BigUInt BigUInt::random_below(util::Rng& rng, const BigUInt& bound) {
 // Montgomery arithmetic
 // ---------------------------------------------------------------------------
 
+namespace {
+
+std::uint64_t g_multiplies = 0;
+std::uint64_t g_squarings = 0;
+
+/// out = t - n if the W-limb t plus `carry` * 2^(64 W) is at least n, else
+/// t: the final step that brings a Montgomery result from [0, 2n) into
+/// [0, n).  out may alias t.
+template <std::size_t W>
+void subtract_if_not_below(Limb* out, const Limb* t, Limb carry,
+                           const Limb* n) {
+  Limb diff[W];
+  Limb borrow = 0;
+#pragma GCC unroll 32
+  for (std::size_t i = 0; i < W; ++i) diff[i] = sub_borrow(t[i], n[i], borrow);
+  const bool not_below = carry != 0 || borrow == 0;
+#pragma GCC unroll 32
+  for (std::size_t i = 0; i < W; ++i) out[i] = not_below ? diff[i] : t[i];
+}
+
+// The kernels unroll their inner loops fully (W is at most 32), so every
+// index into a row is a constant and the row's limbs stay in registers.
+// The squaring unrolls its rows too, fully up to 8 limbs, so which limbs
+// of a row take a product is known at compile time there.
+
+/// out = a * b * R^-1 mod n over W limbs, CIOS (coarsely integrated
+/// operand scanning) with each row's product and reduction in one pass:
+/// limb j of the row adds a[i] * b[j] on one carry chain and m * n[j] on
+/// the other.  a and b are below n; out may alias either.
+template <std::size_t W>
+void mont_mul(Limb* out, const Limb* a, const Limb* b, const Limb* n,
+              Limb n0_inv) {
+  ++g_multiplies;
+  Limb t[W + 1] = {};  // below 2n throughout, so t[W] is 0 or 1
+  for (std::size_t i = 0; i < W; ++i) {
+    Limb product_carry = 0;
+    Limb reduce_carry = 0;
+    const Limb low = mul_add(a[i], b[0], t[0], product_carry);
+    // m = low * n0_inv mod 2^64 makes low + m * n[0] zero mod 2^64, so the
+    // row shifts down a limb as it goes.
+    const Limb m = low * n0_inv;
+    mul_add(m, n[0], low, reduce_carry);
+#pragma GCC unroll 32
+    for (std::size_t j = 1; j < W; ++j) {
+      const Limb sum = mul_add(a[i], b[j], t[j], product_carry);
+      t[j - 1] = mul_add(m, n[j], sum, reduce_carry);
+    }
+    const Wide top = Wide{t[W]} + product_carry + reduce_carry;
+    t[W - 1] = static_cast<Limb>(top);
+    t[W] = static_cast<Limb>(top >> 64);
+  }
+  subtract_if_not_below<W>(out, t, t[W], n);
+}
+
+/// out = a * a * R^-1 mod n over W limbs, in rows like mont_mul's.  Row i
+/// multiplies a[i] by a[i] + 2 (a >> 64 (i + 1)) 2^64 from limb i up: the
+/// diagonal square a[i]^2, then each cross product a[i] a[j], j > i, once,
+/// against the doubled operand.  The row's reduction runs beside it on the
+/// other carry chain.  a is below n; out may alias it.
+template <std::size_t W>
+void mont_sqr(Limb* out, const Limb* a, const Limb* n, Limb n0_inv) {
+  ++g_squarings;
+  // Limb j of 2a, for the rows' limbs j >= 2; limb W is a's top bit.
+  Limb twice[W + 1];
+#pragma GCC unroll 32
+  for (std::size_t j = 2; j < W; ++j) twice[j] = (a[j] << 1) | (a[j - 1] >> 63);
+  twice[W] = a[W - 1] >> 63;
+  Limb t[W + 1] = {};  // below 4R throughout, so t[W] is at most 3
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < W; ++i) {
+    Limb product_carry = 0;
+    Limb reduce_carry = 0;
+    const Limb low = i == 0 ? mul_add(a[0], a[0], t[0], product_carry) : t[0];
+    const Limb m = low * n0_inv;
+    mul_add(m, n[0], low, reduce_carry);  // low limb is zero by construction
+#pragma GCC unroll 32
+    for (std::size_t j = 1; j < W; ++j) {
+      // Nothing left of the diagonal.  Row i does not double a[i], so limb
+      // i + 1 takes 2 a[i + 1] without the bit that 2 a[i] would carry in.
+      Limb sum = t[j];
+      if (j == i) {
+        sum = mul_add(a[i], a[i], t[j], product_carry);
+      } else if (j == i + 1) {
+        sum = mul_add(a[i], a[j] << 1, t[j], product_carry);
+      } else if (j > i + 1) {
+        sum = mul_add(a[i], twice[j], t[j], product_carry);
+      }
+      t[j - 1] = mul_add(m, n[j], sum, reduce_carry);
+    }
+    const Limb high = i + 1 < W ? twice[W] : 0;
+    const Limb sum = mul_add(a[i], high, t[W], product_carry);
+    const Wide top = Wide{sum} + reduce_carry;
+    t[W - 1] = static_cast<Limb>(top);
+    t[W] = product_carry + static_cast<Limb>(top >> 64);
+  }
+  subtract_if_not_below<W>(out, t, t[W], n);
+}
+
+}  // namespace
+
+std::uint64_t Montgomery::multiplies() { return g_multiplies; }
+std::uint64_t Montgomery::squarings() { return g_squarings; }
+
 Montgomery::Montgomery(BigUInt modulus) : modulus_(std::move(modulus)) {
   if (!modulus_.is_odd() || modulus_ <= BigUInt{1}) {
     throw std::invalid_argument("Montgomery: modulus must be odd and > 1");
   }
+  if (modulus_.bit_length() > kMaxBits) {
+    throw std::invalid_argument("Montgomery: modulus above 2048 bits");
+  }
+  width_ = std::max<std::size_t>(4, std::bit_ceil(modulus_.limbs_.size()));
   // n0_inv = -n^{-1} mod 2^64 by Newton iteration on the low limb: an odd
   // n0 is its own inverse mod 8, and each step doubles the correct bits.
   const Limb n0 = modulus_.limbs_[0];
@@ -364,82 +481,51 @@ Montgomery::Montgomery(BigUInt modulus) : modulus_(std::move(modulus)) {
   for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;  // 3 -> 96 bits
   n0_inv_ = 0 - inv;
 
-  r2_ = ((BigUInt{1} << (2 * 64 * len())) % modulus_).limbs_;
-  r2_.resize(len(), 0);
-}
-
-void Montgomery::mont_mul(Limb* out, const Limb* a, const Limb* b,
-                          Limb* scratch) const {
-  // CIOS (coarsely integrated operand scanning) Montgomery multiplication.
-  const std::size_t len = this->len();
-  const Limb* n = modulus_.limbs_.data();
-  Limb* t = scratch;
-  std::fill_n(t, len + 2, Limb{0});
-  for (std::size_t i = 0; i < len; ++i) {
-    // t += a[i] * b
-    const Limb ai = a[i];
-    Limb carry = 0;
-    for (std::size_t j = 0; j < len; ++j) t[j] = mul_add(ai, b[j], t[j], carry);
-    Wide sum = Wide{t[len]} + carry;
-    t[len] = static_cast<Limb>(sum);
-    t[len + 1] = static_cast<Limb>(sum >> 64);
-
-    // m = t[0] * n0_inv mod 2^64;  t += m * n;  t >>= 64.
-    const Limb m = t[0] * n0_inv_;
-    carry = 0;
-    mul_add(m, n[0], t[0], carry);  // low limb is zero by construction
-    for (std::size_t j = 1; j < len; ++j) {
-      t[j - 1] = mul_add(m, n[j], t[j], carry);
-    }
-    sum = Wide{t[len]} + carry;
-    t[len - 1] = static_cast<Limb>(sum);
-    t[len] = t[len + 1] + static_cast<Limb>(sum >> 64);
-  }
-  // Conditional final subtraction: t in [0, 2n).
-  bool ge = t[len] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = len; i-- > 0;) {
-      if (t[i] != n[i]) {
-        ge = t[i] > n[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    Limb borrow = 0;
-    for (std::size_t i = 0; i < len; ++i) t[i] = sub_borrow(t[i], n[i], borrow);
-  }
-  std::copy_n(t, len, out);
+  const BigUInt r2 = (BigUInt{1} << (2 * 64 * width_)) % modulus_;
+  padded_.assign(2 * width_, 0);
+  std::copy(modulus_.limbs_.begin(), modulus_.limbs_.end(), padded_.begin());
+  std::copy(r2.limbs_.begin(), r2.limbs_.end(),
+            padded_.begin() + static_cast<std::ptrdiff_t>(width_));
 }
 
 BigUInt Montgomery::exp(const BigUInt& base, const BigUInt& exponent) const {
+  switch (width_) {
+    case 4:
+      return exp_fixed<4>(base, exponent);
+    case 8:
+      return exp_fixed<8>(base, exponent);
+    case 16:
+      return exp_fixed<16>(base, exponent);
+    default:
+      return exp_fixed<32>(base, exponent);
+  }
+}
+
+template <std::size_t W>
+BigUInt Montgomery::exp_fixed(const BigUInt& base,
+                              const BigUInt& exponent) const {
   const std::size_t bits = exponent.bit_length();
   if (bits == 0) return BigUInt{1};
-  const std::size_t len = this->len();
+  const Limb* const n = padded_.data();
+  const Limb* const r2 = n + W;
   // A window table pays for itself only on long exponents; e = 65537 runs
   // bit by bit.
   const std::size_t window = bits > 64 ? 4 : 1;
   const std::size_t powers = (std::size_t{1} << window) - 1;
 
-  // The one allocation: accumulator, scratch, then base^1 .. base^powers in
-  // Montgomery form.  The accumulator comes first, so these limbs become
-  // the result's.
-  std::vector<Limb> work((2 + powers) * len + 2, 0);
-  Limb* const acc = work.data();
-  Limb* const scratch = acc + len;
-  Limb* const table = scratch + len + 2;
-  const auto power = [&](std::size_t k) { return table + (k - 1) * len; };
-
+  // base^1 .. base^powers in Montgomery form, then the accumulator.
+  Limb table[15 * W];
+  const auto power = [&](std::size_t k) { return table + (k - 1) * W; };
+  Limb acc[W] = {};
   if (base < modulus_) {
     std::copy(base.limbs_.begin(), base.limbs_.end(), acc);
   } else {
     const BigUInt reduced = base % modulus_;
     std::copy(reduced.limbs_.begin(), reduced.limbs_.end(), acc);
   }
-  mont_mul(power(1), acc, r2_.data(), scratch);
+  mont_mul<W>(power(1), acc, r2, n, n0_inv_);
   for (std::size_t k = 2; k <= powers; ++k) {
-    mont_mul(power(k), power(k - 1), power(1), scratch);
+    mont_mul<W>(power(k), power(k - 1), power(1), n, n0_inv_);
   }
 
   const auto digit = [&](std::size_t pos) {
@@ -448,21 +534,20 @@ BigUInt Montgomery::exp(const BigUInt& base, const BigUInt& exponent) const {
     return d;
   };
   std::size_t pos = (bits - 1) / window * window;
-  std::copy_n(power(digit(pos)), len, acc);  // the top digit is nonzero
+  std::copy_n(power(digit(pos)), W, acc);  // the top digit is nonzero
   while (pos > 0) {
     pos -= window;
-    for (std::size_t s = 0; s < window; ++s) mont_mul(acc, acc, acc, scratch);
-    if (const std::size_t d = digit(pos)) mont_mul(acc, acc, power(d), scratch);
+    for (std::size_t s = 0; s < window; ++s) mont_sqr<W>(acc, acc, n, n0_inv_);
+    if (const std::size_t d = digit(pos)) {
+      mont_mul<W>(acc, acc, power(d), n, n0_inv_);
+    }
   }
 
-  // Leave Montgomery form: acc * 1 * R^-1.  The table is spent, so its
-  // first slot holds the 1.
-  std::fill_n(table, len, Limb{0});
-  table[0] = 1;
-  mont_mul(acc, acc, table, scratch);
-  work.resize(len);
+  // Leave Montgomery form: acc * 1 * R^-1.
+  Limb one[W] = {1};
+  mont_mul<W>(acc, acc, one, n, n0_inv_);
   BigUInt out;
-  out.limbs_ = std::move(work);
+  out.limbs_.assign(acc, acc + W);
   out.normalize();
   return out;
 }

@@ -5,8 +5,9 @@
 // TACTIC tags.  Limbs are 64-bit, little-endian, always normalized (no
 // leading zero limbs; zero is the empty limb vector); products and
 // carries go through unsigned __int128.  Division is Knuth's Algorithm D;
-// modular exponentiation uses Montgomery multiplication for odd moduli
-// (every RSA modulus) and falls back to divide-and-reduce otherwise.
+// modular exponentiation uses Montgomery multiplication for odd moduli of
+// up to 2048 bits (every RSA modulus the simulator builds) and falls back
+// to divide-and-reduce otherwise.
 
 #include <cstdint>
 #include <optional>
@@ -87,7 +88,9 @@ class BigUInt {
   BigUInt operator<<(std::size_t bits) const;
   BigUInt operator>>(std::size_t bits) const;
 
-  /// base^exp mod mod; throws std::domain_error if mod is zero.
+  /// base^exp mod mod; throws std::domain_error if mod is zero.  Odd
+  /// moduli up to Montgomery::kMaxBits run in Montgomery form, all others
+  /// by square-and-multiply with division.
   static BigUInt modexp(const BigUInt& base, const BigUInt& exp,
                         const BigUInt& mod);
 
@@ -117,30 +120,45 @@ class BigUInt {
 
 /// Montgomery-form modular arithmetic for a fixed odd modulus.  Exposed so
 /// each RSA key and each Miller-Rabin candidate builds its context once.
+///
+/// Products run in kernels of a fixed limb count, one per width: 4, 8, 16
+/// and 32 limbs (256- to 2048-bit moduli).  A narrower modulus pads with
+/// zero limbs up to the next width, so R = 2^(64 width).  Above 2048 bits
+/// there is no kernel: the constructor throws, BigUInt::modexp reduces by
+/// division instead, and RSA keys stop at 2048 bits.
 class Montgomery {
  public:
-  /// Modulus must be odd and > 1; throws std::invalid_argument otherwise.
+  static constexpr std::size_t kMaxBits = 2048;
+
+  /// Modulus must be odd, > 1 and at most kMaxBits bits; throws
+  /// std::invalid_argument otherwise.
   explicit Montgomery(BigUInt modulus);
 
   const BigUInt& modulus() const { return modulus_; }
 
   /// base^exp mod modulus, left to right over Montgomery products: bit by
   /// bit for exponents of up to 64 bits, with a fixed 4-bit window above.
-  /// Allocates once, for the window table, accumulator and scratch.
+  /// Every squaring step runs the squaring kernel.  Allocates once, for
+  /// the result.
   BigUInt exp(const BigUInt& base, const BigUInt& exp) const;
+
+  /// Montgomery multiplications and squarings by every context in the
+  /// process so far: exact work counters for tests and profiling.  They
+  /// feed no fingerprint (the simulator is single-threaded).
+  static std::uint64_t multiplies();
+  static std::uint64_t squarings();
 
  private:
   using Limb = BigUInt::Limb;
 
-  /// out = a * b * R^-1 mod n (CIOS).  a and b are reduced, each len()
-  /// limbs; out may alias either; scratch holds len() + 2 limbs.
-  void mont_mul(Limb* out, const Limb* a, const Limb* b,
-                Limb* scratch) const;
-  std::size_t len() const { return modulus_.limbs_.size(); }
+  template <std::size_t W>
+  BigUInt exp_fixed(const BigUInt& base, const BigUInt& exp) const;
 
   BigUInt modulus_;
+  std::size_t width_ = 0;  // kernel limbs: 4, 8, 16 or 32
   Limb n0_inv_ = 0;        // -n^{-1} mod 2^64
-  std::vector<Limb> r2_;   // R^2 mod n, padded to len() limbs; R = 2^(64 len)
+  // The modulus, then R^2 mod n, each padded to width_ limbs.
+  std::vector<Limb> padded_;
 };
 
 }  // namespace tactic::crypto

@@ -1,5 +1,6 @@
 #include "crypto/prime.hpp"
 
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -8,28 +9,43 @@ namespace tactic::crypto {
 
 namespace {
 
-/// Small primes for fast trial division before Miller–Rabin.
-const std::vector<std::uint32_t>& small_primes() {
-  static const std::vector<std::uint32_t> primes = [] {
+/// The primes below 8192 in runs whose product fits in 64 bits, so trial
+/// division takes one multi-limb remainder per run and tests each prime of
+/// the run on that one-word remainder: n mod p = (n mod product) mod p.
+struct PrimeRun {
+  std::uint64_t product;
+  std::vector<std::uint32_t> primes;
+};
+
+const std::vector<PrimeRun>& small_prime_runs() {
+  static const std::vector<PrimeRun> runs = [] {
     constexpr std::uint32_t kLimit = 8192;
     std::vector<bool> sieve(kLimit, true);
-    std::vector<std::uint32_t> out;
+    std::vector<PrimeRun> out;
     for (std::uint32_t i = 2; i < kLimit; ++i) {
       if (!sieve[i]) continue;
-      out.push_back(i);
       for (std::uint32_t j = 2 * i; j < kLimit; j += i) sieve[j] = false;
+      if (out.empty() || out.back().product > UINT64_MAX / i) {
+        out.push_back({1, {}});
+      }
+      out.back().product *= i;
+      out.back().primes.push_back(i);
     }
     return out;
   }();
-  return primes;
+  return runs;
 }
 
-/// Trial division of n >= 2 by the small primes: the verdict when it
-/// settles primality (n is one of them, or has one as a factor), nullopt
-/// when n has no factor below the sieve limit and is above it.
+/// Trial division of n >= 2 by the small primes, in increasing order: the
+/// verdict when it settles primality (n is one of them, or has one as a
+/// factor), nullopt when n has no factor below the sieve limit and is
+/// above it.
 std::optional<bool> trial_division(const BigUInt& n) {
-  for (std::uint32_t p : small_primes()) {
-    if (n.mod_u64(p) == 0) return n == BigUInt{p};
+  for (const PrimeRun& run : small_prime_runs()) {
+    const std::uint64_t rem = n.mod_u64(run.product);
+    for (const std::uint32_t p : run.primes) {
+      if (rem % p == 0) return n == BigUInt{p};
+    }
   }
   return std::nullopt;
 }

@@ -141,8 +141,8 @@ util::Bytes RsaPrivateKey::decrypt_pkcs1(util::BytesView ciphertext) const {
 }
 
 RsaKeyPair generate_rsa_keypair(util::Rng& rng, std::size_t bits) {
-  if (bits < 512) {
-    throw std::invalid_argument("RSA: modulus must be >= 512 bits");
+  if (bits < 512 || bits > Montgomery::kMaxBits) {
+    throw std::invalid_argument("RSA: modulus must be 512 to 2048 bits");
   }
   const BigUInt e{65537};
   for (;;) {

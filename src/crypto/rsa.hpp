@@ -22,8 +22,9 @@ namespace tactic::crypto {
 class RsaPublicKey {
  public:
   RsaPublicKey() = default;
-  /// Builds the key's Montgomery context for n, so n must be odd and > 1
-  /// (every RSA modulus); throws std::invalid_argument otherwise.
+  /// Builds the key's Montgomery context for n, so n must be odd, > 1
+  /// (every RSA modulus) and at most 2048 bits; throws
+  /// std::invalid_argument otherwise.
   RsaPublicKey(BigUInt n, BigUInt e);
 
   const BigUInt& n() const { return n_; }
@@ -78,7 +79,8 @@ class RsaPrivateKey {
   std::shared_ptr<const Montgomery> mont_p_, mont_q_;  // shared, as mont_n_
 };
 
-/// Key pair generation.  `bits` is the modulus size (>= 512); e = 65537.
+/// Key pair generation.  `bits` is the modulus size, 512 to 2048 (the
+/// widest Montgomery kernel; std::invalid_argument otherwise); e = 65537.
 /// Deterministic for a given RNG state — the simulator derives all keys
 /// from the scenario seed.
 struct RsaKeyPair {

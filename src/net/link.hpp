@@ -4,10 +4,11 @@
 //
 // A `Link` is one direction of a channel.  Transmission of a frame of S
 // bytes occupies the transmitter for S*8/bandwidth seconds ("busy-until"
-// model); frames arriving while the transmitter is busy wait in a FIFO
-// bounded by `max_queue`; overflow frames are dropped.  After serialization
-// the frame propagates for `propagation_delay` and is handed to the
-// receiver callback.
+// model); frames arriving while the transmitter is busy wait in a FIFO.
+// After serialization the frame propagates for `propagation_delay` and is
+// handed to the receiver callback.  `max_queue` bounds every frame sent
+// and not yet arrived, the propagating ones included; a frame over the
+// bound is dropped.
 //
 // An optional seeded `LinkFaultParams` model makes the wire lossy: i.i.d.
 // frame loss, Gilbert–Elliott two-state burst loss, and per-frame bit
@@ -36,7 +37,8 @@ namespace tactic::net {
 struct LinkParams {
   double bits_per_second = 500e6;                     // paper core: 500 Mbps
   event::Time propagation_delay = event::kMillisecond;  // paper core: 1 ms
-  std::size_t max_queue = 100;                        // frames
+  // Frames sent and not yet arrived: queued, in service or propagating.
+  std::size_t max_queue = 100;
 };
 
 /// Paper presets (Section 8.A).
@@ -124,7 +126,8 @@ class Link {
   bool up() const { return up_; }
   void set_up(bool up) { up_ = up; }
 
-  /// Instantaneous queue depth in frames (including the one in service).
+  /// Frames sent and not yet arrived: those waiting for the transmitter,
+  /// the one in service and those still propagating.
   std::size_t queue_depth() const { return in_flight_; }
 
   /// Gilbert–Elliott chain state (true while in the bursty/bad state).

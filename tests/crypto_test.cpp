@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "crypto/aes.hpp"
 #include "crypto/bignum.hpp"
@@ -24,6 +27,17 @@ using util::Bytes;
 using util::from_hex;
 using util::to_bytes;
 using util::to_hex;
+
+/// prime[n] for every n below `limit`, by the sieve of Eratosthenes.
+std::vector<bool> sieve(std::uint32_t limit) {
+  std::vector<bool> prime(limit, true);
+  prime[0] = prime[1] = false;
+  for (std::uint32_t i = 2; i * i < limit; ++i) {
+    if (!prime[i]) continue;
+    for (std::uint32_t j = i * i; j < limit; j += i) prime[j] = false;
+  }
+  return prime;
+}
 
 // ---------------------------------------------------------------------------
 // SHA-256 (FIPS 180-4 / NIST examples)
@@ -360,14 +374,27 @@ TEST(BigUInt, ModexpMatchesNaiveBigOperands) {
     const BigUInt exp = BigUInt::random_bits(rng, 24);
     EXPECT_EQ(BigUInt::modexp(base, exp, mod), naive_modexp(base, exp, mod));
   }
-  // Limb and window edges: moduli on both sides of 64-bit limb boundaries,
-  // exponents from empty to the modulus's own length, and the extreme
-  // bases (zero, n - 1, and one that needs reducing first).
+  // Limb, kernel and window edges: moduli on both sides of 64-bit limb
+  // boundaries and of each Montgomery kernel width (4, 8, 16 and 32
+  // limbs), exponents from empty to the modulus's own length, and the
+  // extreme bases (zero, n - 1, and one that needs reducing first).
+  std::vector<BigUInt> moduli;
   for (const std::size_t mod_bits :
-       {33u, 63u, 64u, 65u, 127u, 129u, 191u, 257u, 521u}) {
+       {33u, 63u, 64u, 65u, 127u, 129u, 191u, 255u, 256u, 257u, 511u, 512u,
+        521u, 1023u, 1024u, 2047u, 2048u}) {
     BigUInt mod = BigUInt::random_bits(rng, mod_bits);
     if (!mod.is_odd()) mod += BigUInt{1};
     ASSERT_EQ(mod.bit_length(), mod_bits);
+    moduli.push_back(mod);
+  }
+  // A modulus whose top limb is all ones: a product before its final
+  // subtraction often exceeds R, so the carry limb and the subtraction run.
+  BigUInt ones_on_top = (((BigUInt{1} << 64) - BigUInt{1}) << 192) +
+                        BigUInt::random_bits(rng, 191);
+  if (!ones_on_top.is_odd()) ones_on_top += BigUInt{1};
+  moduli.push_back(ones_on_top);
+  for (const BigUInt& mod : moduli) {
+    const std::size_t mod_bits = mod.bit_length();
     const BigUInt bases[] = {BigUInt{}, mod - BigUInt{1},
                              mod + BigUInt::random_bits(rng, mod_bits + 7)};
     for (const std::size_t exp_bits : {std::size_t{0}, std::size_t{1},
@@ -382,6 +409,55 @@ TEST(BigUInt, ModexpMatchesNaiveBigOperands) {
       }
     }
   }
+}
+
+// One exponentiation's exact work.  A 4-bit window: 15 table products
+// (the first converts the base), per digit below the top one 4 squarings
+// and a product when the digit is nonzero, and a product to leave
+// Montgomery form.  Bit by bit (e = 65537): one product to convert, a
+// squaring per bit below the top one, a product per set bit below it, and
+// one to leave.
+TEST(Montgomery, CountsProductsAndSquarings) {
+  util::Rng rng(78);
+  BigUInt mod = BigUInt::random_bits(rng, 512);
+  if (!mod.is_odd()) mod += BigUInt{1};
+  const Montgomery mont(mod);
+  const BigUInt base = BigUInt::random_bits(rng, 500);
+  const auto count = [&](const BigUInt& exp) {
+    const std::uint64_t muls = Montgomery::multiplies();
+    const std::uint64_t sqrs = Montgomery::squarings();
+    const BigUInt result = mont.exp(base, exp);
+    const std::pair work{Montgomery::multiplies() - muls,
+                         Montgomery::squarings() - sqrs};
+    EXPECT_EQ(result, BigUInt::modexp(base, exp, mod));
+    return work;
+  };
+  // 20 hex digits: the top one, 17 zeros, then a and b.
+  EXPECT_EQ(count(BigUInt::from_hex("500000000000000000ab")),
+            (std::pair<std::uint64_t, std::uint64_t>{15 + 2 + 1, 4 * 19}));
+  EXPECT_EQ(count(BigUInt{65537}),
+            (std::pair<std::uint64_t, std::uint64_t>{1 + 1 + 1, 16}));
+}
+
+// No kernel is wider than 32 limbs: a context for a longer modulus is
+// refused, modexp reduces by division instead, and RSA keys stop at 2048
+// bits before drawing anything.
+TEST(Montgomery, RefusesModuliAbove2048Bits) {
+  util::Rng rng(79);
+  BigUInt widest = BigUInt::random_bits(rng, Montgomery::kMaxBits);
+  if (!widest.is_odd()) widest += BigUInt{1};
+  EXPECT_NO_THROW(Montgomery{widest});
+  const BigUInt wider = widest * BigUInt{3};  // odd, 2049 or 2050 bits
+  EXPECT_THROW(Montgomery{wider}, std::invalid_argument);
+  const BigUInt base = BigUInt::random_bits(rng, 2000);
+  EXPECT_EQ(BigUInt::modexp(base, BigUInt{3}, wider),
+            (base * base % wider) * base % wider);
+
+  util::Rng keygen_rng(80);
+  util::Rng untouched(80);
+  EXPECT_THROW(generate_rsa_keypair(keygen_rng, Montgomery::kMaxBits + 2),
+               std::invalid_argument);
+  EXPECT_EQ(keygen_rng(), untouched());
 }
 
 TEST(BigUInt, GcdAndInverse) {
@@ -458,6 +534,39 @@ TEST(Prime, DeterministicBelowTwoTo32) {
   // The largest prime below 2^32.
   EXPECT_TRUE(is_probable_prime(BigUInt{4294967291ull}, rng, 0));
   EXPECT_EQ(rng(), untouched());
+}
+
+// Trial division's verdicts for every n below 2^17 against a sieve.  That
+// covers every prime below the trial-division limit (8192) as n, and
+// factors on both sides of each boundary between the runs of primes
+// whose product fits in a word.  Below 2^32 the test is exact and draws
+// nothing.
+TEST(Prime, AgreesWithSieveBelowTwoTo17) {
+  const std::vector<bool> prime = sieve(1u << 17);
+  util::Rng rng(6);
+  util::Rng untouched(6);
+  for (std::uint32_t n = 0; n < prime.size(); ++n) {
+    ASSERT_EQ(is_probable_prime(BigUInt{n}, rng), prime[n]) << n;
+  }
+  EXPECT_EQ(rng(), untouched());
+}
+
+// n = p q for every prime p below 8192 (so the first and last prime of
+// every run) and a prime q above it: trial division alone must reject n.
+// Had it missed p, Miller-Rabin would still say composite, but it would
+// draw from the RNG.
+TEST(Prime, TrialDivisionRejectsEverySmallFactor) {
+  const std::vector<bool> small_prime = sieve(8192);
+  util::Rng rng(7);
+  for (const std::size_t bits : {256u, 512u}) {
+    const BigUInt q = random_prime(rng, bits - 13);
+    for (std::uint32_t p = 2; p < small_prime.size(); ++p) {
+      if (!small_prime[p]) continue;
+      util::Rng before = rng;
+      EXPECT_FALSE(is_probable_prime(q * BigUInt{p}, rng)) << p;
+      ASSERT_EQ(rng(), before()) << bits << " bits, p = " << p;
+    }
+  }
 }
 
 TEST(Prime, RandomPrimeHasRequestedShape) {
