@@ -3,22 +3,22 @@
 // Three sweeps back the numbers in EXPERIMENTS.md ("Scalability: name
 // tables"):
 //
-//   1. FIB longest-prefix match, prefix-hash index (`ndn::Fib`, the
-//      default) vs the retained linear reference (`Impl::kLinear`), at
-//      10^2 / 10^4 / 10^6 prefixes.  The index folds the query's prefix
-//      hashes in one pass and probes only the prefix lengths that hold
-//      entries; the linear reference builds and hashes a copy of every
-//      prefix of the query name against an unordered_map.  The acceptance
-//      bar for the index is a >=10x lookup speedup at 10^6 prefixes.
+//   1. FIB longest-prefix match, prefix-hash index (`ndn::Fib`) vs the
+//      linear reference (`ndn::LinearFib`), at 10^2 / 10^4 / 10^6
+//      prefixes.  The index folds the query's prefix hashes in one pass
+//      and probes only the prefix lengths that hold entries; the linear
+//      reference builds and hashes a copy of every prefix of the query
+//      name against an unordered_map.  The acceptance bar for the index
+//      is a >=10x lookup speedup at 10^6 prefixes.
 //   2. PIT churn at 10^5 concurrent entries: get_or_create / find / erase
 //      plus the lazy min-expiry poll, exercising the slab arena and the
 //      interned-name index.
 //   3. End-to-end delivery with `prepopulate_fib_prefixes` junk routes
-//      installed on every router (prefix hash vs linear), showing the
-//      mechanism's cost where it matters: wall clock per simulated second.
+//      installed on every router, showing what table size costs where it
+//      matters: wall clock per simulated second.
 //
-// Defaults finish in about a minute; --full raises the end-to-end sweep to
-// 10^5 prefixes per router and longer runs.  The usual knobs
+// Defaults finish in about ten seconds; --full raises the end-to-end
+// sweep to 10^5 prefixes per router and longer runs.  The usual knobs
 // (--duration/--runs/--seed/--csv) apply to the end-to-end part.
 
 #include <chrono>
@@ -79,11 +79,10 @@ struct FibRow {
   double lookup_ns = 0;
 };
 
-FibRow bench_fib(ndn::Fib::Impl impl, std::size_t prefixes,
-                 const std::vector<ndn::Name>& queries,
+template <typename Table>
+FibRow bench_fib(std::size_t prefixes, const std::vector<ndn::Name>& queries,
                  std::size_t lookups) {
-  ndn::Fib fib;
-  fib.set_impl(impl);
+  Table fib;
   FibRow row;
   row.prefixes = prefixes;
 
@@ -183,10 +182,9 @@ int main(int argc, char** argv) {
        {std::size_t{100}, std::size_t{10'000}, std::size_t{1'000'000}}) {
     std::vector<ndn::Name> queries =
         make_queries(prefixes, std::min<std::size_t>(lookups, 1u << 14), rng);
-    const FibRow hash =
-        bench_fib(ndn::Fib::Impl::kPrefixHash, prefixes, queries, lookups);
+    const FibRow hash = bench_fib<ndn::Fib>(prefixes, queries, lookups);
     const FibRow linear =
-        bench_fib(ndn::Fib::Impl::kLinear, prefixes, queries, lookups);
+        bench_fib<ndn::LinearFib>(prefixes, queries, lookups);
     const double speedup = linear.lookup_ns / hash.lookup_ns;
     fib_table.add_row({util::Table::fmt(static_cast<double>(prefixes), 8),
                        util::Table::fmt(hash.build_ms, 6),
@@ -213,76 +211,59 @@ int main(int argc, char** argv) {
 
   // --- 3. End-to-end: junk routes on every router --------------------------
   std::printf(
-      "\nEnd-to-end delivery with prepopulated FIBs (Topo. %lld, "
-      "prefix hash vs linear)\n",
+      "\nEnd-to-end delivery with prepopulated FIBs (Topo. %lld)\n",
       static_cast<long long>(options.topologies.front()));
-  util::Table e2e_table({"FIB prefixes/router", "Impl", "Delivery %",
-                         "FIB lookups", "Probes/lookup", "Wall s per sim s",
+  util::Table e2e_table({"FIB prefixes/router", "Delivery %", "FIB lookups",
+                         "Probes/lookup", "Wall s per sim s",
                          "Allocs/chunk"});
   std::vector<std::size_t> scales{0, 100, 10'000};
   scales.push_back(options.full ? 100'000 : 30'000);
   for (const std::size_t prefixes : scales) {
-    for (const ndn::Fib::Impl impl :
-         {ndn::Fib::Impl::kPrefixHash, ndn::Fib::Impl::kLinear}) {
-      const auto start = std::chrono::steady_clock::now();
-      sim::MetricsAccumulator acc;
-      double ratio = 0;
-      std::uint64_t fib_lookups = 0, fib_nodes = 0;
-      std::uint64_t chunks = 0;
-      const std::uint64_t allocs_before = testing::alloc_count();
-      for (std::int64_t run = 0; run < options.runs; ++run) {
-        sim::ScenarioConfig config = bench::paper_scenario(
-            static_cast<int>(options.topologies.front()), options,
-            static_cast<std::uint64_t>(run));
-        config.fib_impl = impl;
-        config.prepopulate_fib_prefixes = prefixes;
-        sim::Scenario scenario(config);
-        const sim::Metrics& metrics = scenario.run();
-        ratio += metrics.clients.delivery_ratio();
-        fib_lookups +=
-            metrics.edge_ops.fib_lookups + metrics.core_ops.fib_lookups;
-        fib_nodes += metrics.edge_ops.fib_nodes_visited +
-                     metrics.core_ops.fib_nodes_visited;
-        chunks += metrics.clients.received + metrics.attackers.received;
-        acc.add(metrics);
-      }
-      // Heap allocations per delivered chunk across the whole sweep
-      // (includes setup; the packet path itself is pooled — see
-      // bench/packet_path for the isolated steady-state number).
-      const double allocs_per_chunk =
-          static_cast<double>(testing::alloc_count() - allocs_before) /
-          static_cast<double>(std::max<std::uint64_t>(chunks, 1));
-      const double wall = seconds_since(start);
-      const double sim_seconds =
-          options.duration_s * static_cast<double>(options.runs);
-      const bool hashed = impl == ndn::Fib::Impl::kPrefixHash;
-      e2e_table.add_row(
-          {util::Table::fmt(static_cast<double>(prefixes), 8),
-           hashed ? "prefix-hash" : "linear",
-           util::Table::fmt(100.0 * ratio / static_cast<double>(options.runs),
-                            4),
-           util::Table::fmt(static_cast<double>(fib_lookups), 8),
-           hashed ? util::Table::fmt(static_cast<double>(fib_nodes) /
-                                         static_cast<double>(
-                                             std::max<std::uint64_t>(
-                                                 fib_lookups, 1)),
-                                     4)
-                  : std::string("-"),
-           util::Table::fmt(wall / sim_seconds, 4),
-           util::Table::fmt(allocs_per_chunk, 5)});
-      csv.row({"e2e", std::to_string(prefixes),
-               hashed ? "prefix-hash" : "linear",
-               util::CsvWriter::num(ratio /
-                                    static_cast<double>(options.runs)),
-               util::CsvWriter::num(wall / sim_seconds),
-               util::CsvWriter::num(static_cast<double>(fib_lookups)),
-               util::CsvWriter::num(allocs_per_chunk)});
+    const auto start = std::chrono::steady_clock::now();
+    double ratio = 0;
+    std::uint64_t fib_lookups = 0, fib_nodes = 0;
+    std::uint64_t chunks = 0;
+    const std::uint64_t allocs_before = testing::alloc_count();
+    for (std::int64_t run = 0; run < options.runs; ++run) {
+      sim::ScenarioConfig config = bench::paper_scenario(
+          static_cast<int>(options.topologies.front()), options,
+          static_cast<std::uint64_t>(run));
+      config.prepopulate_fib_prefixes = prefixes;
+      sim::Scenario scenario(config);
+      const sim::Metrics& metrics = scenario.run();
+      ratio += metrics.clients.delivery_ratio();
+      fib_lookups +=
+          metrics.edge_ops.fib_lookups + metrics.core_ops.fib_lookups;
+      fib_nodes += metrics.edge_ops.fib_nodes_visited +
+                   metrics.core_ops.fib_nodes_visited;
+      chunks += metrics.clients.received + metrics.attackers.received;
     }
+    // Heap allocations per delivered chunk across the whole sweep
+    // (includes setup; the packet path itself is pooled — see
+    // bench/packet_path for the isolated steady-state number).
+    const double allocs_per_chunk =
+        static_cast<double>(testing::alloc_count() - allocs_before) /
+        static_cast<double>(std::max<std::uint64_t>(chunks, 1));
+    const double wall = seconds_since(start);
+    const double sim_seconds =
+        options.duration_s * static_cast<double>(options.runs);
+    e2e_table.add_row(
+        {util::Table::fmt(static_cast<double>(prefixes), 8),
+         util::Table::fmt(100.0 * ratio / static_cast<double>(options.runs),
+                          4),
+         util::Table::fmt(static_cast<double>(fib_lookups), 8),
+         util::Table::fmt(static_cast<double>(fib_nodes) /
+                              static_cast<double>(
+                                  std::max<std::uint64_t>(fib_lookups, 1)),
+                          4),
+         util::Table::fmt(wall / sim_seconds, 4),
+         util::Table::fmt(allocs_per_chunk, 5)});
+    csv.row({"e2e", std::to_string(prefixes),
+             util::CsvWriter::num(ratio / static_cast<double>(options.runs)),
+             util::CsvWriter::num(wall / sim_seconds),
+             util::CsvWriter::num(static_cast<double>(fib_lookups)),
+             util::CsvWriter::num(allocs_per_chunk)});
   }
   e2e_table.print(std::cout);
-  std::printf(
-      "\n(delivery and all fingerprint-visible metrics are identical "
-      "between the two impls by construction — ci/sweep.sh scale asserts "
-      "the byte-equality; this table shows what the equivalence costs)\n");
   return 0;
 }

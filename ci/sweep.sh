@@ -14,8 +14,7 @@
 #              quarantine
 #   lifecycle  flood plus skewed clocks, skew tolerance, outage grace and
 #              proactive renewal (docs/FAULTS.md)
-#   scale      flood plus 10^4-10^5 junk prefixes per router FIB, each
-#              scenario re-run on the linear reference FIB and compared
+#   scale      flood plus 10^4-10^5 junk prefixes per router FIB
 #
 # Usage: ci/sweep.sh [NAME ...]    (default: all six rows, in this order)
 # BUILD_DIR selects the sanitizer build tree (default build-sanitize);

@@ -5,48 +5,24 @@
 
 namespace tactic::event {
 
-EventId Scheduler::schedule(Time delay, Handler handler) {
+void Scheduler::schedule(Time delay, Handler handler) {
   if (delay < 0) throw std::invalid_argument("Scheduler: negative delay");
-  return schedule_at(now_ + delay, std::move(handler));
+  schedule_at(now_ + delay, std::move(handler));
 }
 
-EventId Scheduler::schedule_at(Time when, Handler handler) {
+void Scheduler::schedule_at(Time when, Handler handler) {
   if (when < now_) {
     throw std::invalid_argument("Scheduler: scheduling in the past");
   }
-  const std::uint64_t seq = next_seq_++;
-  const std::uint32_t rec = recs_.acquire();
-  Rec& slot = recs_[rec];
-  slot.handler = std::move(handler);
-  slot.seq = seq;
-  queue_.push(Entry{when, seq, rec});
-  ++pending_;
-  return EventId{seq, rec};
-}
-
-bool Scheduler::cancel(EventId id) {
-  if (!id.valid() || id.rec_ >= recs_.size()) return false;
-  Rec& rec = recs_[id.rec_];
-  if (rec.seq != id.seq_) return false;  // already ran, cancelled, or reused
-  // Lazy cancellation: free the record now; the heap entry is skipped at
-  // dispatch time by its stale seq.
-  rec.seq = 0;
-  rec.handler = nullptr;
-  recs_.release(id.rec_);
-  --pending_;
-  ++cancelled_;
-  return true;
+  const std::uint32_t slot = handlers_.acquire();
+  handlers_[slot] = std::move(handler);
+  queue_.push(Entry{when, next_seq_++, slot});
 }
 
 void Scheduler::dispatch(const Entry& entry) {
   now_ = entry.when;
-  Rec& rec = recs_[entry.rec];
-  if (rec.seq != entry.seq) return;  // was cancelled
-  Handler handler = std::move(rec.handler);
-  rec.seq = 0;
-  rec.handler = nullptr;
-  recs_.release(entry.rec);
-  --pending_;
+  Handler handler = std::move(handlers_[entry.slot]);
+  handlers_.release(entry.slot);
   ++executed_;
   handler();
 }
@@ -74,19 +50,17 @@ Time Scheduler::run_until(Time until) {
 }
 
 void Wakeup::arm(Time when) {
-  if (at_) {
-    if (*at_ <= when) return;
-    scheduler_.cancel(event_);
-  }
+  if (at_ && *at_ <= when) return;
   at_ = when;
-  event_ = scheduler_.schedule_at(when, [this] {
+  scheduler_.schedule_at(when, [this, generation = ++generation_] {
+    if (generation != generation_) return;  // moved earlier or disarmed
     at_.reset();
     fire_();
   });
 }
 
 void Wakeup::disarm() {
-  if (at_) scheduler_.cancel(event_);
+  ++generation_;
   at_.reset();
 }
 

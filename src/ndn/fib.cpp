@@ -1,7 +1,6 @@
 #include "ndn/fib.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace tactic::ndn {
 
@@ -88,19 +87,8 @@ const LinearFib::Entry* LinearFib::find_exact(const Name& prefix) const {
 }
 
 // ---------------------------------------------------------------------------
-// Fib — prefix-hash index with the linear fallback behind set_impl().
+// Fib — prefix-hash index.
 // ---------------------------------------------------------------------------
-
-void Fib::set_impl(Impl impl) {
-  if (size() != 0) {
-    throw std::logic_error("Fib::set_impl: table must be empty");
-  }
-  impl_ = impl;
-}
-
-std::size_t Fib::size() const {
-  return impl_ == Impl::kLinear ? linear_.size() : index_.size();
-}
 
 std::uint32_t Fib::find_slot(const Name& prefix) const {
   return index_.find(prefix.id_hash(), [&](std::uint32_t s) {
@@ -134,18 +122,10 @@ void Fib::free_slot(std::uint32_t s) {
 }
 
 void Fib::add_route(const Name& prefix, FaceId next_hop, std::uint32_t cost) {
-  if (impl_ == Impl::kLinear) {
-    linear_.add_route(prefix, next_hop, cost);
-    return;
-  }
   add_hop(entry_for(prefix).next_hops, next_hop, cost);
 }
 
 void Fib::remove_next_hop(const Name& prefix, FaceId next_hop) {
-  if (impl_ == Impl::kLinear) {
-    linear_.remove_next_hop(prefix, next_hop);
-    return;
-  }
   const std::uint32_t s = find_slot(prefix);
   if (s == util::HashIndex::kNpos) return;
   remove_hop(entries_[s].next_hops, next_hop);
@@ -153,19 +133,11 @@ void Fib::remove_next_hop(const Name& prefix, FaceId next_hop) {
 }
 
 void Fib::remove_route(const Name& prefix) {
-  if (impl_ == Impl::kLinear) {
-    linear_.remove_route(prefix);
-    return;
-  }
   const std::uint32_t s = find_slot(prefix);
   if (s != util::HashIndex::kNpos) free_slot(s);
 }
 
 void Fib::set_routes(const Name& prefix, std::vector<NextHop> next_hops) {
-  if (impl_ == Impl::kLinear) {
-    linear_.set_routes(prefix, std::move(next_hops));
-    return;
-  }
   if (next_hops.empty()) {
     remove_route(prefix);
     return;
@@ -176,7 +148,6 @@ void Fib::set_routes(const Name& prefix, std::vector<NextHop> next_hops) {
 
 const Fib::Entry* Fib::lookup(const Name& name) const {
   ++counters_.lookups;
-  if (impl_ == Impl::kLinear) return linear_.lookup(name);
   const std::vector<ComponentId>& ids = name.component_ids();
   // Fold the prefix hashes shortest-first, probing only the lengths that
   // hold entries; the last hit is the longest match.
@@ -198,7 +169,6 @@ const Fib::Entry* Fib::lookup(const Name& name) const {
 }
 
 const Fib::Entry* Fib::find_exact(const Name& prefix) const {
-  if (impl_ == Impl::kLinear) return linear_.find_exact(prefix);
   const std::uint32_t s = find_slot(prefix);
   return s == util::HashIndex::kNpos ? nullptr : &entries_[s];
 }

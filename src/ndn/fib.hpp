@@ -2,25 +2,20 @@
 // Forwarding Information Base: longest-prefix-match routing of Interests
 // toward providers, with equal-cost multipath next hops for failover.
 //
-// Two interchangeable lookup structures live here:
+// `Fib` is a flat prefix-hash index.  Entries live in a util::Slab; one
+// util::HashIndex (the index the PIT and CS use) maps each prefix's
+// Name::id_hash() to its slot, and a count of entries per prefix length
+// tells lookup() which lengths to probe.  A lookup folds the query's
+// component IDs into prefix hashes in one pass (Name::extend_id_hash),
+// probes only the lengths that hold entries, keeps the longest hit, and
+// allocates nothing (docs/ARCHITECTURE.md, "Name interning and table
+// structures").
 //
-//  - `Fib` (the default, Impl::kPrefixHash): a flat prefix-hash index.
-//    Entries live in a util::Slab; one util::HashIndex (the index the
-//    PIT and CS use) maps each prefix's Name::id_hash() to its slot, and a count of entries per prefix length tells lookup()
-//    which lengths to probe.  A lookup folds the query's component IDs
-//    into prefix hashes in one pass (Name::extend_id_hash), probes only
-//    the lengths that hold entries, keeps the longest hit, and allocates
-//    nothing (docs/ARCHITECTURE.md, "Name interning and table
-//    structures").
-//  - `LinearFib`: the original hash-map implementation that probes every
-//    prefix length, retained as the differential reference.  The
-//    property suite in tests/table_diff_test.cpp asserts Fib LPM ≡ linear
-//    LPM over randomized and adversarial prefix sets, and `Fib` can be
-//    switched wholesale to it (Impl::kLinear) for end-to-end equivalence
-//    runs (`fuzz_scenarios --bigtables`).
-//
-// Both structures implement identical semantics; which one backs a router
-// is unobservable in fingerprints, verdicts, and traces.
+// `LinearFib` is the original hash-map implementation that probes every
+// prefix length, kept as the executable specification: the property
+// suite in tests/table_diff_test.cpp asserts Fib ≡ LinearFib over
+// randomized, scenario-shaped and adversarial prefix sets, and
+// bench/scalability times the two side by side.
 
 #include <cstdint>
 #include <unordered_map>
@@ -80,16 +75,6 @@ class Fib {
   using NextHop = FibNextHop;
   using Entry = FibEntry;
 
-  /// Which lookup structure backs this FIB.  Semantics are identical; the
-  /// linear reference exists for differential testing and benchmarking.
-  enum class Impl { kPrefixHash, kLinear };
-
-  /// Selects the backing structure.  Only legal while the table is empty
-  /// (the switch does not migrate entries); throws std::logic_error
-  /// otherwise.
-  void set_impl(Impl impl);
-  Impl impl() const { return impl_; }
-
   /// Adds (or updates the cost of) one next hop for `prefix`, keeping the
   /// hop list sorted by (cost, face).
   void add_route(const Name& prefix, FaceId next_hop, std::uint32_t cost = 0);
@@ -104,20 +89,18 @@ class Fib {
   void set_routes(const Name& prefix, std::vector<NextHop> next_hops);
 
   /// Longest-prefix match; nullptr when no entry covers `name`.  One hash
-  /// probe per prefix length that holds an entry (Linear: one map probe
-  /// per prefix length).
+  /// probe per prefix length that holds an entry.
   ///
   /// The returned pointer (like find_exact()'s) stays valid until that
   /// route is removed — by remove_route, or by remove_next_hop or
-  /// set_routes leaving it no hop.  Slab slots never move (nor do the
-  /// linear map's nodes), but a removed route's slot is recycled by the
-  /// next new prefix.
+  /// set_routes leaving it no hop.  Slab slots never move, but a removed
+  /// route's slot is recycled by the next new prefix.
   const Entry* lookup(const Name& name) const;
 
   /// Exact-prefix find (no LPM).
   const Entry* find_exact(const Name& prefix) const;
 
-  std::size_t size() const;
+  std::size_t size() const { return index_.size(); }
 
   /// Hot-path work counters, for regression tests pinning lookup cost and
   /// for sim::RouterOps aggregation.  Never fingerprinted.
@@ -138,9 +121,6 @@ class Fib {
   Entry& entry_for(const Name& prefix);
   /// Unindexes slot `s` and returns it to the slab.
   void free_slot(std::uint32_t s);
-
-  Impl impl_ = Impl::kPrefixHash;
-  LinearFib linear_;  // backing store in Impl::kLinear mode
 
   /// Entry slab; freed slots keep their hop-vector capacity for reuse.
   util::Slab<Entry> entries_;

@@ -21,15 +21,6 @@ Scenario::Scenario(ScenarioConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
   network_ = std::make_unique<topology::Network>(scheduler_,
                                                  config_.topology, rng_);
-  // Select the FIB structure while every table is still empty (set_impl
-  // refuses otherwise); routes are installed below.
-  if (config_.fib_impl != ndn::Fib::Impl::kPrefixHash) {
-    for (std::size_t i = 0; i < network_->node_count(); ++i) {
-      network_->node(static_cast<net::NodeId>(i))
-          .fib()
-          .set_impl(config_.fib_impl);
-    }
-  }
   build_providers();
   install_policies();
   build_clients();

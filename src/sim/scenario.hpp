@@ -12,7 +12,6 @@
 
 #include "baselines/baselines.hpp"
 #include "event/scheduler.hpp"
-#include "ndn/fib.hpp"
 #include "sim/fault.hpp"
 #include "sim/metrics.hpp"
 #include "tactic/compute_model.hpp"
@@ -65,12 +64,6 @@ struct ScenarioConfig {
   /// evicted to admit a new Interest (counted in `pit_evictions`).  0
   /// keeps the PIT unbounded (the pre-overload-layer behaviour).
   std::size_t router_pit_capacity = 0;
-
-  /// Lookup structure backing every node's FIB.  kLinear selects the
-  /// retained reference implementation — metrics, verdicts, and traces
-  /// must not change (the differential gate `fuzz_scenarios --bigtables`
-  /// runs both and compares fingerprints).
-  ndn::Fib::Impl fib_impl = ndn::Fib::Impl::kPrefixHash;
 
   /// Installs this many random junk prefixes (first component "xfib…",
   /// never matching workload names) into every edge/core router FIB

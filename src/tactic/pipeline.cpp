@@ -211,12 +211,20 @@ std::shared_ptr<ndn::DeferredVerdict> ValidationEngine::sig_batch_join(
     batch.first_cost = item_cost;
     batch.unbatched_cost = 0;
     batch.lane = lane_for(tag);
+    batch.generation = ++batch_generation_;
     // Deadline flush.  max_hold == 0 degenerates to "end of the current
     // instant" (scheduler FIFO runs the flush after all work already
     // queued for now), which is what coalesces the verifications one
-    // Data packet triggers across its aggregated PIT records.
-    batch.deadline = scheduler_->schedule_at(
-        now + config_.batch.max_hold, [this, provider] {
+    // Data packet triggers across its aggregated PIT records.  A batch
+    // flushed early (size cap, queue drain) or wiped by a crash leaves
+    // its deadline stale: it finds no batch, or a newer generation.
+    scheduler_->schedule_at(
+        now + config_.batch.max_hold,
+        [this, provider, generation = batch.generation] {
+          const auto it = sig_batches_.find(provider);
+          if (it == sig_batches_.end() || it->second.generation != generation) {
+            return;
+          }
           sig_batch_flush(provider, FlushReason::kDeadline);
         });
   }
@@ -244,7 +252,6 @@ void ValidationEngine::sig_batch_flush(const std::string& provider,
   if (it == sig_batches_.end() || it->second.pending.empty()) return;
   SigBatch batch = std::move(it->second);
   sig_batches_.erase(it);
-  if (batch.deadline.valid()) scheduler_->cancel(batch.deadline);
 
   // One amortized batch-RSA charge for the whole batch: the first item's
   // recorded draw scaled by the batch factor.  No flush-time RNG draw —
@@ -322,12 +329,9 @@ void ValidationEngine::wipe_volatile() {
   draining_.reset();
   draining_until_ = 0;
   // Pending validation batches (and their undelivered verdicts) die with
-  // the router; the forwarder's epoch guard catches any closure already
-  // bound.
+  // the router, their deadlines stale; the forwarder's epoch guard
+  // catches any closure already bound.
   for (auto& [provider, batch] : sig_batches_) {
-    if (batch.deadline.valid() && scheduler_ != nullptr) {
-      scheduler_->cancel(batch.deadline);
-    }
     for (const auto& handle : batch.pending) handle->drop();
     ++counters_.sig_batches_dropped;
   }

@@ -390,11 +390,14 @@ class ValidationEngine {
     event::Time unbatched_cost = 0;
     /// Home lane of the first joined item; the flush charges there.
     std::size_t lane = 0;
-    event::EventId deadline;
+    /// Set from `batch_generation_` when the batch opens; its deadline
+    /// event flushes only the batch of the same generation.
+    std::uint64_t generation = 0;
   };
   void sig_batch_flush(const std::string& provider, FlushReason reason);
 
   std::unordered_map<std::string, SigBatch> sig_batches_;
+  std::uint64_t batch_generation_ = 0;
   event::Scheduler* scheduler_ = nullptr;
 
   // --- adaptive overload control (null unless overload AND adaptive are

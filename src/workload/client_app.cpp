@@ -129,22 +129,27 @@ void ClientApp::send_registration_attempt() {
 
   ++counters_.tags_requested;
   if (on_tag_request) on_tag_request(node_.scheduler().now());
-  registration_timeout_ = node_.scheduler().schedule(
-      loop_.interest_lifetime, [this] { on_registration_timeout(); });
+  node_.scheduler().schedule(
+      loop_.interest_lifetime, [this, attempt = ++registration_attempt_] {
+        if (registration_current(attempt)) on_registration_timeout();
+      });
   node_.inject_from_app(face_, std::move(interest));
 }
 
 void ClientApp::on_registration_timeout() {
-  if (!registration_pending_) return;
   if (running_ && registration_retries_ < config_.max_retries) {
     // Same retransmission mechanism as chunks: backoff, then a fresh
     // registration Interest (new name nonce — a late response to the old
-    // one no longer matches and is ignored).
+    // one no longer matches and is ignored).  A late answer to the timed
+    // out attempt during the backoff ends this registration, and the
+    // next one may start before the backoff does.
     ++registration_retries_;
     ++counters_.registration_retransmissions;
-    node_.scheduler().schedule(retry_backoff(registration_retries_), [this] {
-      if (registration_pending_) send_registration_attempt();
-    });
+    node_.scheduler().schedule(
+        retry_backoff(registration_retries_),
+        [this, attempt = registration_attempt_] {
+          if (registration_current(attempt)) send_registration_attempt();
+        });
     return;
   }
   // Retry budget exhausted: clear the pending marker and release one
@@ -160,7 +165,6 @@ void ClientApp::on_data(const ndn::Data& data) {
     if (registration_pending_ && pending_registration_name_ == data.name) {
       const std::size_t provider_index = *registration_pending_;
       registration_pending_.reset();
-      node_.scheduler().cancel(registration_timeout_);
       if (data.nack_attached || !data.tag) {
         ++counters_.registrations_refused;
         // Release one parked slot to retry later, after a jittered
@@ -222,7 +226,6 @@ bool ClientApp::verify_content_signature(const ndn::Data& data) const {
 void ClientApp::on_nack(const ndn::Nack& nack) {
   if (registration_pending_ && pending_registration_name_ == nack.name) {
     registration_pending_.reset();
-    node_.scheduler().cancel(registration_timeout_);
     ++counters_.registrations_refused;
     // Jittered exponential, as in on_data's refusal branch.
     release_parked_slots(1, retry_backoff(++registration_refusal_streak_));

@@ -102,6 +102,12 @@ class ClientApp : public UserApp {
   void send_registration(std::size_t provider_index);
   void send_registration_attempt();
   void on_registration_timeout();
+  /// Whether `attempt` is the registration attempt still awaiting its
+  /// answer: a Data, a NACK or a newer attempt retires the timeout and
+  /// backoff events scheduled for an older one.
+  bool registration_current(std::uint64_t attempt) const {
+    return registration_pending_ && attempt == registration_attempt_;
+  }
   /// Schedules the proactive renewal of `tag` (just received for
   /// `provider_index`) at T_e - lead +/- jitter on this node's clock.
   void schedule_renewal(std::size_t provider_index, core::TagPtr tag);
@@ -124,7 +130,7 @@ class ClientApp : public UserApp {
   std::vector<core::TagPtr> tags_;
   std::optional<std::size_t> registration_pending_;  // provider index
   ndn::Name pending_registration_name_;
-  event::EventId registration_timeout_;  // cancelled on response/NACK
+  std::uint64_t registration_attempt_ = 0;  // attempts sent so far
   std::size_t registration_retries_ = 0;
   /// Consecutive refused/abandoned registrations (reset when a tag
   /// arrives); drives the jittered exponential re-registration backoff.

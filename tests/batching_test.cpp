@@ -251,12 +251,54 @@ TEST_F(BatchingTest, CrashDropsPendingBatchWithoutChargeOrDelivery) {
   bool late = false;
   b.deferred->bind([&](event::Time) { late = true; });
   EXPECT_FALSE(late);
-  // The cancelled deadline never resurrects the batch.
+  // The stale deadline never resurrects the batch.
   scheduler_.run_until(kSecond);
   EXPECT_FALSE(fired);
   EXPECT_FALSE(late);
   EXPECT_EQ(engine.counters().sig_batches_flushed, 0u);
   EXPECT_EQ(engine.counters().compute_sig, charged_before);
+}
+
+TEST_F(BatchingTest, StaleDeadlineNeverFlushesANewerBatch) {
+  // A batch that leaves early (size cap, or a crash) leaves its deadline
+  // event behind; a newer batch for the same provider must wait out its
+  // own max_hold.
+  config_.batch.max_batch = 2;
+  config_.batch.max_hold = 5 * kMillisecond;
+  ValidationEngine engine = make_engine();
+  std::vector<event::Time> fired;
+  const auto join = [&] {
+    event::Time compute = 0;
+    auto batched = engine.verify_signature(*tag_, scheduler_.now(), compute);
+    batched.deferred->bind(
+        [&](event::Time) { fired.push_back(scheduler_.now()); });
+  };
+  join();
+  join();  // the size cap flushes at 0; the 5 ms deadline is stale
+  EXPECT_EQ(engine.counters().sig_batch_flush_size_cap, 1u);
+  fired.clear();
+  scheduler_.run_until(2 * kMillisecond);
+  join();  // a new batch, due at 7 ms
+  scheduler_.run_until(6 * kMillisecond);
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(engine.sig_batch_depth(*tag_), 1u);
+  scheduler_.run_until(7 * kMillisecond);
+  EXPECT_EQ(fired, std::vector<event::Time>{7 * kMillisecond});
+
+  // The same after a crash: the wiped batch's deadline (at 15 ms) must
+  // not flush the batch joined after the restart (due at 17 ms).
+  scheduler_.run_until(10 * kMillisecond);
+  join();
+  engine.wipe_volatile();
+  scheduler_.run_until(12 * kMillisecond);
+  fired.clear();
+  join();
+  scheduler_.run_until(16 * kMillisecond);
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(engine.sig_batch_depth(*tag_), 1u);
+  scheduler_.run_until(kSecond);
+  EXPECT_EQ(fired, std::vector<event::Time>{17 * kMillisecond});
+  EXPECT_EQ(engine.counters().sig_batch_flush_deadline, 2u);
 }
 
 TEST_F(BatchingTest, InvalidSignatureRejectsSynchronously) {

@@ -1,9 +1,10 @@
 // Tests for the discrete-event scheduler: ordering guarantees, FIFO
-// tie-breaking, cancellation, reentrancy, and the Wakeup that keeps one
-// event per owner of many deadlines.
+// tie-breaking, reentrancy, owners retiring their events by generation,
+// and the Wakeup that keeps one event per owner of many deadlines.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "event/scheduler.hpp"
@@ -73,34 +74,6 @@ TEST(Scheduler, HandlersCanScheduleMore) {
   EXPECT_EQ(sched.now(), 99 * kMillisecond);
 }
 
-TEST(Scheduler, CancelPreventsExecution) {
-  Scheduler sched;
-  bool ran = false;
-  const EventId id = sched.schedule(kSecond, [&] { ran = true; });
-  EXPECT_TRUE(sched.cancel(id));
-  sched.run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(Scheduler, CancelTwiceFails) {
-  Scheduler sched;
-  const EventId id = sched.schedule(kSecond, [] {});
-  EXPECT_TRUE(sched.cancel(id));
-  EXPECT_FALSE(sched.cancel(id));
-}
-
-TEST(Scheduler, CancelAfterExecutionFails) {
-  Scheduler sched;
-  const EventId id = sched.schedule(kMillisecond, [] {});
-  sched.run();
-  EXPECT_FALSE(sched.cancel(id));
-}
-
-TEST(Scheduler, CancelInvalidIdFails) {
-  Scheduler sched;
-  EXPECT_FALSE(sched.cancel(EventId{}));
-}
-
 TEST(Scheduler, RunUntilStopsAtBoundary) {
   Scheduler sched;
   std::vector<int> order;
@@ -143,29 +116,20 @@ TEST(Scheduler, ScheduleAtPastThrows) {
 }
 
 TEST(Scheduler, Counters) {
+  // Every scheduled event runs, so pending is the heap's size and
+  // executed counts every pop.
   Scheduler sched;
   sched.schedule(kSecond, [] {});
-  const EventId cancelled = sched.schedule(kSecond, [] {});
+  sched.schedule(kSecond, [] {});
   sched.schedule(2 * kSecond, [] {});
   EXPECT_EQ(sched.pending_count(), 3u);
-  sched.cancel(cancelled);
-  EXPECT_EQ(sched.pending_count(), 2u);
-  sched.run();
+  EXPECT_EQ(sched.executed_count(), 0u);
+  sched.run_until(kSecond);
+  EXPECT_EQ(sched.pending_count(), 1u);
   EXPECT_EQ(sched.executed_count(), 2u);
-  EXPECT_EQ(sched.pending_count(), 0u);
-}
-
-TEST(Scheduler, CancelledCountCountsSuccessfulCancels) {
-  Scheduler sched;
-  const EventId a = sched.schedule(kSecond, [] {});
-  const EventId b = sched.schedule(kSecond, [] {});
-  EXPECT_TRUE(sched.cancel(a));
-  EXPECT_FALSE(sched.cancel(a));
-  EXPECT_FALSE(sched.cancel(EventId{}));
   sched.run();
-  EXPECT_FALSE(sched.cancel(b));  // already ran
-  EXPECT_EQ(sched.cancelled_count(), 1u);
-  EXPECT_EQ(sched.executed_count(), 1u);
+  EXPECT_EQ(sched.executed_count(), 3u);
+  EXPECT_EQ(sched.pending_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -178,13 +142,15 @@ TEST(Wakeup, StaysAtOrBeforeTheEarliestArm) {
   Wakeup wakeup(sched, [&] { fired.push_back(sched.now()); });
   wakeup.arm(2 * kSecond);
   wakeup.arm(3 * kSecond);  // later: nothing moves
-  EXPECT_EQ(sched.cancelled_count(), 0u);
-  wakeup.arm(kSecond);  // earlier: the event moves
   EXPECT_EQ(sched.pending_count(), 1u);
-  EXPECT_EQ(sched.cancelled_count(), 1u);
+  wakeup.arm(kSecond);  // earlier: a new event; the 2 s one goes stale
+  EXPECT_EQ(sched.pending_count(), 2u);
   sched.run();
-  // The owner re-arms from its own record; this one keeps none.
+  // The owner re-arms from its own record; this one keeps none.  The
+  // stale event still ran, as a no-op.
   EXPECT_EQ(fired, std::vector<Time>{kSecond});
+  EXPECT_EQ(sched.executed_count(), 2u);
+  EXPECT_EQ(sched.now(), 2 * kSecond);
 }
 
 TEST(Wakeup, DisarmDropsThePendingEvent) {
@@ -194,17 +160,43 @@ TEST(Wakeup, DisarmDropsThePendingEvent) {
   wakeup.arm(kSecond);
   wakeup.disarm();
   wakeup.arm(2 * kSecond);  // a later arm after a disarm schedules afresh
+  EXPECT_EQ(sched.pending_count(), 2u);
+  sched.run_until(kSecond);
+  EXPECT_EQ(fired, 0);  // the disarmed event ran as a no-op
+  EXPECT_EQ(sched.executed_count(), 1u);
   sched.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sched.now(), 2 * kSecond);
 }
 
+TEST(Wakeup, StaleEventKeepsItsPlaceBehindLaterEvents) {
+  // Moved earlier, fired, then re-armed at the stale event's instant: the
+  // wakeup fires at its new (time, seq) place, after a marker scheduled
+  // between the two arms.  The stale event is due at the same instant
+  // and ahead of the marker, so only its generation tells it apart.
+  Scheduler sched;
+  std::vector<std::string> log;
+  Wakeup wakeup(sched, [&] {
+    log.push_back("wakeup@" + std::to_string(sched.now() / kMillisecond));
+  });
+  wakeup.arm(2 * kSecond);  // goes stale at the next arm
+  wakeup.arm(kSecond);
+  sched.run_until(kSecond);
+  sched.schedule_at(2 * kSecond, [&] { log.push_back("marker"); });
+  wakeup.arm(2 * kSecond);
+  sched.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"wakeup@1000", "marker",
+                                           "wakeup@2000"}));
+}
+
 // ---------------------------------------------------------------------------
-// Regression pins for same-instant FIFO and cancellation semantics under
-// adversarial patterns.  These nail down behaviour the deterministic
-// fuzzer's bit-reproducibility check depends on: a scheduler that
-// reorders ties or resurrects cancelled events would change packet
-// traces between otherwise identical runs.
+// Regression pins for same-instant FIFO and for owners that retire their
+// events by generation, under adversarial patterns.  These nail down
+// behaviour the deterministic fuzzer's bit-reproducibility check depends
+// on: a scheduler that reorders ties, or a retired event that does its
+// work, would change packet traces between otherwise identical runs.
+// "Cancel" in a test name below is an owner retiring its event; the
+// scheduler still runs it.
 // ---------------------------------------------------------------------------
 
 TEST(Scheduler, SameInstantFifoSurvivesInterleavedSchedules) {
@@ -223,36 +215,23 @@ TEST(Scheduler, SameInstantFifoSurvivesInterleavedSchedules) {
 }
 
 TEST(Scheduler, CancelSameInstantSiblingDuringDispatch) {
-  // A handler cancels a later event scheduled for the SAME instant: the
-  // cancel must succeed and the sibling must be skipped, even though it
-  // already sits in the dispatch queue for the current time.
+  // A handler retires a later event scheduled for the SAME instant by
+  // bumping its owner's generation: the sibling still runs in its place,
+  // does nothing, and the events after it keep their order.
   Scheduler sched;
   std::vector<int> order;
-  EventId sibling;
+  std::uint64_t generation = 0;
   sched.schedule(kSecond, [&] {
     order.push_back(1);
-    EXPECT_TRUE(sched.cancel(sibling));
+    ++generation;
   });
-  sibling = sched.schedule(kSecond, [&] { order.push_back(2); });
+  sched.schedule(kSecond, [&, mine = generation] {
+    if (mine == generation) order.push_back(2);
+  });
   sched.schedule(kSecond, [&] { order.push_back(3); });
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
-  EXPECT_EQ(sched.executed_count(), 2u);
-}
-
-TEST(Scheduler, CancelSelfDuringExecutionFails) {
-  // By the time a handler runs its own id is no longer pending, so a
-  // self-cancel reports false and has no effect.
-  Scheduler sched;
-  EventId self;
-  bool ran = false;
-  self = sched.schedule(kSecond, [&] {
-    ran = true;
-    EXPECT_FALSE(sched.cancel(self));
-  });
-  sched.run();
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(sched.executed_count(), 1u);
+  EXPECT_EQ(sched.executed_count(), 3u);
 }
 
 TEST(Scheduler, ZeroDelayReschedulesKeepFifoAcrossHandlers) {
@@ -275,40 +254,43 @@ TEST(Scheduler, ZeroDelayReschedulesKeepFifoAcrossHandlers) {
 }
 
 TEST(Scheduler, CancelAndReplaceKeepsSurvivorOrder) {
-  // Timer-refresh pattern: cancel a pending event and schedule a
-  // replacement at the same instant.  The replacement is a NEW event and
-  // must run after every survivor scheduled before it.
+  // Timer-refresh pattern: retire a pending event by generation and
+  // schedule a replacement at the same instant.  The replacement is a
+  // NEW event and must run after every survivor scheduled before it.
   Scheduler sched;
   std::vector<int> order;
-  const EventId stale = sched.schedule(kSecond, [&] { order.push_back(1); });
+  std::uint64_t generation = 0;
+  sched.schedule(kSecond, [&, mine = generation] {
+    if (mine == generation) order.push_back(1);
+  });
   sched.schedule(kSecond, [&] { order.push_back(2); });
-  EXPECT_TRUE(sched.cancel(stale));
-  sched.schedule(kSecond, [&] { order.push_back(3); });
+  sched.schedule(kSecond, [&, mine = ++generation] {
+    if (mine == generation) order.push_back(3);
+  });
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{2, 3}));
 }
 
 TEST(Scheduler, AdversarialCancelStormCountsStayConsistent) {
-  // Dense same-instant bursts with every other event cancelled — some
-  // before run(), some from inside handlers — must never double-execute,
-  // resurrect, or lose events.
+  // Dense same-instant bursts with every other event retired — some
+  // before run(), one from inside a handler — must never double-execute
+  // or lose events: every event runs once, the retired ones as no-ops.
   Scheduler sched;
-  std::vector<EventId> ids;
-  int executed = 0;
-  for (int i = 0; i < 100; ++i) {
-    ids.push_back(sched.schedule(kSecond, [&] { ++executed; }));
+  std::vector<bool> retired(100, false);
+  int worked = 0;
+  for (std::size_t i = 0; i < retired.size(); ++i) {
+    sched.schedule(kSecond, [&, i] {
+      if (!retired[i]) ++worked;
+    });
   }
-  int cancelled = 0;
-  for (std::size_t i = 0; i < ids.size(); i += 2) {
-    cancelled += sched.cancel(ids[i]);
-  }
-  // A same-instant saboteur scheduled last cancels the tail survivor.
-  sched.schedule(kSecond, [&] { EXPECT_FALSE(sched.cancel(ids[99])); });
+  for (std::size_t i = 0; i < retired.size(); i += 2) retired[i] = true;
+  // A same-instant saboteur scheduled last retires the tail survivor,
+  // which has already run.
+  sched.schedule(kSecond, [&] { retired[99] = true; });
+  EXPECT_EQ(sched.pending_count(), 101u);
   sched.run();
-  EXPECT_EQ(cancelled, 50);
-  EXPECT_EQ(executed, 50);
-  // 50 survivors + the saboteur.
-  EXPECT_EQ(sched.executed_count(), 51u);
+  EXPECT_EQ(worked, 50);
+  EXPECT_EQ(sched.executed_count(), 101u);
   EXPECT_EQ(sched.pending_count(), 0u);
 }
 

@@ -1,5 +1,5 @@
 // Differential table-equivalence suite: the prefix-hash Fib against the
-// retained LinearFib reference.
+// LinearFib reference.
 //
 // The prefix-hash index is a pure lookup-structure swap — for every
 // operation sequence, lookup() and find_exact() must return entries with
@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -58,6 +59,41 @@ class TableDiffProperty : public ::testing::TestWithParam<std::uint64_t> {
     }
     return name;
   }
+
+  /// The route shapes of a scenario with junk routes: one-component
+  /// "/providerN" routes (topology::Network::install_routes) beside junk
+  /// "xfib<hex>" prefixes of depth 1–3 with numeric components
+  /// (sim::Scenario::prepopulate_fib).  Small value ranges make junk
+  /// prefixes nest and repeat.
+  Name provider_prefix() {
+    return Name().append("provider" + std::to_string(rng_.uniform(3)));
+  }
+  Name junk_prefix() {
+    char head[32];
+    std::snprintf(head, sizeof(head), "xfib%016llx",
+                  static_cast<unsigned long long>(rng_.uniform(6)));
+    Name name = Name().append(head);
+    const std::uint64_t extra = rng_.uniform(3);
+    for (std::uint64_t d = 0; d < extra; ++d) {
+      name = name.append_number(rng_.uniform(3));
+    }
+    return name;
+  }
+
+  /// What a scenario's routers look up: "/providerN/objK/cM".
+  Name scenario_query() {
+    return Name()
+        .append("provider" + std::to_string(rng_.uniform(3)))
+        .append("obj" + std::to_string(rng_.uniform(4)))
+        .append("c" + std::to_string(rng_.uniform(4)));
+  }
+
+  /// Interleaves add/set/remove operations with lookups, checking Fib
+  /// against LinearFib after every step.  With `scenario_shapes` the
+  /// prefixes and queries take the scenario's shapes: junk routes go in
+  /// by add_route at face 0 and cost 0xFFFFFF, provider routes by
+  /// set_routes (as a reconvergence does), and lookups are chunk names.
+  void mutation_sweep(bool scenario_shapes);
 
   std::vector<FibNextHop> random_hops() {
     std::vector<FibNextHop> hops;
@@ -123,19 +159,31 @@ TEST_P(TableDiffProperty, TrieLpmEquivalentToLinearLpm) {
   }
 }
 
-TEST_P(TableDiffProperty, InterleavedMutationsStayEquivalent) {
+void TableDiffProperty::mutation_sweep(bool scenario_shapes) {
   Fib fib;
   LinearFib linear;
   std::vector<Name> pool;
   const int steps = property_iters(400);
   for (int step = 0; step < steps; ++step) {
     const std::uint64_t op = rng_.uniform(10);
-    if (op < 4 || pool.empty()) {  // add_route
-      const Name prefix = random_name();
-      const FaceId face = static_cast<FaceId>(rng_.uniform(5));
-      const auto cost = static_cast<std::uint32_t>(rng_.uniform(4));
-      fib.add_route(prefix, face, cost);
-      linear.add_route(prefix, face, cost);
+    if (op < 4 || pool.empty()) {  // add a route
+      Name prefix;
+      if (!scenario_shapes) {
+        prefix = random_name();
+        const FaceId face = static_cast<FaceId>(rng_.uniform(5));
+        const auto cost = static_cast<std::uint32_t>(rng_.uniform(4));
+        fib.add_route(prefix, face, cost);
+        linear.add_route(prefix, face, cost);
+      } else if (rng_.bernoulli(0.3)) {
+        prefix = provider_prefix();
+        const std::vector<FibNextHop> hops = random_hops();
+        fib.set_routes(prefix, hops);
+        linear.set_routes(prefix, hops);
+      } else {
+        prefix = junk_prefix();
+        fib.add_route(prefix, 0, 0xFFFFFF);
+        linear.add_route(prefix, 0, 0xFFFFFF);
+      }
       pool.push_back(prefix);
     } else if (op < 6) {  // set_routes (possibly empty => removal)
       const Name& prefix = pool[rng_.uniform(pool.size())];
@@ -155,7 +203,7 @@ TEST_P(TableDiffProperty, InterleavedMutationsStayEquivalent) {
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick));
     }
     ASSERT_EQ(fib.size(), linear.size()) << "after step " << step;
-    const Name query = random_name(6);
+    const Name query = scenario_shapes ? scenario_query() : random_name(6);
     expect_same_entry(fib.lookup(query), linear.lookup(query), query);
     expect_same_entry(fib.find_exact(query), linear.find_exact(query),
                       query);
@@ -168,6 +216,11 @@ TEST_P(TableDiffProperty, InterleavedMutationsStayEquivalent) {
   EXPECT_EQ(fib.size(), 0u);
   EXPECT_EQ(linear.size(), 0u);
   EXPECT_EQ(fib.lookup(random_name(6)), nullptr);
+}
+
+TEST_P(TableDiffProperty, InterleavedMutationsStayEquivalent) {
+  mutation_sweep(false);
+  mutation_sweep(true);
 }
 
 TEST_P(TableDiffProperty, HighFanoutRootPromotesAndStaysEquivalent) {
@@ -283,29 +336,6 @@ TEST(TableDiff, ShallowPrefixAddedAndRemovedKeepsDeepEntryReachable) {
   expect_same_entry(fib.lookup(Name("/p/q/r/s/t")),
                     linear.lookup(Name("/p/q/r/s/t")), Name("/p/q/r/s/t"));
   EXPECT_EQ(fib.lookup(Name("/p/q/r")), nullptr);
-}
-
-TEST(TableDiff, SetImplRefusesNonEmptyTable) {
-  Fib fib;
-  fib.set_impl(Fib::Impl::kLinear);      // empty: fine
-  fib.set_impl(Fib::Impl::kPrefixHash);  // back again: fine
-  fib.add_route(Name("/a"), 1);
-  EXPECT_THROW(fib.set_impl(Fib::Impl::kLinear), std::logic_error);
-}
-
-TEST(TableDiff, LinearImplBehindTheFibFacade) {
-  Fib fib;
-  fib.set_impl(Fib::Impl::kLinear);
-  fib.add_route(Name("/a/b"), 1);
-  fib.add_route(Name("/a"), 2);
-  ASSERT_EQ(fib.size(), 2u);
-  const FibEntry* entry = fib.lookup(Name("/a/b/c"));
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->prefix, Name("/a/b"));
-  fib.remove_route(Name("/a/b"));
-  entry = fib.lookup(Name("/a/b/c"));
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->prefix, Name("/a"));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -215,14 +216,22 @@ TEST(ClientApp, LatencySamplesFeedTimeSeries) {
 
 TEST(ClientApp, AnsweredRequestsCancelNoTimer) {
   // Each app keeps one wakeup at or before its earliest deadline, so an
-  // answer cancels nothing: what is left are registration timeouts and
-  // wakeups moved earlier by an overload backoff or a new deadline.
+  // answered request leaves no event behind.  Every scheduled event runs,
+  // so pending is the heap's size: a timer per request would keep about
+  // one Interest lifetime of requests there (~700 here); the heap holds
+  // frames, slot fills, wakeups and registration timeouts instead.
   sim::Scenario scenario(tiny_config());
-  const auto& metrics = scenario.run();
+  event::Scheduler& sched = scenario.scheduler();
+  std::size_t peak = 0;
+  while (sched.now() < scenario.config().duration) {
+    sched.run_until(sched.now() + 10 * event::kMillisecond);
+    peak = std::max(peak, sched.pending_count());
+  }
+  const sim::Metrics metrics = scenario.harvest();
   const std::uint64_t requests =
       metrics.clients.requested + metrics.attackers.requested;
   EXPECT_GT(requests, 1000u);
-  EXPECT_LT(scenario.scheduler().cancelled_count() * 100, requests);
+  EXPECT_LT(peak * 100, requests);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,10 +250,12 @@ class SlowDataPolicy : public ndn::AccessControlPolicy {
 };
 
 struct ControlledProducer {
-  ControlledProducer() {
+  /// At the default 1.0 every object is public and the client never
+  /// registers; at 0.0 every object is protected and it registers first.
+  explicit ControlledProducer(double public_fraction = 1.0) {
     ProviderConfig provider_config;
     provider_config.catalog = small_catalog();
-    provider_config.catalog.public_fraction = 1.0;  // no registration
+    provider_config.catalog.public_fraction = public_fraction;
     provider_config.key_bits = 512;
     provider = std::make_unique<ProviderApp>(
         catalog_node, "/provider0", provider_config, anchors, util::Rng(3));
@@ -270,10 +281,10 @@ struct ControlledProducer {
     client->start();
   }
 
-  /// Sends `data` for the first Interest's name at `when`.
-  void answer_at(event::Time when, ndn::Data data) {
-    sched.schedule_at(when, [this, data = std::move(data)]() mutable {
-      data.name = interests.front().second;
+  /// Sends `data` for the name of Interest number `index` at `when`.
+  void answer_at(event::Time when, ndn::Data data, std::size_t index = 0) {
+    sched.schedule_at(when, [this, index, data = std::move(data)]() mutable {
+      data.name = interests.at(index).second;
       node.inject_from_app(producer_face, std::move(data));
     });
   }
@@ -318,6 +329,48 @@ TEST(ClientApp, OverloadNackDuringBackoffRestartsIt) {
   EXPECT_EQ(counters.overload_nacks, 1u);
   EXPECT_EQ(counters.retransmissions, 1u);
   EXPECT_EQ(counters.chunks_requested, 2u);
+}
+
+/// A registration response without a tag: the provider refused.
+ndn::Data registration_refusal() {
+  ndn::Data data;
+  data.is_registration_response = true;
+  data.nack_attached = true;
+  return data;
+}
+
+TEST(ClientApp, AnsweredRegistrationTimeoutSparesTheNextAttempt) {
+  // The first registration (sent at 0) is refused at 301 ms; its parked
+  // slot re-registers after the 500 ms refusal backoff, at 801 ms.  The
+  // first attempt's timeout, due at 1 s, must not time out the second.
+  ControlledProducer net(0.0);
+  net.answer_at(event::kMillisecond, registration_refusal());
+  net.sched.run_until(1700 * event::kMillisecond);
+  ASSERT_EQ(net.interests.size(), 2u);
+  EXPECT_EQ(net.interests[1].first, 801 * event::kMillisecond);
+  const UserCounters& counters = net.client->counters();
+  EXPECT_EQ(counters.registrations_refused, 1u);
+  EXPECT_EQ(counters.registration_retransmissions, 0u);
+  EXPECT_EQ(counters.tags_requested, 2u);
+}
+
+TEST(ClientApp, StaleRegistrationBackoffResendsNothing) {
+  // Registration attempts time out at 1 s and 2.5 s, and the second
+  // timeout starts a 1 s backoff.  A late refusal of the second attempt
+  // ends that registration at 2.8 s - 1 ns, and its parked slot
+  // re-registers after the 500 ms refusal backoff, at 3.3 s - 1 ns:
+  // before the stale backoff ends at 3.5 s, which must not send a second
+  // attempt of the new registration.
+  ControlledProducer net(0.0);
+  net.answer_at(2500 * event::kMillisecond - 1, registration_refusal(), 1);
+  net.sched.run_until(4 * kSecond);
+  ASSERT_EQ(net.interests.size(), 3u);
+  EXPECT_EQ(net.interests[1].first, 1500 * event::kMillisecond);
+  EXPECT_EQ(net.interests[2].first, 3300 * event::kMillisecond - 1);
+  const UserCounters& counters = net.client->counters();
+  EXPECT_EQ(counters.registrations_refused, 1u);
+  EXPECT_EQ(counters.registration_retransmissions, 2u);
+  EXPECT_EQ(counters.tags_requested, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -377,10 +430,15 @@ TEST(UserApp, EndedRequestNeverFiresAndTheNextFiresOnTime) {
   probe.app.add("/b");
   probe.app.arm("/a", kSecond);
   probe.app.arm("/b", 2 * kSecond);
-  probe.sched.schedule(kSecond / 2, [&] { probe.app.end("/a"); });
+  probe.sched.schedule(kSecond / 2, [&] {
+    probe.app.end("/a");
+    // Ending a request schedules nothing: the heap holds the wakeup.
+    EXPECT_EQ(probe.sched.pending_count(), 1u);
+  });
   probe.sched.run();
   EXPECT_EQ(probe.app.log, (std::vector<std::string>{"/b@2000"}));
-  EXPECT_EQ(probe.sched.cancelled_count(), 0u);
+  // The end, the wakeup at 1 s (nothing due; re-armed at 2 s), and /b's.
+  EXPECT_EQ(probe.sched.executed_count(), 3u);
 }
 
 TEST(UserApp, EarlierDeadlineMovesTheWakeup) {
@@ -389,11 +447,13 @@ TEST(UserApp, EarlierDeadlineMovesTheWakeup) {
   probe.app.add("/b");
   probe.app.arm("/a", 2 * kSecond);
   probe.sched.run_until(kSecond / 2);
-  probe.app.arm("/b", kSecond);
+  probe.app.arm("/b", kSecond);  // earlier: the 2 s event goes stale
   probe.app.arm("/a", 3 * kSecond);  // later: the wakeup stays put
+  EXPECT_EQ(probe.sched.pending_count(), 2u);
   probe.sched.run();
   EXPECT_EQ(probe.app.log, (std::vector<std::string>{"/b@1000", "/a@3000"}));
-  EXPECT_EQ(probe.sched.cancelled_count(), 1u);
+  // 1 s serves /b and re-arms at 3 s; the stale 2 s event does nothing.
+  EXPECT_EQ(probe.sched.executed_count(), 3u);
 }
 
 TEST(UserApp, DeadlineArmedForNowInTheHandlerRunsInALaterEvent) {
