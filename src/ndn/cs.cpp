@@ -1,23 +1,33 @@
 #include "ndn/cs.hpp"
 
+#include <limits>
+
 namespace tactic::ndn {
 
-void ContentStore::Entry::respond(const Interest& request, Data& out) const {
+ContentStore::ContentStore(std::size_t capacity) : capacity_(capacity) {}
+
+const std::shared_ptr<const util::Bytes>& ContentStore::signature(
+    const Entry& entry) const {
+  static const std::shared_ptr<const util::Bytes> kUnsigned;
+  return entry.slot < signatures_.size() ? signatures_[entry.slot]
+                                          : kUnsigned;
+}
+
+void ContentStore::respond(const Entry& entry, const Interest& request,
+                           Data& out) const {
   // Content: what the provider published.
-  out.name = name;
-  out.content_size = content_size;
-  out.access_level = access_level;
-  out.provider_key_locator = NameTable::instance().text(key_locator);
-  out.signature_size = signature_size;
-  out.signature = signature;
+  out.name = entry.name;
+  out.content_size = entry.content_size;
+  out.access_level = entry.access_level;
+  out.provider_key_locator = NameTable::instance().text(entry.key_locator);
+  out.signature_size = entry.signature_size;
+  out.signature = signature(entry);
   // Envelope: this request's.  The attached NACK stays at its default.
   out.tag = request.tag;
   out.tag_wire_size = request.tag_wire_size;
   out.flag_f = request.flag_f;
   out.from_cache = true;
 }
-
-ContentStore::ContentStore(std::size_t capacity) : capacity_(capacity) {}
 
 void ContentStore::lru_unlink(std::uint32_t s) {
   Slot& slot = slots_[s];
@@ -47,9 +57,8 @@ void ContentStore::lru_push_front(std::uint32_t s) {
 }
 
 void ContentStore::free_slot(std::uint32_t s) {
-  Slot& slot = slots_[s];
-  slot.entry.signature.reset();  // releases the shared signature bytes
-  slot.live = false;
+  // Releases the shared signature bytes.
+  if (s < signatures_.size()) signatures_[s].reset();
   slots_.release(s);
 }
 
@@ -66,7 +75,11 @@ const ContentStore::Entry* ContentStore::find(const Name& name) {
 }
 
 void ContentStore::insert(const Data& data) {
-  if (capacity_ == 0) return;
+  constexpr std::size_t kMaxSize = std::numeric_limits<std::uint32_t>::max();
+  if (capacity_ == 0 || data.content_size > kMaxSize ||
+      data.signature_size > kMaxSize) {
+    return;
+  }
   const std::uint32_t existing = find_slot(data.name);
   if (existing != util::HashIndex::kNpos) {
     lru_unlink(existing);
@@ -83,28 +96,29 @@ void ContentStore::insert(const Data& data) {
     ++evictions_;
   }
   const std::uint32_t s = slots_.acquire();
-  Slot& slot = slots_[s];
-  Entry& entry = slot.entry;
+  Entry& entry = slots_[s].entry;
   entry.name = data.name;  // reuses the recycled slot's capacity
-  entry.content_size = data.content_size;
+  entry.content_size = static_cast<std::uint32_t>(data.content_size);
   entry.access_level = data.access_level;
   entry.key_locator = NameTable::instance().intern(data.provider_key_locator);
-  entry.signature_size = data.signature_size;
-  entry.signature = data.signature;
-  slot.live = true;
+  entry.signature_size = static_cast<std::uint32_t>(data.signature_size);
+  entry.slot = s;
+  if (data.signature) {
+    if (signatures_.size() <= s) signatures_.resize(slots_.size());
+    signatures_[s] = data.signature;
+  }
   index_.insert(entry.name.id_hash(), s);
   lru_push_front(s);
 }
 
 void ContentStore::clear() {
-  for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].live) {
-      lru_unlink(s);
-      free_slot(s);
-    }
+  // The LRU list holds exactly the live slots.
+  while (lru_head_ != kNil) {
+    const std::uint32_t s = lru_head_;
+    lru_unlink(s);
+    free_slot(s);
   }
   index_.clear();
-  lru_head_ = lru_tail_ = kNil;
 }
 
 }  // namespace tactic::ndn

@@ -2,26 +2,31 @@
 // Content Store: the per-router LRU cache that makes a core router a
 // "content router" (R_C^c) for the objects it holds.
 //
-// A slot holds content, by value: the six fields of a Data packet that
-// the provider published and a cache hit must reproduce (name, content
-// size, access level, provider key locator, signature size and the
-// shared signature handle).  The response envelope — tag echo, flag F,
-// attached NACK, from_cache — belongs to one request, so it is never
-// stored: insert() copies the content fields out of whatever packet
-// arrives, and a hit builds its response in a fresh pool slot where
-// Entry::respond() stamps the requester's envelope.  Which Data fields
-// are content and which are envelope is decided here and nowhere else.
-// Registration responses are never cached (AccessControlPolicy::may_cache
-// refuses them), so a served packet is never one.
+// A slot holds content, by value: the fields of a Data packet that the
+// provider published and a cache hit must reproduce (name, content size,
+// access level, provider key locator, signature size and the shared
+// signature handle).  The response envelope — tag echo, flag F, attached
+// NACK, from_cache — belongs to one request, so it is never stored:
+// insert() copies the content fields out of whatever packet arrives, and
+// a hit builds its response in a fresh pool slot where respond() stamps
+// the requester's envelope.  Which Data fields are content and which are
+// envelope is decided here and nowhere else.  Registration responses are
+// never cached (AccessControlPolicy::may_cache refuses them), so a served
+// packet is never one.
 //
-// The key locator is kept as its NameTable ID (one table entry per
-// provider, not a string per entry); the ID is only a handle to the
-// text, never hashed or compared.  Storage is a util::Slab of reusable
-// slots with an intrusive LRU list and an externalized-key hash index,
-// the PIT's layout; a recycled slot keeps its Name capacity, so
-// steady-state insert/evict allocates nothing.  A full store evicts its
-// LRU tail before it takes a slot, so the slab never holds more than
-// `capacity` slots, and a store that never caches allocates nothing.
+// A slot fits one cache line: the Name keeps its component IDs inline,
+// the sizes are 32-bit, and the key locator is kept as its NameTable ID
+// (one table entry per provider, not a string per entry; the ID is only
+// a handle to the text, never hashed or compared).  Signature handles
+// live in a per-store column indexed by slot, which a store allocates
+// when it first caches a signed Data (ProviderConfig::sign_content).
+// Storage is a util::Slab of reusable slots with an intrusive LRU list
+// and an externalized-key hash index, the PIT's layout; the LRU list is
+// also the record of which slots are live.  A recycled slot keeps its
+// Name capacity, so steady-state insert/evict allocates nothing.  A full
+// store evicts its LRU tail before it takes a slot, so the slab never
+// holds more than `capacity` slots, and a store that never caches
+// allocates nothing.
 
 #include <cstdint>
 #include <memory>
@@ -40,17 +45,13 @@ class ContentStore {
   /// One cached content object.
   struct Entry {
     Name name;
-    std::size_t content_size = 0;
+    std::uint32_t content_size = 0;
     std::uint32_t access_level = 0;
     /// NameTable ID of Data::provider_key_locator (a text handle only).
     ComponentId key_locator = kInvalidComponent;
-    std::size_t signature_size = 0;
-    std::shared_ptr<const util::Bytes> signature;
-
-    /// Writes this content and `request`'s envelope into `out`, a
-    /// default-state packet (a fresh pool slot): the request's tag echo
-    /// and F, from_cache set, no NACK.
-    void respond(const Interest& request, Data& out) const;
+    std::uint32_t signature_size = 0;
+    /// The slot this entry occupies: its row in the signature column.
+    std::uint32_t slot = 0;
   };
 
   /// `capacity` in packets; 0 disables caching entirely.
@@ -64,9 +65,20 @@ class ContentStore {
   /// of capacity 0 counts every lookup as a miss).
   const Entry* find(const Name& name);
 
+  /// The content signature cached with `entry`; null when its Data
+  /// carried none.
+  const std::shared_ptr<const util::Bytes>& signature(
+      const Entry& entry) const;
+
+  /// Writes `entry`'s content and `request`'s envelope into `out`, a
+  /// default-state packet (a fresh pool slot): the request's tag echo
+  /// and F, from_cache set, no NACK.
+  void respond(const Entry& entry, const Interest& request, Data& out) const;
+
   /// Copies the content fields of `data` into a slot, or LRU-refreshes
   /// the entry already cached under its name.  The envelope is ignored.
-  /// A full store first evicts its least recently used entry.
+  /// A full store first evicts its least recently used entry.  Content
+  /// or signature sizes beyond 32 bits are not cached.
   void insert(const Data& data);
 
   bool contains(const Name& name) const {
@@ -88,10 +100,10 @@ class ContentStore {
 
   struct Slot {
     Entry entry;
-    bool live = false;
     std::uint32_t lru_prev = kNil;
     std::uint32_t lru_next = kNil;
   };
+  static_assert(sizeof(Slot) <= 64, "a Content Store slot fits one cache line");
 
   std::uint32_t find_slot(const Name& name) const {
     return index_.find(name.id_hash(), [&](std::uint32_t s) {
@@ -104,6 +116,8 @@ class ContentStore {
 
   std::size_t capacity_;
   util::Slab<Slot> slots_;  // stable addresses
+  /// Signature handle per slot; empty until a signed Data is cached.
+  std::vector<std::shared_ptr<const util::Bytes>> signatures_;
   /// id_hash -> slot; keys (names) live in the slots.
   util::HashIndex index_;
   std::uint32_t lru_head_ = kNil;  // most recently used

@@ -148,7 +148,7 @@ void Fib::set_routes(const Name& prefix, std::vector<NextHop> next_hops) {
 
 const Fib::Entry* Fib::lookup(const Name& name) const {
   ++counters_.lookups;
-  const std::vector<ComponentId>& ids = name.component_ids();
+  const std::span<const ComponentId> ids = name.component_ids();
   // Fold the prefix hashes shortest-first, probing only the lengths that
   // hold entries; the last hit is the longest match.
   const std::size_t longest = std::min(ids.size() + 1, length_counts_.size());
@@ -159,9 +159,8 @@ const Fib::Entry* Fib::lookup(const Name& name) const {
     if (length_counts_[len] == 0) continue;
     ++counters_.nodes_visited;
     const std::uint32_t s = index_.find(h, [&](std::uint32_t v) {
-      const auto& prefix = entries_[v].prefix.component_ids();
-      return prefix.size() == len &&
-             std::equal(prefix.begin(), prefix.end(), ids.begin());
+      const Name& prefix = entries_[v].prefix;
+      return prefix.size() == len && prefix.is_prefix_of(name);
     });
     if (s != util::HashIndex::kNpos) best = &entries_[s];
   }

@@ -261,7 +261,7 @@ void Forwarder::on_interest(FaceId in_face, InterestPtr&& packet) {
     // The cache holds content only: the response is built in a fresh
     // pool slot and carries this request's envelope.
     auto fresh = pool_.make_data();
-    cached->respond(*interest, *fresh);
+    cs_.respond(*cached, *interest, *fresh);
     CowData response(DataPtr(std::move(fresh)), pool_);
     auto hit = policy_->on_cache_hit(*this, in_face, *interest, response);
     compute += hit.compute;

@@ -275,17 +275,6 @@ void ValidationEngine::sig_batch_flush(const std::string& provider,
   for (const auto& handle : batch.pending) handle->fire(done);
 }
 
-void ValidationEngine::flush_all_batches() {
-  std::vector<std::string> providers;
-  providers.reserve(sig_batches_.size());
-  for (const auto& [provider, batch] : sig_batches_) {
-    providers.push_back(provider);
-  }
-  for (const auto& provider : providers) {
-    sig_batch_flush(provider, FlushReason::kDeadline);
-  }
-}
-
 std::size_t ValidationEngine::sig_batch_depth(const Tag& tag) const {
   const auto it = sig_batches_.find(tag.provider_key_locator());
   return it == sig_batches_.end() ? 0 : it->second.pending.size();

@@ -307,8 +307,6 @@ class ValidationEngine {
                                                        event::Time now,
                                                        event::Time item_cost,
                                                        bool queue_idle);
-  /// Flushes every pending batch (tests / orderly shutdown).
-  void flush_all_batches();
   /// Pending signature verifications for `tag`'s provider.
   std::size_t sig_batch_depth(const Tag& tag) const;
   /// Records a failed-verification verdict for `tag`.

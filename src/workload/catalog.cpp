@@ -30,11 +30,32 @@ Catalog::Catalog(ndn::Name prefix, CatalogParams params, util::Rng& rng)
   }
   content_key_.resize(crypto::Aes128::kKeySize);
   for (auto& b : content_key_) b = static_cast<std::uint8_t>(rng());
+  object_ids_.assign(params_.objects, ndn::kInvalidComponent);
+  chunk_ids_.assign(params_.chunks_per_object, ndn::kInvalidComponent);
 }
 
+namespace {
+
+/// The interned ID of `<stem><index>`, cached in ids[index] when the
+/// index is in range.
+ndn::ComponentId numbered_id(std::vector<ndn::ComponentId>& ids,
+                             const char* stem, std::size_t index) {
+  if (index < ids.size() && ids[index] != ndn::kInvalidComponent) {
+    return ids[index];
+  }
+  const ndn::ComponentId id =
+      ndn::NameTable::instance().intern(stem + std::to_string(index));
+  if (index < ids.size()) ids[index] = id;
+  return id;
+}
+
+}  // namespace
+
 ndn::Name Catalog::chunk_name(std::size_t object, std::size_t chunk) const {
-  return prefix_.append("obj" + std::to_string(object))
-      .append("c" + std::to_string(chunk));
+  ndn::Name name = prefix_;
+  name.push_back(numbered_id(object_ids_, "obj", object));
+  name.push_back(numbered_id(chunk_ids_, "c", chunk));
+  return name;
 }
 
 std::optional<std::pair<std::size_t, std::size_t>> Catalog::parse(

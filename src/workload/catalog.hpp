@@ -48,7 +48,9 @@ class Catalog {
     return params_.objects * params_.chunks_per_object;
   }
 
-  /// "/­<prefix>/obj<o>/c<c>".
+  /// "/­<prefix>/obj<o>/c<c>".  Each "obj<o>" and "c<c>" is interned
+  /// the first time this catalog names it, so a later call formats and
+  /// interns nothing.
   ndn::Name chunk_name(std::size_t object, std::size_t chunk) const;
 
   /// Inverse of chunk_name; nullopt for names not in this catalog.
@@ -73,6 +75,10 @@ class Catalog {
   ndn::Name prefix_;
   CatalogParams params_;
   std::vector<std::uint32_t> access_levels_;  // per object
+  /// Interned "obj<o>" per object and "c<c>" per chunk index, filled by
+  /// chunk_name() on first use (kInvalidComponent until then).
+  mutable std::vector<ndn::ComponentId> object_ids_;
+  mutable std::vector<ndn::ComponentId> chunk_ids_;
   util::Bytes content_key_;
 };
 

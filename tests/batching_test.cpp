@@ -227,8 +227,10 @@ TEST_F(BatchingTest, ProvidersBatchIndependently) {
   EXPECT_EQ(engine.counters().sig_batches_flushed, 0u);
   EXPECT_EQ(engine.sig_batch_depth(*tag_), 1u);
   EXPECT_EQ(engine.sig_batch_depth(*tag1), 1u);
-  engine.flush_all_batches();
+  // Each batch's own max_hold deadline flushes it.
+  scheduler_.run_until(kSecond);
   EXPECT_EQ(engine.counters().sig_batches_flushed, 2u);
+  EXPECT_EQ(engine.counters().sig_batch_flush_deadline, 2u);
 }
 
 TEST_F(BatchingTest, CrashDropsPendingBatchWithoutChargeOrDelivery) {

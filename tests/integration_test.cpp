@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#if __has_include(<sys/single_threaded.h>)
+#include <sys/single_threaded.h>
+#define TACTIC_HAVE_SINGLE_THREADED 1
+#endif
+
 #include "sim/scenario.hpp"
 
 namespace tactic::sim {
@@ -156,6 +161,24 @@ TEST(Integration, PublicContentNeedsNoTags) {
   EXPECT_EQ(metrics.clients.tags_requested, 0u);
   // Attackers legitimately read public content; that is not a breach.
   EXPECT_GT(metrics.attackers.delivery_ratio(), 0.5);
+}
+
+// A run starts no thread.  One thread, even one joined before the run,
+// clears glibc's __libc_single_threaded for the rest of the process, and
+// libstdc++ then updates every shared_ptr count with a locked
+// instruction (docs/ARCHITECTURE.md, "Event engine").
+TEST(Integration, RunStaysSingleThreaded) {
+#ifndef TACTIC_HAVE_SINGLE_THREADED
+  GTEST_SKIP() << "no <sys/single_threaded.h>";
+#else
+  ASSERT_TRUE(__libc_single_threaded) << "a thread started before the run";
+  ScenarioConfig config = fast_topo1(52);
+  config.duration = 5 * kSecond;
+  Scenario scenario(config);
+  const Metrics metrics = scenario.run();
+  EXPECT_GT(metrics.clients.received, 0u);
+  EXPECT_TRUE(__libc_single_threaded);
+#endif
 }
 
 TEST(Integration, RunTwiceThrows) {

@@ -1,9 +1,9 @@
 // Tests for the global name-component interning table: ID stability
 // across re-registration, stable text references, uri_size parity with
-// the string definition, the id_hash() fold, TLV round-trips preserving
-// interned IDs, and survival across router crashes that wipe all volatile
-// forwarding state (FIB/PIT/CS and the TACTIC validation engine's
-// wipe_volatile).
+// the string definition, the id_hash() fold and its cache across every
+// edit, TLV round-trips preserving interned IDs, and survival across
+// router crashes that wipe all volatile forwarding state (FIB/PIT/CS and
+// the TACTIC validation engine's wipe_volatile).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "ndn/name.hpp"
 #include "ndn/name_table.hpp"
 #include "ndn/packet.hpp"
+#include "ndn/packet_pool.hpp"
 #include "tactic/tactic_policy.hpp"
 #include "tactic/wire.hpp"
 #include "util/rng.hpp"
@@ -25,6 +26,12 @@ namespace {
 
 using event::kMillisecond;
 using event::kSecond;
+
+/// A name's component IDs as a comparable value.
+std::vector<ComponentId> ids_of(const Name& name) {
+  const auto ids = name.component_ids();
+  return {ids.begin(), ids.end()};
+}
 
 TEST(NameTable, ReRegistrationYieldsTheSameId) {
   NameTable& table = NameTable::instance();
@@ -41,8 +48,8 @@ TEST(NameTable, ReRegistrationYieldsTheSameId) {
       Name::from_components({"name-table-test-alpha", "name-table-test-beta"});
   const Name appended =
       Name().append("name-table-test-alpha").append("name-table-test-beta");
-  EXPECT_EQ(parsed.component_ids(), built.component_ids());
-  EXPECT_EQ(parsed.component_ids(), appended.component_ids());
+  EXPECT_EQ(ids_of(parsed), ids_of(built));
+  EXPECT_EQ(ids_of(parsed), ids_of(appended));
   EXPECT_EQ(parsed.component_ids()[0], first);
 }
 
@@ -62,7 +69,7 @@ TEST(NameTable, TextReferencesStayValidAsTheTableGrows) {
 
 TEST(NameTable, FromIdsRoundTripsComponentIds) {
   const Name name("/a/b/c");
-  const Name rebuilt = Name::from_ids(name.component_ids());
+  const Name rebuilt = Name::from_ids(ids_of(name));
   EXPECT_EQ(rebuilt, name);
   EXPECT_EQ(rebuilt.to_uri(), "/a/b/c");
 }
@@ -112,12 +119,105 @@ TEST(NameTable, IdHashIsTheFoldOfExtendIdHash) {
   EXPECT_EQ(cleared.id_hash(), Name::kIdHashSeed);
 }
 
+/// id_hash() of a fresh parse of `uri` (its cache starts empty).
+std::uint64_t fresh_hash(const std::string& uri) { return Name(uri).id_hash(); }
+
+/// A name parsed from `uri` whose id_hash() is already cached.
+Name cached(const std::string& uri) {
+  Name name(uri);
+  name.id_hash();
+  return name;
+}
+
+// Every edit of the components drops the cached hash, and every copy or
+// move carries it with the IDs: each name below starts with a cached
+// hash, is edited, and must hash like a fresh parse of the result.  The
+// bases cover inline IDs and a heap buffer (more than kInlineIds).
+TEST(NameHashCache, EveryEditHashesLikeAFreshParse) {
+  static_assert(Name::kInlineIds == 4);
+  for (const std::string base :
+       {"/hash-cache/p0/obj3", "/hash-cache/a/b/c/d"}) {
+    SCOPED_TRACE(base);
+    EXPECT_EQ(cached(base).append("c7").id_hash(), fresh_hash(base + "/c7"));
+    EXPECT_EQ(cached(base).append_number(42).id_hash(),
+              fresh_hash(base + "/42"));
+    Name pushed = cached(base);
+    pushed.push_back(NameTable::instance().intern("c8"));
+    EXPECT_EQ(pushed.id_hash(), fresh_hash(base + "/c8"));
+
+    // Copy and move construction carry the hash (and it is the right one).
+    const Name source = cached(base);
+    const Name copied(source);
+    EXPECT_EQ(copied.id_hash(), fresh_hash(base));
+    EXPECT_EQ(copied.append("c9").id_hash(), fresh_hash(base + "/c9"));
+    Name donor = cached(base);
+    const Name moved(std::move(donor));
+    EXPECT_EQ(moved.id_hash(), fresh_hash(base));
+
+    // Assignment over names with other cached hashes, inline and heap,
+    // from cached and uncached sources.
+    for (const std::string other : {"/hash-cache/x", "/hash-cache/1/2/3/4/5"}) {
+      SCOPED_TRACE(other);
+      Name copy_assigned = cached(other);
+      copy_assigned = source;
+      EXPECT_EQ(copy_assigned.id_hash(), fresh_hash(base));
+      Name move_assigned = cached(other);
+      Name moved_source = cached(base);
+      move_assigned = std::move(moved_source);
+      EXPECT_EQ(move_assigned.id_hash(), fresh_hash(base));
+      Name uncached_assigned = cached(other);
+      uncached_assigned = Name(base);
+      EXPECT_EQ(uncached_assigned.id_hash(), fresh_hash(base));
+      Name from_ids = cached(other);
+      from_ids = Name::from_ids(ids_of(Name(base + "/ids")));
+      EXPECT_EQ(from_ids.id_hash(), fresh_hash(base + "/ids"));
+      Name decoded = cached(other);
+      decoded = wire::decode_name(wire::encode_name(Name(base + "/tlv")));
+      EXPECT_EQ(decoded.id_hash(), fresh_hash(base + "/tlv"));
+    }
+
+    // clear(), then a rebuild with and without a hash read in between.
+    Name rebuilt = cached(base);
+    rebuilt.clear();
+    EXPECT_EQ(rebuilt.id_hash(), Name::kIdHashSeed);
+    const Name rebuild_source("/hash-cache/r/s");
+    for (const ComponentId id : rebuild_source.component_ids()) {
+      rebuilt.push_back(id);
+    }
+    EXPECT_EQ(rebuilt.id_hash(), fresh_hash("/hash-cache/r/s"));
+    rebuilt.clear();
+    rebuilt = rebuilt.append("hash-cache").append("t");
+    EXPECT_EQ(rebuilt.id_hash(), fresh_hash("/hash-cache/t"));
+
+    // A pool slot recycled under a new tenant: reset_for_reuse() clears
+    // the name, and the refill hashes as its own.
+    ASSERT_TRUE(PacketPool::pooling_enabled());
+    PacketPool pool;
+    const Interest* address = nullptr;
+    {
+      auto first = pool.make_interest();
+      first->name = cached(base);
+      ASSERT_EQ(first->name.id_hash(), fresh_hash(base));
+      address = first.get();
+    }
+    auto refill = pool.make_interest();
+    ASSERT_EQ(refill.get(), address);  // the same slot, reset
+    EXPECT_TRUE(refill->name.empty());
+    EXPECT_EQ(refill->name.id_hash(), Name::kIdHashSeed);
+    const Name refill_source(base + "/refill");
+    for (const ComponentId id : refill_source.component_ids()) {
+      refill->name.push_back(id);
+    }
+    EXPECT_EQ(refill->name.id_hash(), fresh_hash(base + "/refill"));
+  }
+}
+
 TEST(NameTable, TlvRoundTripPreservesInternedIds) {
   const Name name("/name-table-test-tlv/obj/42");
   const util::Bytes encoded = wire::encode_name(name);
   const Name decoded = wire::decode_name(encoded);
   EXPECT_EQ(decoded, name);
-  EXPECT_EQ(decoded.component_ids(), name.component_ids());
+  EXPECT_EQ(ids_of(decoded), ids_of(name));
   EXPECT_EQ(decoded.to_uri(), name.to_uri());
 }
 

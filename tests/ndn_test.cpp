@@ -294,8 +294,8 @@ TEST(ContentStore, StoresContentByValue) {
   EXPECT_EQ(NameTable::instance().text(stored->key_locator),
             "/p/KEY/by-value");
   EXPECT_EQ(stored->signature_size, 64u);
-  ASSERT_NE(stored->signature, nullptr);
-  EXPECT_EQ(*stored->signature, (util::Bytes{7, 8, 9}));
+  ASSERT_NE(cs.signature(*stored), nullptr);
+  EXPECT_EQ(*cs.signature(*stored), (util::Bytes{7, 8, 9}));
 }
 
 TEST(ContentStore, ReinsertRefreshesLru) {
